@@ -100,10 +100,16 @@ def crossing_time(p: ChainParams, k: int, threshold: float,
 
     grid = np.arange(0.0, s_max + coarse_step, coarse_step)
     values = lr_walk_grid(p, [k], grid)[0]
+    return _first_crossing(p, k, threshold, grid, values, s_max)
+
+
+def _first_crossing(p: ChainParams, k: int, threshold: float, grid: np.ndarray,
+                    values: np.ndarray, s_end: float) -> float:
+    """Bracket the first upward crossing in a coarse sweep, bisect it to 1e-8."""
     above = np.nonzero((values[:-1] < threshold) & (values[1:] >= threshold))[0]
     if len(above) == 0:
         raise ThresholdNotReachedError(
-            f"C_{k} never reaches {threshold} before s = {s_max:.4g}")
+            f"C_{k} never reaches {threshold} before s = {s_end:.4g}")
     lo, hi = float(grid[above[0]]), float(grid[above[0] + 1])
     while hi - lo > 1e-8:
         mid = 0.5 * (lo + hi)
@@ -147,21 +153,8 @@ def front_velocity(p: ChainParams, threshold: float = 0.1,
     grid = np.arange(0.0, s_top + coarse, coarse)
     values = lr_walk_grid(p, ks, grid)
 
-    times = []
-    for row, k in zip(values, ks):
-        above = np.nonzero((row[:-1] < threshold) & (row[1:] >= threshold))[0]
-        if len(above) == 0:
-            raise ThresholdNotReachedError(
-                f"C_{k} never reaches {threshold} before s = {s_top:.4g}")
-        lo, hi = float(grid[above[0]]), float(grid[above[0] + 1])
-        while hi - lo > 1e-8:
-            mid = 0.5 * (lo + hi)
-            if lr_walk(p, int(k), mid) < threshold:
-                lo = mid
-            else:
-                hi = mid
-        times.append(0.5 * (lo + hi))
-    times = np.asarray(times)
+    times = np.array([_first_crossing(p, int(k), threshold, grid, row, s_top)
+                      for row, k in zip(values, ks)])
 
     design = np.column_stack([np.ones_like(ks, dtype=float), ks.astype(float),
                               ks.astype(float) ** (1.0 / 3.0)])

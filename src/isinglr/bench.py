@@ -15,19 +15,14 @@ import numpy as np
 
 from .params import MAX_DENSE_QUBITS, ChainParams
 from .oracle import lr_direct_grid
-from .walk import _cheb_table, _eig_factor, lr_walk_grid
-
-
-def _clear_caches():
-    _eig_factor.cache_clear()
-    _cheb_table.cache_clear()
+from .walk import _eig_factor, lr_walk_grid
 
 
 def time_walk(p: ChainParams, ks, ss, repeats: int = 3) -> float:
     """Best-of-N wall time for a full walk-method grid, cold caches."""
     best = np.inf
     for _ in range(repeats):
-        _clear_caches()
+        _eig_factor.cache_clear()
         t0 = time.perf_counter()
         lr_walk_grid(p, ks, ss)
         best = min(best, time.perf_counter() - t0)

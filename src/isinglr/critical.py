@@ -122,9 +122,11 @@ def bessel_j(order: int, z: float) -> float:
 
 
 def _tail_orders(k: int, z: float) -> int:
-    # Orders past z + O(z^(1/3)) contribute only super-exponentially small
-    # terms; cap where they are negligible against double precision.
-    return max(2 * k, int(math.ceil(z + 18.0 * max(z, 1.0) ** (1.0 / 3.0))) + 40)
+    # Past both 2k and z + O(z^(1/3)) the squared terms shrink at least
+    # geometrically (by 3x or more per order for z up to 1e3), so 40 more
+    # orders leave a remainder below double precision relative to the sum.
+    # Padding only the z bound would stop at one term once 2k passes it.
+    return max(2 * k, int(math.ceil(z + 18.0 * max(z, 1.0) ** (1.0 / 3.0)))) + 40
 
 
 def lr_critical(k: int, s: float) -> float:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
 
 
 class ValidationError(ValueError):
@@ -161,8 +160,3 @@ class CorrelationSeries:
                     raise ValidationError(f"C({s}) = {c} outside the [0, 2] bound")
                 if s == 0.0 and c != 0.0:
                     raise ValidationError(f"C(0) must vanish, got {c}")
-
-
-def series_from_arrays(k: int, times: Sequence[float], values: Sequence[float],
-                       method: Method) -> CorrelationSeries:
-    return CorrelationSeries(k, TimeGrid(tuple(times)), tuple(values), method)

@@ -9,27 +9,25 @@ first row of an orthogonal matrix,
 
     C_k(s) = 2 sqrt( sum_{m >= 2k} r_m^2 ),   r = row 1 of exp(-2 pi s A').
 
-Two evaluation routes are provided and cross-checked:
+In double precision the row comes from the eigendecomposition of the
+equivalent real symmetric tridiagonal matrix (phase-conjugating A' by
+diag(i^m) makes i A' real symmetric), exact orthogonality by construction.
+Up to time s the row is nonzero in double precision only inside the light
+cone, the first ~2 pi s (1 + J') nodes, so only that prefix of the chain is
+factorized and the cost at short times does not grow with N.
 
-* eigendecomposition of the equivalent real symmetric tridiagonal matrix
-  (phase-conjugating A' by diag(i^m) makes i A' real symmetric), exact
-  orthogonality by construction;
-* a Bessel-coefficient Chebyshev expansion of the same exponential, used for
-  large chains and dense time grids because its cost per time point is linear
-  in the chain length.
-
-A third route evaluates the row in arbitrary-precision arithmetic for the
+A second route evaluates the row in arbitrary-precision arithmetic for the
 deep tail, where values fall below anything representable in doubles.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.special import jv
 
 from .params import (
     ChainParams,
@@ -127,13 +125,36 @@ def walk_coefficients(p: ChainParams, n: int) -> np.ndarray:
     return (2j) ** n * v
 
 
+def _check_time(s: float) -> float:
+    if not (math.isfinite(s) and s >= 0.0):
+        raise ValidationError(f"time must be finite and >= 0, got {s!r}")
+    return float(s)
+
+
+def _light_cone_qubits(p: ChainParams, s_max: float) -> int:
+    """Qubits of the chain prefix that determines the rows up to time s_max.
+
+    exp(-2 pi s A') = J_0(y) + 2 sum_j J_j(y) P_j(K) with y = 2 pi s (1 + J'),
+    K = A'/(1 + J') and ||P_j(K)|| <= 1, and row 1 of P_j(K) involves only
+    the first j + 1 nodes.  The Bessel coefficients fall below double
+    precision past order y + 14 y^(1/3) + 40, so a chain cut after that many
+    nodes gives the same row.  Rounding up to 32 qubits lets nearby grids and
+    bisection steps share one cached factorization.
+    """
+    y = 2.0 * math.pi * s_max * (1.0 + p.j_coupling)
+    nodes = y + 14.0 * max(y, 1.0) ** (1.0 / 3.0) + 40.0
+    return min(p.n_qubits, 32 * math.ceil(nodes / 64.0))
+
+
 @functools.lru_cache(maxsize=32)
 def _eig_factor(p: ChainParams):
     """Spectral factorization of i A' via the real symmetric tridiagonal twin.
 
     Conjugating by diag(i^m) turns i A' into the real symmetric tridiagonal
     matrix with the same superdiagonal, so row 1 of exp(-2 pi s A') is
-    Re(i^m sum_j V_0j V_mj e^{2 pi i s lam_j}).
+    Re(i^m sum_j V_0j V_mj e^{2 pi i s lam_j}): a cosine sum with sign
+    (-1)^(m/2) at even m, a sine sum with sign -(-1)^((m-1)/2) at odd m.
+    Returns lam and the two signed halves of V_0j V_mj, each (2N, N).
     """
     c = _superdiagonal(p)
     diag = np.zeros(p.n_nodes)
@@ -143,74 +164,37 @@ def _eig_factor(p: ChainParams):
         # stemr occasionally fails on tightly clustered spectra (large J');
         # the QR driver is slower but unconditionally reliable.
         lam, vec = scipy.linalg.eigh_tridiagonal(diag, c, lapack_driver="stev")
-    powers_of_i = np.resize(np.array([1.0, 1.0j, -1.0, -1.0j]), p.n_nodes)
-    return lam, vec, vec[0].copy(), powers_of_i
+    vec *= vec[0]
+    sign = np.resize([1.0, -1.0], p.n_qubits)[:, None]
+    even = np.ascontiguousarray((sign * vec[0::2]).T)
+    odd = np.ascontiguousarray((-sign * vec[1::2]).T)
+    return lam, even, odd
 
 
 def _rows_eig(p: ChainParams, ss: np.ndarray) -> np.ndarray:
-    """exp(-2 pi s A') first rows for each s, shape (n_s, 2N)."""
-    lam, vec, v0, phases_i = _eig_factor(p)
-    ph = np.exp(2j * np.pi * np.multiply.outer(ss, lam))
-    g = (ph * v0) @ vec.T
-    return np.real(g * phases_i)
+    """exp(-2 pi s A') first rows for each s, shape (n_s, 2N).
 
-
-# Chebyshev route: exp(x K) = J_0(x) I + 2 sum_j J_j(x) P_j(K) for real
-# skew-symmetric K with spectral radius <= 1, where P_0 = I, P_1 = K and
-# P_{j+1} = 2 K P_j + P_{j-1}.  Only the first row of each P_j is kept.
-
-def _cheb_order(y: float) -> int:
-    return int(np.ceil(y + 14.0 * max(y, 1.0) ** (1.0 / 3.0) + 40.0))
-
-
-@functools.lru_cache(maxsize=16)
-def _cheb_table(p: ChainParams, j_max: int) -> np.ndarray:
-    """First rows of P_0..P_jmax for K = A'/(1+J'), shape (j_max+1, 2N)."""
-    n = p.n_nodes
-    w = _superdiagonal(p) / (1.0 + p.j_coupling)
-    table = np.zeros((j_max + 1, n))
-    table[0, 0] = 1.0
-    if n > 1:
-        table[1, 1] = w[0]
-    for j in range(1, j_max):
-        u = table[j]
-        nxt = np.zeros(n)
-        nxt[1:] = u[:-1] * w
-        nxt[:-1] -= u[1:] * w
-        table[j + 1] = 2.0 * nxt + table[j - 1]
-    return table
-
-
-def _rows_chebyshev(p: ChainParams, ss: np.ndarray) -> np.ndarray:
-    """Same rows as _rows_eig, via the Bessel-coefficient expansion."""
-    rho = 1.0 + p.j_coupling
-    ys = 2.0 * np.pi * ss * rho
-    j_max = _cheb_order(float(np.max(ys, initial=0.0)))
-    # bucket the table size so nearby grids share one cached table
-    j_bucket = 64 * (1 + (j_max - 1) // 64) if j_max > 0 else 64
-    table = _cheb_table(p, j_bucket)
-    orders = np.arange(j_bucket + 1)
-    coeff = jv(orders[None, :], ys[:, None])
-    coeff *= (-1.0) ** orders
-    coeff[:, 1:] *= 2.0
-    return coeff @ table
-
-
-# Above this node count, dense-grid evaluation switches to the Chebyshev
-# route; its per-time cost is linear in the chain length.
-_CHEB_MIN_NODES = 128
+    Only the light-cone prefix of the chain is factorized; entries past it
+    are zero.
+    """
+    q = _light_cone_qubits(p, float(np.max(ss, initial=0.0)))
+    lam, even, odd = _eig_factor(ChainParams(q, p.j_coupling))
+    theta = np.multiply.outer(2.0 * np.pi * ss, lam)
+    rows = np.zeros((len(ss), p.n_nodes))
+    rows[:, 0:2 * q:2] = np.cos(theta) @ even
+    rows[:, 1:2 * q:2] = np.sin(theta) @ odd
+    return rows
 
 
 def exp_first_row(a: WalkAdjacency, s: float) -> np.ndarray:
     """Row 1 of exp(-2 pi s A'); a unit vector since the matrix is orthogonal."""
-    if s < 0.0:
-        raise ValidationError(f"time must be >= 0, got {s}")
+    s = _check_time(s)
     p = a.params()
     if s == 0.0:
         row = np.zeros(p.n_nodes)
         row[0] = 1.0
         return row
-    return _rows_eig(p, np.array([float(s)]))[0]
+    return _rows_eig(p, np.array([s]))[0]
 
 
 def _tail_correlations(rows: np.ndarray) -> np.ndarray:
@@ -223,32 +207,23 @@ def lr_walk(p: ChainParams, k: int, s: float) -> float:
     """C_k(s) from the walk method: 2 sqrt(sum_{m >= 2k} r_m^2)."""
     validate_params(p)
     validate_qubit_index(p, k)
-    if s < 0.0:
-        raise ValidationError(f"time must be >= 0, got {s}")
+    s = _check_time(s)
     if s == 0.0:
         return 0.0
-    row = _rows_eig(p, np.array([float(s)]))[0]
+    row = _rows_eig(p, np.array([s]))[0]
     return float(2.0 * np.sqrt(np.sum(row[2 * k - 1:] ** 2)))
 
 
 def lr_walk_grid(p: ChainParams, ks, ss) -> np.ndarray:
-    """C_k(s) for qubit list `ks` and time array `ss`, shape (len(ks), len(ss)).
-
-    Picks the evaluation route by problem size: eigendecomposition for short
-    chains, the Chebyshev expansion for long ones.
-    """
+    """C_k(s) for qubit list `ks` and time array `ss`, shape (len(ks), len(ss))."""
     validate_params(p)
     ks = [validate_qubit_index(p, int(k)) for k in ks]
     ss = np.asarray(ss, dtype=float)
     if ss.ndim != 1:
         raise ValidationError("time grid must be one-dimensional")
-    if np.any(ss < 0.0):
-        raise ValidationError("times must all be >= 0")
-    if p.n_nodes >= _CHEB_MIN_NODES and len(ss) > 1:
-        rows = _rows_chebyshev(p, ss)
-    else:
-        rows = _rows_eig(p, ss)
-    c_all = _tail_correlations(rows)          # (n_s, 2N), column m = tail from m
+    if not np.all(np.isfinite(ss) & (ss >= 0.0)):
+        raise ValidationError("times must all be finite and >= 0")
+    c_all = _tail_correlations(_rows_eig(p, ss))   # (n_s, 2N), column m = tail from m
     out = c_all[:, [2 * k - 1 for k in ks]].T
     out[:, ss == 0.0] = 0.0
     return out
@@ -278,8 +253,7 @@ def exp_first_row_highprec(p: ChainParams, s: float, digits: int = 60) -> list:
     validate_params(p)
     if digits < 16:
         raise ValidationError(f"precision must be >= 16 digits, got {digits}")
-    if s < 0.0:
-        raise ValidationError(f"time must be >= 0, got {s}")
+    s = _check_time(s)
     n = p.n_nodes
     with mp.workdps(digits + 10):
         s_mp = mp.mpf(s)

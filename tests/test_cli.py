@@ -73,6 +73,11 @@ class TestCorrelate:
         assert main(["correlate", "--nq", "4"]) == 1      # missing --jp
         assert main(["correlate", "--nq", "-3", "--jp", "1.0"]) == 1
 
+    def test_non_finite_time_exit_code(self):
+        assert main(["correlate", "--nq", "6", "--jp", "0.5", "--k", "2",
+                     "--s", "nan", "--digits", "20"]) == 1
+        assert main(["correlate", "--nq", "6", "--jp", "0.5", "--k", "2", "--s", "inf"]) == 1
+
     def test_critical_method_requires_unit_coupling(self):
         assert main(["correlate", "--nq", "6", "--jp", "0.5", "--method", "critical"]) == 1
 

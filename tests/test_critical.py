@@ -170,6 +170,17 @@ class TestLrCritical:
                     for i, k in enumerate(ks) for j, s in enumerate(ss))
         assert worst < 1e-8
 
+    @pytest.mark.parametrize("k, s", [(60, 2.0), (80, 2.0), (100, 5.0), (3, 1.0)])
+    def test_deep_tail_against_mpmath(self, k, s):
+        # once 2k passes the Bessel turning region the tail still needs
+        # several terms; a single term is off by up to 1e-2 relative
+        with mp.workdps(60):
+            z = 4 * mp.pi * s
+            top = 2 * k + int(z) + 120
+            tail = mp.fsum((m * mp.besselj(m, z)) ** 2 for m in range(2 * k, top))
+            ref = float(4 * mp.sqrt(tail) / z)
+        assert lr_critical(k, s) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
     def test_monotone_nesting_in_k(self):
         for s in (0.5, 3.0, 11.0):
             vals = [lr_critical(k, s) for k in range(1, 40)]

@@ -18,7 +18,7 @@ from isinglr import (
     relevant_strings,
     walk_coefficients,
 )
-from isinglr.walk import _rows_chebyshev, _rows_eig
+from isinglr.walk import _light_cone_qubits, _rows_eig
 
 
 class TestRelevantStrings:
@@ -139,16 +139,35 @@ class TestExpFirstRow:
             direct = scipy.linalg.expm(-2 * math.pi * s * adj.matrix)[0]
             assert np.allclose(exp_first_row(adj, s), direct, atol=1e-12)
 
-    def test_chebyshev_route_matches_eig_route(self):
+    def test_light_cone_rows_match_full_chain_expm(self):
+        truncated = 0
         for nq, jp, ss in [(80, 0.5, [0.4, 2.7]), (150, 2.0, [5.0, 9.5]),
-                           (64, 4.0, [1.0, 3.0])]:
+                           (64, 4.0, [1.0, 3.0]), (400, 0.5, [0.3, 3.0])]:
             p = ChainParams(nq, jp)
             ss = np.asarray(ss)
-            assert np.max(np.abs(_rows_chebyshev(p, ss) - _rows_eig(p, ss))) < 1e-12
+            a = build_adjacency(p).matrix
+            direct = np.array([scipy.linalg.expm(-2 * math.pi * s * a)[0] for s in ss])
+            assert np.max(np.abs(_rows_eig(p, ss) - direct)) < 1e-12
+            truncated += _light_cone_qubits(p, float(ss.max())) < nq
+        assert truncated >= 2
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValidationError):
             exp_first_row(build_adjacency(ChainParams(2, 1.0)), -0.5)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected_at_every_entry(self, s):
+        p = ChainParams(4, 0.5)
+        with pytest.raises(ValidationError):
+            exp_first_row(build_adjacency(p), s)
+        with pytest.raises(ValidationError):
+            lr_walk(p, 3, s)
+        with pytest.raises(ValidationError):
+            lr_walk_grid(p, [1, 2], [0.0, s])
+        with pytest.raises(ValidationError):
+            exp_first_row_highprec(p, s, 20)
+        with pytest.raises(ValidationError):
+            lr_walk_highprec(p, 2, s, 20)
 
 
 class TestLrWalk:
