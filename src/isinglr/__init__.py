@@ -43,6 +43,7 @@ from .walk import (
     exp_first_row_highprec,
     lr_walk,
     lr_walk_grid,
+    lr_walk_grid_highprec,
     lr_walk_highprec,
     relevant_strings,
     walk_coefficients,
@@ -53,6 +54,7 @@ from .critical import (
     bessel_jn_array,
     bessel_sum_check,
     lr_critical,
+    lr_critical_grid,
     signed_walk_sum,
 )
 from .asymptotics import (

@@ -25,7 +25,7 @@ from .params import (
     validate_qubit_index,
 )
 from .asymptotics import saturation_value, v_group_max
-from .walk import exp_first_row_highprec, lr_walk, lr_walk_grid
+from .walk import _require_mpmath, lr_walk, lr_walk_grid, lr_walk_grid_highprec
 
 
 @dataclass(frozen=True)
@@ -225,14 +225,11 @@ def lightcone(p: ChainParams, k_range: tuple, s_range: tuple,
         with np.errstate(divide="ignore"):
             logs = np.log10(np.maximum(values, 0.0))
     else:
-        import mpmath as mp
-        logs = np.empty((len(ks), len(ss)))
+        mp = _require_mpmath()
+        values = lr_walk_grid_highprec(p, ks, ss, digits)
         with mp.workdps(digits + 10):
-            for j, s in enumerate(ss):
-                row = exp_first_row_highprec(p, float(s), digits)
-                for i, k in enumerate(ks):
-                    c = 2 * mp.sqrt(mp.fsum(x * x for x in row[2 * k - 1:]))
-                    logs[i, j] = float(mp.log10(c)) if c > 0 else -math.inf
+            logs = np.array([[float(mp.log10(c)) if c > 0 else -math.inf for c in row]
+                             for row in values]).reshape(values.shape)
         trusted = np.ones_like(logs, dtype=bool)
     return LightconeGrid(k_values=ks, s_values=tuple(ss.tolist()),
                          log10_c=logs, trust_mask=trusted)

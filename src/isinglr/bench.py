@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from .params import MAX_DENSE_QUBITS, ChainParams
+from .params import MAX_DENSE_QUBITS, ChainParams, DimensionGuardError
 from .oracle import lr_direct_grid
 from .walk import _eig_factor, lr_walk_grid
 
@@ -63,7 +63,7 @@ def comparison_report(n_qubits: int = 10, jp: float = 0.5, s_max: float = 3.0,
                       n_times: int = 60, repeats: int = 3) -> dict:
     """Walk vs dense-oracle wall times on an identical (k, s) grid."""
     if n_qubits > MAX_DENSE_QUBITS:
-        raise ValueError(f"direct arm limited to n_qubits <= {MAX_DENSE_QUBITS}")
+        raise DimensionGuardError(f"direct arm limited to n_qubits <= {MAX_DENSE_QUBITS}")
     p = ChainParams(n_qubits, jp)
     ks = list(range(1, n_qubits + 1))
     ss = np.linspace(0.0, s_max, n_times)

@@ -129,20 +129,36 @@ def _tail_orders(k: int, z: float) -> int:
     return max(2 * k, int(math.ceil(z + 18.0 * max(z, 1.0) ** (1.0 / 3.0)))) + 40
 
 
+def lr_critical_grid(ks, ss) -> np.ndarray:
+    """C_k(s) at J' = 1 for qubit list `ks` and times `ss`, shape (len(ks), len(ss)).
+
+    One Bessel sweep per time serves every k: the tails sum_{m >= 2k} (m J_m)^2
+    are read off one reversed cumulative sum, added smallest terms first.
+    """
+    ks = list(ks)
+    for k in ks:
+        if not isinstance(k, int) or k < 1:
+            raise ValidationError(f"qubit index must be a positive integer, got {k!r}")
+    ss = [float(s) for s in ss]
+    for s in ss:
+        if not math.isfinite(s) or s < 0.0:
+            raise ValidationError(f"time must be finite and >= 0, got {s!r}")
+    out = np.zeros((len(ks), len(ss)))
+    orders = 2 * np.array(ks, dtype=int)
+    for j, s in enumerate(ss):
+        if s == 0.0:
+            continue
+        z = 4.0 * math.pi * s
+        top = _tail_orders(max(ks, default=1), z)
+        terms = (np.arange(top + 1, dtype=float) * bessel_jn_array(top, z)) ** 2
+        tails = np.cumsum(terms[::-1])[::-1]
+        out[:, j] = 4.0 * np.sqrt(tails[orders]) / z
+    return out
+
+
 def lr_critical(k: int, s: float) -> float:
     """C_k(s) for the semi-infinite chain at J' = 1, evaluated as a Bessel tail sum."""
-    if not isinstance(k, int) or k < 1:
-        raise ValidationError(f"qubit index must be a positive integer, got {k!r}")
-    if not math.isfinite(s) or s < 0.0:
-        raise ValidationError(f"time must be finite and >= 0, got {s!r}")
-    if s == 0.0:
-        return 0.0
-    z = 4.0 * math.pi * s
-    top = _tail_orders(k, z)
-    j = bessel_jn_array(top, z)
-    m = np.arange(2 * k, top + 1, dtype=float)
-    radicand = float(np.sum((m * j[2 * k:]) ** 2))
-    return 4.0 * math.sqrt(radicand) / z
+    return float(lr_critical_grid([k], [s])[0, 0])
 
 
 def critical_radicand_difference(k: int, z: float) -> float:
@@ -155,7 +171,8 @@ def critical_radicand_difference(k: int, z: float) -> float:
         raise ValidationError("qubit index must be >= 1")
     j = bessel_jn_array(2 * k - 1, z)
     m = np.arange(1, 2 * k, dtype=float)
-    return z * z / 4.0 - float(np.sum((m * j[1:]) ** 2))
+    # (z/2)^2 rounds once; z*z/4 rounds twice once z^2 is subnormal
+    return (0.5 * z) ** 2 - float(np.sum((m * j[1:]) ** 2))
 
 
 def bessel_sum_check(z: float, m_trunc: int) -> float:

@@ -31,12 +31,17 @@ import scipy.linalg
 
 from .params import (
     ChainParams,
+    GuardError,
     PrecisionUnavailableError,
     ValidationError,
     validate_params,
     validate_qubit_index,
 )
 from .oracle import PauliString
+
+#: Largest arbitrary-precision row work, Taylor substeps x 2N nodes, that is
+#: started; the deep N = 200, J' = 2, s = 30 light cone needs 2048 x 400.
+MAX_HIGHPREC_WORK = 2 ** 21
 
 
 @dataclass(frozen=True)
@@ -242,6 +247,28 @@ def _require_mpmath():
     return mpmath
 
 
+def _check_digits(digits: int) -> None:
+    if digits < 16:
+        raise ValidationError(f"precision must be >= 16 digits, got {digits}")
+
+
+def _substeps(mp, p: ChainParams, s_mp) -> int:
+    """Power-of-two Taylor substeps that bring each step's generator norm to 1/2.
+
+    The count grows as 2 pi s (1 + J'), and every substep costs 2N big-float
+    products per Taylor term, so a work budget refuses long times up front.
+    """
+    bound = 2 * mp.pi * s_mp * (1 + mp.mpf(p.j_coupling))
+    steps = 1
+    while bound / steps > mp.mpf("0.5"):
+        steps *= 2
+    if steps * p.n_nodes > MAX_HIGHPREC_WORK:
+        raise GuardError(
+            f"{steps} substeps x {p.n_nodes} nodes exceeds the arbitrary-precision "
+            f"work budget {MAX_HIGHPREC_WORK}")
+    return steps
+
+
 def exp_first_row_highprec(p: ChainParams, s: float, digits: int = 60) -> list:
     """Row 1 of exp(-2 pi s A') in big-float arithmetic.
 
@@ -251,17 +278,13 @@ def exp_first_row_highprec(p: ChainParams, s: float, digits: int = 60) -> list:
     """
     mp = _require_mpmath()
     validate_params(p)
-    if digits < 16:
-        raise ValidationError(f"precision must be >= 16 digits, got {digits}")
+    _check_digits(digits)
     s = _check_time(s)
     n = p.n_nodes
     with mp.workdps(digits + 10):
         s_mp = mp.mpf(s)
         c = [mp.mpf(1) if i % 2 == 0 else mp.mpf(p.j_coupling) for i in range(n - 1)]
-        bound = 2 * mp.pi * s_mp * (1 + mp.mpf(p.j_coupling))
-        steps = 1
-        while bound / steps > mp.mpf("0.5"):
-            steps *= 2
+        steps = _substeps(mp, p, s_mp)
         w = [2 * mp.pi * (s_mp / steps) * cj for cj in c]
 
         def times_generator(v):
@@ -296,15 +319,33 @@ def exp_first_row_highprec(p: ChainParams, s: float, digits: int = 60) -> list:
         return row
 
 
+def lr_walk_grid_highprec(p: ChainParams, ks, ss, digits: int = 60) -> np.ndarray:
+    """C_k(s) in arbitrary precision, shape (len(ks), len(ss)), mpmath floats.
+
+    One big-float row per time serves every k, as the tail sums of its
+    squares.  All inputs, and the work budget at the largest time, are
+    checked before the first row is built.
+    """
+    mp = _require_mpmath()
+    validate_params(p)
+    ks = [validate_qubit_index(p, int(k)) for k in ks]
+    _check_digits(digits)
+    ss = [_check_time(float(s)) for s in ss]
+    out = np.empty((len(ks), len(ss)), dtype=object)
+    with mp.workdps(digits + 10):
+        _substeps(mp, p, mp.mpf(max(ss, default=0.0)))
+        for j, s in enumerate(ss):
+            row = exp_first_row_highprec(p, s, digits)
+            for i, k in enumerate(ks):
+                out[i, j] = +(2 * mp.sqrt(mp.fsum(x * x for x in row[2 * k - 1:])))
+    return out
+
+
 def lr_walk_highprec(p: ChainParams, k: int, s: float, digits: int = 60):
     """C_k(s) by the walk method in arbitrary precision; returns an mpmath float.
 
     Needed wherever the correlation function falls below ~1e-14: double
     precision cannot resolve the tail of the exponential row there.
     """
-    mp = _require_mpmath()
     validate_qubit_index(p, k)
-    row = exp_first_row_highprec(p, s, digits)
-    with mp.workdps(digits + 10):
-        tail = mp.fsum(x * x for x in row[2 * k - 1:])
-        return +(2 * mp.sqrt(tail))
+    return lr_walk_grid_highprec(p, [k], [s], digits)[0, 0]

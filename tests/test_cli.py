@@ -78,6 +78,15 @@ class TestCorrelate:
                      "--s", "nan", "--digits", "20"]) == 1
         assert main(["correlate", "--nq", "6", "--jp", "0.5", "--k", "2", "--s", "inf"]) == 1
 
+    def test_highprec_work_budget_exit_code(self):
+        assert main(["correlate", "--nq", "2", "--jp", "0.5", "--k", "1",
+                     "--s", "1e6", "--digits", "20"]) == 2
+
+    def test_digits_without_walk_column_rejected(self):
+        for method in ("critical", "direct"):
+            assert main(["correlate", "--nq", "4", "--jp", "1.0", "--k", "1", "--s", "0.5",
+                         "--method", method, "--digits", "30"]) == 1
+
     def test_critical_method_requires_unit_coupling(self):
         assert main(["correlate", "--nq", "6", "--jp", "0.5", "--method", "critical"]) == 1
 
@@ -176,6 +185,10 @@ class TestBenchCommand:
         assert data["scaling"]["precision"] == "double"
         assert len(data["scaling"]["timings"]) == 2
         assert data["comparison"]["speedup"] > 0
+
+    def test_dense_guard_exit_code(self):
+        assert main(["bench", "--nq", "20,40", "--compare-nq", "20",
+                     "--ns", "12", "--repeats", "1"]) == 2
 
 
 class TestRecipe:

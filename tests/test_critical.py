@@ -15,6 +15,7 @@ from isinglr import (
     bessel_sum_check,
     build_adjacency,
     lr_critical,
+    lr_critical_grid,
     lr_walk_grid,
     signed_walk_sum,
 )
@@ -170,16 +171,22 @@ class TestLrCritical:
                     for i, k in enumerate(ks) for j, s in enumerate(ss))
         assert worst < 1e-8
 
-    @pytest.mark.parametrize("k, s", [(60, 2.0), (80, 2.0), (100, 5.0), (3, 1.0)])
+    @pytest.mark.parametrize("k, s", [(60, 2.0), (80, 2.0), (100, 5.0), (3, 1.0),
+                                      ((1, 7, 30, 100), 5.0)])
     def test_deep_tail_against_mpmath(self, k, s):
         # once 2k passes the Bessel turning region the tail still needs
-        # several terms; a single term is off by up to 1e-2 relative
+        # several terms; a single term is off by up to 1e-2 relative.  A
+        # tuple of k goes through one lr_critical_grid sweep instead.
+        ks = k if isinstance(k, tuple) else (k,)
+        refs = []
         with mp.workdps(60):
             z = 4 * mp.pi * s
-            top = 2 * k + int(z) + 120
-            tail = mp.fsum((m * mp.besselj(m, z)) ** 2 for m in range(2 * k, top))
-            ref = float(4 * mp.sqrt(tail) / z)
-        assert lr_critical(k, s) == pytest.approx(ref, rel=1e-12, abs=0.0)
+            for kk in ks:
+                top = 2 * kk + int(z) + 120
+                tail = mp.fsum((m * mp.besselj(m, z)) ** 2 for m in range(2 * kk, top))
+                refs.append(float(4 * mp.sqrt(tail) / z))
+        got = lr_critical_grid(ks, [s])[:, 0] if isinstance(k, tuple) else [lr_critical(k, s)]
+        assert list(got) == pytest.approx(refs, rel=1e-12, abs=0.0)
 
     def test_monotone_nesting_in_k(self):
         for s in (0.5, 3.0, 11.0):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from isinglr import (
     ChainParams,
+    GuardError,
     ValidationError,
     build_adjacency,
     exp_first_row,
@@ -14,10 +15,12 @@ from isinglr import (
     lr_direct,
     lr_walk,
     lr_walk_grid,
+    lr_walk_grid_highprec,
     lr_walk_highprec,
     relevant_strings,
     walk_coefficients,
 )
+from isinglr import walk
 from isinglr.walk import _light_cone_qubits, _rows_eig
 
 
@@ -259,3 +262,42 @@ class TestHighPrecision:
     def test_precision_floor_rejected(self):
         with pytest.raises(ValidationError):
             lr_walk_highprec(ChainParams(4, 1.0), 1, 0.5, digits=8)
+
+    def _count_rows(self, monkeypatch):
+        calls = []
+        real = walk.exp_first_row_highprec
+
+        def counted(p, s, digits=60):
+            calls.append(s)
+            return real(p, s, digits)
+
+        monkeypatch.setattr(walk, "exp_first_row_highprec", counted)
+        return calls
+
+    def test_grid_builds_one_row_per_time(self, monkeypatch):
+        p = ChainParams(6, 0.7)
+        ks, ss = [1, 3, 4, 6], [0.0, 0.25, 0.9]
+        calls = self._count_rows(monkeypatch)
+        grid = lr_walk_grid_highprec(p, ks, ss, 30)
+        assert calls == ss
+        assert grid.shape == (len(ks), len(ss))
+        for i, k in enumerate(ks):
+            for j, s in enumerate(ss):
+                assert grid[i, j] == lr_walk_highprec(p, k, s, 30)
+
+    def test_grid_checks_every_time_before_any_row(self, monkeypatch):
+        calls = self._count_rows(monkeypatch)
+        with pytest.raises(ValidationError):
+            lr_walk_grid_highprec(ChainParams(4, 0.5), [1, 2], [0.1, 0.2, math.nan], 20)
+        assert calls == []
+
+    def test_work_budget_refuses_long_times_at_once(self, monkeypatch):
+        calls = self._count_rows(monkeypatch)
+        with pytest.raises(GuardError):
+            lr_walk_highprec(ChainParams(2, 0.5), 1, 1e6, 20)
+        with pytest.raises(GuardError):
+            lr_walk_grid_highprec(ChainParams(2, 0.5), [1], [0.1, 1e6], 20)
+        assert calls == []
+        # the deep N = 200, J' = 2 light cone out to s = 30 stays inside the budget
+        import mpmath as mp
+        assert walk._substeps(mp, ChainParams(200, 2.0), mp.mpf(30)) == 2048
