@@ -16,16 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import (
-    DOUBLE_TRUST_FLOOR,
     ChainParams,
     HorizonError,
     ThresholdNotReachedError,
     ValidationError,
+    double_trusted,
     validate_params,
     validate_qubit_index,
 )
 from .asymptotics import saturation_value, v_group_max
-from .walk import _require_mpmath, lr_walk, lr_walk_grid, lr_walk_grid_highprec
+from .walk import _require_mpmath, lr_walk_grid, lr_walk_grid_highprec
 
 
 @dataclass(frozen=True)
@@ -99,24 +99,30 @@ def crossing_time(p: ChainParams, k: int, threshold: float,
         raise HorizonError(f"search window {s_max} exceeds reflection horizon {horizon:.4g}")
 
     grid = np.arange(0.0, s_max + coarse_step, coarse_step)
-    values = lr_walk_grid(p, [k], grid)[0]
-    return _first_crossing(p, k, threshold, grid, values, s_max)
+    values = lr_walk_grid(p, [k], grid)
+    return float(_first_crossings(p, [k], threshold, grid, values, s_max)[0])
 
 
-def _first_crossing(p: ChainParams, k: int, threshold: float, grid: np.ndarray,
-                    values: np.ndarray, s_end: float) -> float:
-    """Bracket the first upward crossing in a coarse sweep, bisect it to 1e-8."""
-    above = np.nonzero((values[:-1] < threshold) & (values[1:] >= threshold))[0]
-    if len(above) == 0:
+def _first_crossings(p: ChainParams, ks, threshold: float, grid: np.ndarray,
+                     values: np.ndarray, s_end: float) -> np.ndarray:
+    """First upward crossing of `threshold` for every k, bisected to 1e-8.
+
+    Each k is bracketed in the coarse sweep `values`, shape
+    (len(ks), len(grid)); then all k are bisected together, one walk grid
+    with one time per k per step.
+    """
+    up = (values[:, :-1] < threshold) & (values[:, 1:] >= threshold)
+    missed = ~up.any(axis=1)
+    if missed.any():
         raise ThresholdNotReachedError(
-            f"C_{k} never reaches {threshold} before s = {s_end:.4g}")
-    lo, hi = float(grid[above[0]]), float(grid[above[0] + 1])
-    while hi - lo > 1e-8:
+            f"C_{ks[np.argmax(missed)]} never reaches {threshold} before s = {s_end:.4g}")
+    first = np.argmax(up, axis=1)
+    lo, hi = grid[first], grid[first + 1]
+    while np.any(wide := hi - lo > 1e-8):
         mid = 0.5 * (lo + hi)
-        if lr_walk(p, k, mid) < threshold:
-            lo = mid
-        else:
-            hi = mid
+        below = np.diagonal(lr_walk_grid(p, ks, mid)) < threshold
+        lo = np.where(wide & below, mid, lo)
+        hi = np.where(wide & ~below, mid, hi)
     return 0.5 * (lo + hi)
 
 
@@ -140,21 +146,17 @@ def front_velocity(p: ChainParams, threshold: float = 0.1,
     validate_params(p)
     if fit_range is None:
         fit_range = default_fit_range(p)
-    k_min, k_max = int(fit_range[0]), int(fit_range[1])
-    if not (1 <= k_min < k_max <= p.n_qubits):
-        raise ValidationError(f"fit range {fit_range} outside the chain")
+    k_min, k_max = (validate_qubit_index(p, k) for k in fit_range)
+    if not k_min < k_max:
+        raise ValidationError(f"fit range {fit_range} must increase")
 
     ks = np.arange(k_min, k_max + 1)
-    # one shared coarse sweep brackets every k; bisection then refines each.
     # crossings happen near k / v_front, so 1.5x arrival plus a pad suffices
     s_top = min(reflection_safe_horizon(p, k_max),
                 1.5 * _expected_arrival(p, k_max) + 15.0)
     coarse = 0.02
     grid = np.arange(0.0, s_top + coarse, coarse)
-    values = lr_walk_grid(p, ks, grid)
-
-    times = np.array([_first_crossing(p, int(k), threshold, grid, row, s_top)
-                      for row, k in zip(values, ks)])
+    times = _first_crossings(p, ks, threshold, grid, lr_walk_grid(p, ks, grid), s_top)
 
     design = np.column_stack([np.ones_like(ks, dtype=float), ks.astype(float),
                               ks.astype(float) ** (1.0 / 3.0)])
@@ -208,9 +210,7 @@ def lightcone(p: ChainParams, k_range: tuple, s_range: tuple,
     slow but resolves tails down to contour levels like 1e-100.
     """
     validate_params(p)
-    k_lo, k_hi = int(k_range[0]), int(k_range[1])
-    validate_qubit_index(p, k_lo)
-    validate_qubit_index(p, k_hi)
+    k_lo, k_hi = (validate_qubit_index(p, k) for k in k_range)
     if k_hi < k_lo:
         raise ValidationError("empty qubit range")
     ks = tuple(range(k_lo, k_hi + 1))
@@ -221,7 +221,7 @@ def lightcone(p: ChainParams, k_range: tuple, s_range: tuple,
 
     if digits is None:
         values = lr_walk_grid(p, ks, ss)
-        trusted = (values >= DOUBLE_TRUST_FLOOR) | (ss[None, :] == 0.0)
+        trusted = double_trusted(values, ss)
         with np.errstate(divide="ignore"):
             logs = np.log10(np.maximum(values, 0.0))
     else:

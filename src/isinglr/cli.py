@@ -19,13 +19,13 @@ import click
 import numpy as np
 
 from .params import (
-    DOUBLE_TRUST_FLOOR,
     ChainParams,
     CorrelationSeries,
     GuardError,
     Method,
     TimeGrid,
     ValidationError,
+    double_trusted,
 )
 from . import analysis, asymptotics, bench, critical, walk
 
@@ -191,12 +191,12 @@ def correlate(nq, jp, out, fmt_name, k_spec, s_values, smax, ns, method, digits)
         add_series(critical.lr_critical_grid(ks, ss), Method.CRITICAL)
 
     header = ["s"] + list(columns) + ["trusted"]
-    floor_applies = digits is None and method != "critical"
-    rows = []
-    for j, s in enumerate(ss):
-        vals = [columns[name][j] for name in columns]
-        trusted = (not floor_applies) or s == 0.0 or all(v >= DOUBLE_TRUST_FLOOR for v in vals)
-        rows.append([float(s)] + [float(v) for v in vals] + [trusted])
+    table = np.reshape(list(columns.values()), (len(columns), len(ss)))
+    # the noise floor applies to double-precision walk and dense columns only
+    trusted = (np.all(double_trusted(table, ss), axis=0)
+               | (digits is not None or method == "critical"))
+    rows = [[float(s)] + [float(v) for v in table[:, j]] + [bool(trusted[j])]
+            for j, s in enumerate(ss)]
 
     meta = {"nq": nq, "jp": jp, "method": method,
             "precision": digits if digits else "double"}
@@ -229,12 +229,12 @@ def snapshot(nq, jp, out, fmt_name, s_values, k_spec, with_critical, digits):
     if with_critical:
         header += [f"critical_s{fmt(float(s))}" for s in ss]
     header += ["trusted"]
+    in_floor = np.all(double_trusted(grid, ss * (2 if with_critical else 1)), axis=1)
     rows = []
-    for k, vals in zip(ks, grid):
+    for k, vals, floor_ok in zip(ks, grid, in_floor):
         horizon = analysis.reflection_safe_horizon(p, k)
-        in_floor = digits is not None or all(v >= DOUBLE_TRUST_FLOOR or v == 0.0 for v in vals)
-        trusted = in_floor and max(ss) <= horizon
-        rows.append([int(k)] + [float(v) for v in vals] + [trusted])
+        trusted = (digits is not None or floor_ok) and max(ss) <= horizon
+        rows.append([int(k)] + [float(v) for v in vals] + [bool(trusted)])
     meta = {"nq": nq, "jp": jp, "method": "walk+critical" if with_critical else "walk",
             "precision": digits if digits else "double"}
     Output(out).table(meta, header, rows, fmt_name)

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .params import ValidationError
+from .params import ValidationError, validate_qubit_index, validate_times
 
 #: Supported evaluation envelope for bessel_j.
 MAX_BESSEL_ORDER = 10_000
@@ -135,17 +135,11 @@ def lr_critical_grid(ks, ss) -> np.ndarray:
     One Bessel sweep per time serves every k: the tails sum_{m >= 2k} (m J_m)^2
     are read off one reversed cumulative sum, added smallest terms first.
     """
-    ks = list(ks)
-    for k in ks:
-        if not isinstance(k, int) or k < 1:
-            raise ValidationError(f"qubit index must be a positive integer, got {k!r}")
-    ss = [float(s) for s in ss]
-    for s in ss:
-        if not math.isfinite(s) or s < 0.0:
-            raise ValidationError(f"time must be finite and >= 0, got {s!r}")
+    ks = [validate_qubit_index(None, k) for k in ks]
+    ss = validate_times(ss)
     out = np.zeros((len(ks), len(ss)))
     orders = 2 * np.array(ks, dtype=int)
-    for j, s in enumerate(ss):
+    for j, s in enumerate(ss.tolist()):
         if s == 0.0:
             continue
         z = 4.0 * math.pi * s

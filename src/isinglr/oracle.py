@@ -24,6 +24,7 @@ from .params import (
     ValidationError,
     validate_params,
     validate_qubit_index,
+    validate_times,
 )
 
 PAULI = {
@@ -161,7 +162,8 @@ def commutator_with_z(p: ChainParams, k: int, z1_t: np.ndarray) -> np.ndarray:
 def lr_direct(p: ChainParams, k: int, s: float) -> float:
     """C_k(s) as the normalized Frobenius norm of [Z_k, Z_1(s)], dense route."""
     _check_dense(p)
-    validate_qubit_index(p, k)
+    k = validate_qubit_index(p, k)
+    (s,) = validate_times([s])
     if s == 0.0:
         return 0.0
     q = commutator_with_z(p, k, _z1_evolved(p, s))
@@ -171,7 +173,8 @@ def lr_direct(p: ChainParams, k: int, s: float) -> float:
 def lr_direct_grid(p: ChainParams, ks, ss) -> np.ndarray:
     """C_k(s) on a (k, s) grid; evolves Z_1 once per time point."""
     _check_dense(p)
-    ks = [validate_qubit_index(p, int(k)) for k in ks]
+    ks = [validate_qubit_index(p, k) for k in ks]
+    ss = validate_times(ss)
     dim = 2 ** p.n_qubits
     zdiags = {k: _z_diagonal(p.n_qubits, k) for k in ks}
     out = np.empty((len(ks), len(ss)))

@@ -9,8 +9,11 @@ dataclasses, validated on construction, and safe to share across threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -79,10 +82,34 @@ def validate_params(p: ChainParams) -> ChainParams:
     return p
 
 
-def validate_qubit_index(p: ChainParams, k: int) -> int:
-    if not isinstance(k, int) or isinstance(k, bool) or not (1 <= k <= p.n_qubits):
-        raise ValidationError(f"qubit index must be in [1, {p.n_qubits}], got {k!r}")
-    return k
+def validate_qubit_index(p: ChainParams | None, k) -> int:
+    """Return k as a plain int: a Python or numpy integer, not a bool, in [1, N].
+
+    `p = None` stands for the semi-infinite chain, which has no upper bound.
+    """
+    top = math.inf if p is None else p.n_qubits
+    if not isinstance(k, numbers.Integral) or isinstance(k, bool) or not (1 <= k <= top):
+        raise ValidationError(f"qubit index must be an integer in [1, {top}], got {k!r}")
+    return int(k)
+
+
+def validate_times(ss) -> np.ndarray:
+    """Return `ss` as a one-dimensional float array of finite times >= 0."""
+    ss = np.asarray(ss, dtype=float)
+    if ss.ndim != 1:
+        raise ValidationError("time grid must be one-dimensional")
+    if not np.all(np.isfinite(ss) & (ss >= 0.0)):
+        raise ValidationError("times must all be finite and >= 0")
+    return ss
+
+
+def double_trusted(values, ss) -> np.ndarray:
+    """Trust mask of a double-precision (k, s) grid.
+
+    A cell is trusted at or above the noise floor, and at s = 0, where C = 0
+    exactly.
+    """
+    return (np.asarray(values) >= DOUBLE_TRUST_FLOOR) | (np.asarray(ss) == 0.0)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from .params import (
     ValidationError,
     validate_params,
     validate_qubit_index,
+    validate_times,
 )
 from .oracle import PauliString
 
@@ -123,17 +124,20 @@ def walk_coefficients(p: ChainParams, n: int) -> np.ndarray:
     v = np.zeros(p.n_nodes)
     v[0] = 1.0
     for _ in range(n):
-        nxt = np.zeros_like(v)
-        nxt[1:] += v[:-1] * c
-        nxt[:-1] -= v[1:] * c
-        v = nxt
+        v = _times_adjacency(v, c)
     return (2j) ** n * v
 
 
-def _check_time(s: float) -> float:
-    if not (math.isfinite(s) and s >= 0.0):
-        raise ValidationError(f"time must be finite and >= 0, got {s!r}")
-    return float(s)
+def _times_adjacency(v: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Row vector v times the skew tridiagonal matrix with superdiagonal c.
+
+    Works for any dtype numpy can multiply elementwise, floats or object
+    arrays of big floats alike.
+    """
+    out = np.zeros_like(v)
+    out[1:] += v[:-1] * c
+    out[:-1] -= v[1:] * c
+    return out
 
 
 def _light_cone_qubits(p: ChainParams, s_max: float) -> int:
@@ -193,13 +197,13 @@ def _rows_eig(p: ChainParams, ss: np.ndarray) -> np.ndarray:
 
 def exp_first_row(a: WalkAdjacency, s: float) -> np.ndarray:
     """Row 1 of exp(-2 pi s A'); a unit vector since the matrix is orthogonal."""
-    s = _check_time(s)
+    ss = validate_times([s])
     p = a.params()
-    if s == 0.0:
+    if ss[0] == 0.0:
         row = np.zeros(p.n_nodes)
         row[0] = 1.0
         return row
-    return _rows_eig(p, np.array([s]))[0]
+    return _rows_eig(p, ss)[0]
 
 
 def _tail_correlations(rows: np.ndarray) -> np.ndarray:
@@ -208,30 +212,20 @@ def _tail_correlations(rows: np.ndarray) -> np.ndarray:
     return 2.0 * np.sqrt(tail)
 
 
-def lr_walk(p: ChainParams, k: int, s: float) -> float:
-    """C_k(s) from the walk method: 2 sqrt(sum_{m >= 2k} r_m^2)."""
-    validate_params(p)
-    validate_qubit_index(p, k)
-    s = _check_time(s)
-    if s == 0.0:
-        return 0.0
-    row = _rows_eig(p, np.array([s]))[0]
-    return float(2.0 * np.sqrt(np.sum(row[2 * k - 1:] ** 2)))
-
-
 def lr_walk_grid(p: ChainParams, ks, ss) -> np.ndarray:
     """C_k(s) for qubit list `ks` and time array `ss`, shape (len(ks), len(ss))."""
     validate_params(p)
-    ks = [validate_qubit_index(p, int(k)) for k in ks]
-    ss = np.asarray(ss, dtype=float)
-    if ss.ndim != 1:
-        raise ValidationError("time grid must be one-dimensional")
-    if not np.all(np.isfinite(ss) & (ss >= 0.0)):
-        raise ValidationError("times must all be finite and >= 0")
+    ks = [validate_qubit_index(p, k) for k in ks]
+    ss = validate_times(ss)
     c_all = _tail_correlations(_rows_eig(p, ss))   # (n_s, 2N), column m = tail from m
     out = c_all[:, [2 * k - 1 for k in ks]].T
     out[:, ss == 0.0] = 0.0
     return out
+
+
+def lr_walk(p: ChainParams, k: int, s: float) -> float:
+    """C_k(s) from the walk method: 2 sqrt(sum_{m >= 2k} r_m^2)."""
+    return float(lr_walk_grid(p, [k], [s])[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -269,50 +263,35 @@ def _substeps(mp, p: ChainParams, s_mp) -> int:
     return steps
 
 
-def exp_first_row_highprec(p: ChainParams, s: float, digits: int = 60) -> list:
+def exp_first_row_highprec(p: ChainParams, s: float, digits: int = 60) -> np.ndarray:
     """Row 1 of exp(-2 pi s A') in big-float arithmetic.
 
     Taylor evaluation with the time argument scaled into 2^j substeps so the
     step generator has norm <= 1/2, applied repeatedly to the basis row
-    vector; working precision carries 10 guard digits.  Returns mpmath floats.
+    vector; working precision carries 10 guard digits.  Returns an object
+    array of mpmath floats.
     """
     mp = _require_mpmath()
     validate_params(p)
     _check_digits(digits)
-    s = _check_time(s)
-    n = p.n_nodes
+    (s,) = validate_times([s])
     with mp.workdps(digits + 10):
         s_mp = mp.mpf(s)
-        c = [mp.mpf(1) if i % 2 == 0 else mp.mpf(p.j_coupling) for i in range(n - 1)]
         steps = _substeps(mp, p, s_mp)
-        w = [2 * mp.pi * (s_mp / steps) * cj for cj in c]
-
-        def times_generator(v):
-            # row vector times -2 pi (s/steps) A'
-            out = [mp.mpf(0)] * n
-            for m in range(n):
-                acc = mp.mpf(0)
-                if m >= 1:
-                    acc -= v[m - 1] * w[m - 1]
-                if m + 1 < n:
-                    acc += v[m + 1] * w[m]
-                out[m] = acc
-            return out
-
+        # step generator -2 pi (s/steps) A'
+        w = _superdiagonal(p).astype(object) * (-2 * mp.pi * (s_mp / steps))
         tol = mp.mpf(10) ** (-(digits + 10))
-        row = [mp.mpf(0)] * n
-        row[0] = mp.mpf(1)
+        row = np.array([mp.mpf(1)] + [mp.mpf(0)] * (p.n_nodes - 1), dtype=object)
         if s_mp == 0:
             return row
         for _ in range(steps):
-            acc = list(row)
-            term = list(row)
+            acc = row.copy()
+            term = row
             order = 1
             while True:
-                term = [t / order for t in times_generator(term)]
-                for m in range(n):
-                    acc[m] += term[m]
-                if max(abs(t) for t in term) < tol:
+                term = _times_adjacency(term, w) / order
+                acc += term
+                if max(abs(term)) < tol:
                     break
                 order += 1
             row = acc
@@ -328,13 +307,13 @@ def lr_walk_grid_highprec(p: ChainParams, ks, ss, digits: int = 60) -> np.ndarra
     """
     mp = _require_mpmath()
     validate_params(p)
-    ks = [validate_qubit_index(p, int(k)) for k in ks]
+    ks = [validate_qubit_index(p, k) for k in ks]
     _check_digits(digits)
-    ss = [_check_time(float(s)) for s in ss]
+    ss = validate_times(ss)
     out = np.empty((len(ks), len(ss)), dtype=object)
     with mp.workdps(digits + 10):
-        _substeps(mp, p, mp.mpf(max(ss, default=0.0)))
-        for j, s in enumerate(ss):
+        _substeps(mp, p, mp.mpf(np.max(ss, initial=0.0)))
+        for j, s in enumerate(ss.tolist()):
             row = exp_first_row_highprec(p, s, digits)
             for i, k in enumerate(ks):
                 out[i, j] = +(2 * mp.sqrt(mp.fsum(x * x for x in row[2 * k - 1:])))
@@ -347,5 +326,4 @@ def lr_walk_highprec(p: ChainParams, k: int, s: float, digits: int = 60):
     Needed wherever the correlation function falls below ~1e-14: double
     precision cannot resolve the tail of the exponential row there.
     """
-    validate_qubit_index(p, k)
     return lr_walk_grid_highprec(p, [k], [s], digits)[0, 0]

@@ -18,6 +18,7 @@ from isinglr import (
     saturation_window,
     v_group_max,
 )
+from isinglr import walk
 from isinglr.analysis import default_fit_range
 
 
@@ -89,6 +90,22 @@ class TestFrontVelocity:
         assert ks == list(range(10, 31))
         assert all(b > a for a, b in zip(ts, ts[1:]))
         assert len(est.step_velocities) == len(ks) - 1
+
+    def test_bisects_every_k_together(self, monkeypatch):
+        batches = []
+        real = walk._rows_eig
+
+        def counted(p, ss):
+            batches.append(len(ss))
+            return real(p, ss)
+
+        monkeypatch.setattr(walk, "_rows_eig", counted)
+        p = ChainParams(60, 0.5)
+        est = front_velocity(p, threshold=0.1, fit_range=(10, 30))
+        assert len(batches) <= 25
+        monkeypatch.undo()
+        for k, s in est.crossing_times:
+            assert s == pytest.approx(crossing_time(p, k, 0.1), abs=2e-8)
 
     def test_bad_fit_range_rejected(self):
         with pytest.raises(ValidationError):

@@ -121,6 +121,13 @@ class TestSnapshot:
         for r in rows[:6]:
             assert float(r[1]) == pytest.approx(float(r[2]), abs=1e-7)
 
+    def test_light_cone_zeros_below_floor_untrusted(self):
+        # k = 100 and 200 are exact zeros from the light-cone cut, still below the floor
+        out = run_ok(["snapshot", "--nq", "200", "--jp", "0.5", "--s", "1",
+                      "--k", "1,60,100,200"])
+        _, _, rows = parse_csv(out)
+        assert [r[-1] for r in rows] == ["True", "False", "False", "False"]
+
     def test_untrusted_rows_flagged_beyond_horizon(self):
         # s = 40 is far past the reflection horizon of a 20-qubit chain
         out = run_ok(["snapshot", "--nq", "20", "--jp", "1.0", "--s", "40"])

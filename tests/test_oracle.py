@@ -208,6 +208,8 @@ class TestLrDirect:
     def test_index_guard(self):
         with pytest.raises(ValidationError):
             lr_direct(ChainParams(4, 1.0), 5, 0.5)
+        with pytest.raises(ValidationError):
+            lr_direct(ChainParams(4, 1.0), 2.7, 0.5)
 
 
 class TestNormEquivalence:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,8 +10,15 @@ from isinglr import (
     Method,
     TimeGrid,
     ValidationError,
+    front_velocity,
+    lightcone,
+    lr_critical_grid,
+    lr_direct_grid,
+    lr_walk_grid,
+    lr_walk_grid_highprec,
     validate_params,
 )
+from isinglr.params import validate_qubit_index
 
 
 class TestChainParams:
@@ -45,6 +53,31 @@ class TestChainParams:
         p = ChainParams(nq, jp)
         assert p.n_qubits == nq
         assert p.j_coupling == jp
+
+
+class TestQubitIndex:
+    @pytest.mark.parametrize("k", [3, np.int64(3), np.uint8(3)])
+    def test_python_and_numpy_integers_accepted(self, k):
+        out = validate_qubit_index(ChainParams(4, 0.5), k)
+        assert out == 3 and type(out) is int
+        assert lr_critical_grid([k], [1.0])[0, 0] == lr_critical_grid([3], [1.0])[0, 0]
+
+    @pytest.mark.parametrize("k", [2.7, 3.0, np.float64(2.0), True, 0, 5])
+    def test_floats_bools_and_out_of_range_rejected_at_every_grid_entry(self, k):
+        p = ChainParams(4, 0.5)
+        with pytest.raises(ValidationError):
+            lr_walk_grid(p, [1, k], [1.0])
+        with pytest.raises(ValidationError):
+            lr_walk_grid_highprec(p, [1, k], [1.0], 20)
+        with pytest.raises(ValidationError):
+            lr_direct_grid(p, [1, k], [1.0])
+        with pytest.raises(ValidationError):
+            lightcone(p, (1, k), (0.0, 1.0), resolution=3)
+        with pytest.raises(ValidationError):
+            front_velocity(p, fit_range=(1, k))
+        if k != 5:   # the closed form is for the semi-infinite chain
+            with pytest.raises(ValidationError):
+                lr_critical_grid([1, k], [1.0])
 
 
 class TestTimeGrid:

@@ -12,7 +12,9 @@ from isinglr import (
     build_adjacency,
     exp_first_row,
     exp_first_row_highprec,
+    lr_critical_grid,
     lr_direct,
+    lr_direct_grid,
     lr_walk,
     lr_walk_grid,
     lr_walk_grid_highprec,
@@ -158,9 +160,15 @@ class TestExpFirstRow:
         with pytest.raises(ValidationError):
             exp_first_row(build_adjacency(ChainParams(2, 1.0)), -0.5)
 
-    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, -1.0])
     def test_non_finite_time_rejected_at_every_entry(self, s):
         p = ChainParams(4, 0.5)
+        with pytest.raises(ValidationError):
+            lr_direct(p, 1, s)
+        with pytest.raises(ValidationError):
+            lr_direct_grid(p, [1, 2], [0.0, s])
+        with pytest.raises(ValidationError):
+            lr_critical_grid([1, 2], [0.0, s])
         with pytest.raises(ValidationError):
             exp_first_row(build_adjacency(p), s)
         with pytest.raises(ValidationError):
