@@ -89,6 +89,9 @@ def crossing_time(p: ChainParams, k: int, threshold: float,
     """
     validate_params(p)
     validate_qubit_index(p, k)
+    for name, value in (("coarse_step", coarse_step), ("s_max", s_max)):
+        if value is not None and not (math.isfinite(value) and value > 0.0):
+            raise ValidationError(f"{name} must be finite and positive, got {value}")
     if not (0.0 < threshold < saturation_value(p.j_coupling)):
         raise ThresholdNotReachedError(
             f"threshold {threshold} outside (0, C_sat={saturation_value(p.j_coupling)})")
@@ -206,8 +209,8 @@ def lightcone(p: ChainParams, k_range: tuple, s_range: tuple,
 
     In double precision, cells below the 1e-13 floor are masked untrusted
     (exact zeros at s=0 stay trusted and are reported as -inf).  Passing
-    `digits` switches to the arbitrary-precision row evaluation, which is
-    slow but resolves tails down to contour levels like 1e-100.
+    `digits` switches to the arbitrary-precision row evaluation, which
+    resolves tails down to contour levels like 1e-100 and below.
     """
     validate_params(p)
     k_lo, k_hi = (validate_qubit_index(p, k) for k in k_range)

@@ -182,19 +182,20 @@ def correlate(nq, jp, out, fmt_name, k_spec, s_values, smax, ns, method, digits)
     if method in ("direct", "both"):
         from .oracle import lr_direct_grid
         add_series(lr_direct_grid(p, ks, ss), Method.DIRECT)
-    if method == "both":
-        for k in ks:
-            columns[f"absdiff{k}"] = np.abs(columns[f"C{k}_walk"] - columns[f"C{k}_direct"])
     if method == "critical":
         if jp != 1.0:
             raise ValidationError("the closed form applies at jp = 1 only")
         add_series(critical.lr_critical_grid(ks, ss), Method.CRITICAL)
+    # the noise floor applies to the double-precision walk and dense values
+    values = np.reshape(list(columns.values()), (len(columns), len(ss)))
+    trusted = (np.all(double_trusted(values, ss), axis=0)
+               | (digits is not None or method == "critical"))
+    if method == "both":
+        for k in ks:
+            columns[f"absdiff{k}"] = np.abs(columns[f"C{k}_walk"] - columns[f"C{k}_direct"])
 
     header = ["s"] + list(columns) + ["trusted"]
     table = np.reshape(list(columns.values()), (len(columns), len(ss)))
-    # the noise floor applies to double-precision walk and dense columns only
-    trusted = (np.all(double_trusted(table, ss), axis=0)
-               | (digits is not None or method == "critical"))
     rows = [[float(s)] + [float(v) for v in table[:, j]] + [bool(trusted[j])]
             for j, s in enumerate(ss)]
 

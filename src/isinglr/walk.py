@@ -16,8 +16,28 @@ Up to time s the row is nonzero in double precision only inside the light
 cone, the first ~2 pi s (1 + J') nodes, so only that prefix of the chain is
 factorized and the cost at short times does not grow with N.
 
-A second route evaluates the row in arbitrary-precision arithmetic for the
-deep tail, where values fall below anything representable in doubles.
+A second route evaluates the row in arbitrary precision for the deep tail,
+where values fall below anything representable in doubles.  It runs in
+Python-integer fixed point with one scale per node: entry m is the integer
+R_m = r_m 2^(P + e_m), where P covers the requested digits plus 10 guard
+digits and 32 guard bits.  After every step e_m >= 0 is -log2 of the row's
+envelope max_{j >= m} |r_j|, so it never decreases with m; the first step
+from s = 0 takes it from the leading Taylor term (2 pi s)^m c_0..c_{m-1} / m!
+instead.  Each Taylor step runs at the scales of the row it starts from, and
+the series stops when every node's term rounds to zero at its own scale.
+
+Error model: every rounding is at most half a unit of its node's scale, and
+the step weights carry 32 more bits than the row, so each step adds to r_m
+an error of about 2^-P times the envelope max_{j >= m} |r_j| at the start of
+that step, times the number of Taylor terms.  Ahead of the front, where
+|r_m| falls with m and grows with s, that is a relative error per node,
+down to any magnitude, and each C_k = 2 sqrt(sum_{m >= 2k-1} r_m^2) has a
+relative error of the same order.  Behind the front, where entries
+oscillate, the error stays that of the largest envelope met along the way,
+as in any fixed-precision evaluation.  Rows step along a lattice of
+power-of-two steps h with 2 pi h (1 + J') <= 16, and each output time takes
+one partial step from the lattice point below it, so a value depends only
+on (N, J', s, digits).
 """
 
 from __future__ import annotations
@@ -40,9 +60,15 @@ from .params import (
 )
 from .oracle import PauliString
 
-#: Largest arbitrary-precision row work, Taylor substeps x 2N nodes, that is
-#: started; the deep N = 200, J' = 2, s = 30 light cone needs 2048 x 400.
-MAX_HIGHPREC_WORK = 2 ** 21
+#: Largest arbitrary-precision row work, Taylor steps x 2N nodes, that is
+#: started; the deep N = 200, J' = 2, s = 30 light cone needs 61 x 400.
+MAX_HIGHPREC_WORK = 2 ** 18
+#: Largest generator norm 2 pi h (1 + J') of one step of the row lattice.
+_LATTICE_NORM = 16.0
+#: Fixed-point bits of a row beyond its digits + 10 guard digits.
+_GUARD_BITS = 32
+#: Extra bits of the step weights: the e^16 growth of Taylor terms, and more.
+_WEIGHT_GUARD_BITS = 32
 
 
 @dataclass(frozen=True)
@@ -129,11 +155,7 @@ def walk_coefficients(p: ChainParams, n: int) -> np.ndarray:
 
 
 def _times_adjacency(v: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Row vector v times the skew tridiagonal matrix with superdiagonal c.
-
-    Works for any dtype numpy can multiply elementwise, floats or object
-    arrays of big floats alike.
-    """
+    """Row vector v times the skew tridiagonal matrix with superdiagonal c."""
     out = np.zeros_like(v)
     out[1:] += v[:-1] * c
     out[:-1] -= v[1:] * c
@@ -246,77 +268,206 @@ def _check_digits(digits: int) -> None:
         raise ValidationError(f"precision must be >= 16 digits, got {digits}")
 
 
-def _substeps(mp, p: ChainParams, s_mp) -> int:
-    """Power-of-two Taylor substeps that bring each step's generator norm to 1/2.
+def _lattice_step(p: ChainParams) -> float:
+    """Power-of-two time step h of the row lattice, with 2 pi h (1 + J') <= 16."""
+    _, exponent = math.frexp(_LATTICE_NORM / (2.0 * math.pi * (1.0 + p.j_coupling)))
+    return math.ldexp(1.0, exponent - 1)
 
-    The count grows as 2 pi s (1 + J'), and every substep costs 2N big-float
-    products per Taylor term, so a work budget refuses long times up front.
+
+def _substeps(p: ChainParams, s_max: float) -> int:
+    """Taylor steps that reach s_max: whole lattice steps plus one partial step.
+
+    Every step costs 2N big-integer products per Taylor term, so a work
+    budget refuses long times up front.
     """
-    bound = 2 * mp.pi * s_mp * (1 + mp.mpf(p.j_coupling))
-    steps = 1
-    while bound / steps > mp.mpf("0.5"):
-        steps *= 2
+    steps = math.floor(s_max / _lattice_step(p)) + 1
     if steps * p.n_nodes > MAX_HIGHPREC_WORK:
         raise GuardError(
-            f"{steps} substeps x {p.n_nodes} nodes exceeds the arbitrary-precision "
+            f"{steps} steps x {p.n_nodes} nodes exceeds the arbitrary-precision "
             f"work budget {MAX_HIGHPREC_WORK}")
     return steps
 
 
-def exp_first_row_highprec(p: ChainParams, s: float, digits: int = 60) -> np.ndarray:
-    """Row 1 of exp(-2 pi s A') in big-float arithmetic.
+def _row_bits(digits: int) -> int:
+    """Fixed-point bits P: digits + 10 guard digits, plus guard bits."""
+    return math.ceil((digits + 10) * math.log2(10.0)) + _GUARD_BITS
 
-    Taylor evaluation with the time argument scaled into 2^j substeps so the
-    step generator has norm <= 1/2, applied repeatedly to the basis row
-    vector; working precision carries 10 guard digits.  Returns an object
-    array of mpmath floats.
+
+def _round_shift(x: int, d: int) -> int:
+    """x 2^d rounded to the nearest integer."""
+    if d >= 0:
+        return x << d
+    return (x + (1 << (-d - 1))) >> -d
+
+
+def _scale_exponents(neg_log2: np.ndarray) -> list:
+    """Node exponents max(0, floor(x_m)), made nondecreasing in m.
+
+    An infinite x marks a node that is exactly zero together with every node
+    past it (a zero coupling before it); it takes the exponent before it.
+    """
+    e = np.where(np.isfinite(neg_log2), np.maximum(np.floor(neg_log2), 0.0), 0.0)
+    return np.maximum.accumulate(e).astype(int).tolist()
+
+
+def _leading_exponents(p: ChainParams, tau: float) -> list:
+    """Exponents -log2 L_m(tau) of the leading Taylor terms.
+
+    L_m(tau) = (2 pi tau)^m c_0 ... c_{m-1} / m! is the walk straight from
+    node 0 to node m, which dominates r_m(tau) ahead of the light cone.
+    """
+    m = np.arange(p.n_nodes)
+    with np.errstate(divide="ignore"):
+        log_c = np.cumsum(np.log2(_superdiagonal(p)))
+    log_fact = np.cumsum(np.log2(m[1:]))
+    log_lead = m * math.log2(2.0 * math.pi * tau)
+    log_lead[1:] += log_c - log_fact
+    return _scale_exponents(-log_lead)
+
+
+def _envelope_exponents(row: np.ndarray, e: list, bits: int) -> list:
+    """Exponents -log2 max_{j >= m} |r_j| of a fixed-point row's own envelope."""
+    log_r = np.array([float(r.bit_length() - bits - x) if r else -math.inf
+                      for r, x in zip(row, e)])
+    return _scale_exponents(-np.maximum.accumulate(log_r[::-1])[::-1])
+
+
+def _step_weights(p: ChainParams, e: list, h: float, wbits: int):
+    """Fixed-point weights of one Taylor step on a row with node scales e.
+
+    Node m enters node m + 1 with weight 2 pi h c_m 2^(wbits + e_m+1 - e_m)
+    and node m + 1 enters node m with 2 pi h c_m 2^(wbits + e_m - e_m+1).
+    Each is returned as an integer with wbits + 16 significant bits and a
+    right shift to apply to its product, so no weight loses bits however far
+    the scales of neighbours differ.  Returns ((left, shift), (right, shift)).
+    """
+    q = wbits + 16
+    pi_q = _require_mpmath().libmp.pi_fixed(q)
+    base = {}
+    h_num, h_den = h.as_integer_ratio()
+    for c in {1.0, p.j_coupling}:
+        c_num, c_den = c.as_integer_ratio()                         # h c is exact
+        mant = pi_q * h_num * c_num                                 # 2 pi h c 2^wbits
+        exp = wbits + 2 - q - (h_den * c_den).bit_length()
+        trim = max(0, mant.bit_length() - q)
+        base[c] = (_round_shift(mant, -trim), exp + trim)
+    couplings, drop = _superdiagonal(p).tolist(), np.diff(e).tolist()
+
+    def weights(sign):
+        exps = [base[c][1] + sign * d for c, d in zip(couplings, drop)]
+        return (np.array([base[c][0] << max(x, 0) for c, x in zip(couplings, exps)], dtype=object),
+                np.array([max(-x, 0) for x in exps], dtype=object))
+
+    return weights(1), weights(-1)
+
+
+def _taylor_step(p: ChainParams, row: np.ndarray, e: list, h: float, bits: int) -> np.ndarray:
+    """A fixed-point row times exp(-2 pi h A'), at the row's own node scales.
+
+    Terms are added until every node's term rounds to zero at its scale.
+    """
+    wbits = bits + _WEIGHT_GUARD_BITS
+    (left, left_shift), (right, right_shift) = _step_weights(p, e, h, wbits)
+    acc, term, order = row.copy(), row, 1
+    while True:
+        # term_m = -(2 pi h / order) (term_m-1 c_m-1 - term_m+1 c_m), rounded
+        u = np.empty_like(term)
+        u[:-1] = (right * term[1:]) >> right_shift
+        u[-1] = 0
+        u[1:] -= (left * term[:-1]) >> left_shift
+        term = (((u >> (wbits - 1)) // order) + 1) >> 1
+        if not term.any():
+            return acc
+        acc += term
+        order += 1
+
+
+def _advance(p: ChainParams, row: tuple, tau0: float, h: float, bits: int) -> tuple:
+    """Step a fixed-point row (R, e) from tau0 to tau0 + h.
+
+    The step runs at the scales of the row it starts from, so no bit of that
+    row is rounded away first; the first step, from s = 0, runs at the
+    leading-term scales of its end time.  The result is then rescaled to its
+    own envelope.
+    """
+    r, e = row
+    if tau0 == 0.0:
+        e = _leading_exponents(p, h)    # the start row is exactly node 0
+    acc = _taylor_step(p, r, e, h, bits)
+    e_new = _envelope_exponents(acc, e, bits)
+    return (np.array([_round_shift(x, b - a) for x, a, b in zip(acc, e, e_new)], dtype=object),
+            e_new)
+
+
+def _fixed_rows(p: ChainParams, times, bits: int):
+    """(s, R, e) for each distinct time, ascending: R_m = r_m 2^(bits + e_m).
+
+    One row walks the lattice of `_lattice_step` steps from s = 0, and each
+    time takes one partial step from the lattice point below it, so a row
+    depends only on (p, s, bits) and not on the other times asked for.
+    """
+    h0 = _lattice_step(p)
+    start = np.zeros(p.n_nodes, dtype=object)
+    start[0] = 1 << bits
+    row, point = (start, [0] * p.n_nodes), 0
+    for s in sorted(set(times)):
+        below = math.floor(s / h0)
+        while point < below:
+            row = _advance(p, row, point * h0, h0, bits)
+            point += 1
+        part = math.fmod(s, h0)
+        yield (s, *(_advance(p, row, below * h0, part, bits) if part else row))
+
+
+def _tail_sums(row: np.ndarray, e: list) -> list:
+    """sum_{j >= m} R_j^2 for every m, each at node m's scale 2^(2 (bits + e_m))."""
+    out = [0] * len(row)
+    acc, e_next = 0, e[-1]
+    for m in range(len(row) - 1, -1, -1):
+        acc = (acc >> 2 * (e_next - e[m])) + row[m] * row[m]
+        out[m], e_next = acc, e[m]
+    return out
+
+
+def exp_first_row_highprec(p: ChainParams, s: float, digits: int = 60) -> np.ndarray:
+    """Row 1 of exp(-2 pi s A') in arbitrary precision.
+
+    Built in scaled integer fixed point (see the module docstring), with 10
+    guard digits; returns an object array of mpmath floats.
     """
     mp = _require_mpmath()
     validate_params(p)
     _check_digits(digits)
     (s,) = validate_times([s])
+    _substeps(p, s)
+    bits = _row_bits(digits)
+    ((_, row, e),) = _fixed_rows(p, [s], bits)
     with mp.workdps(digits + 10):
-        s_mp = mp.mpf(s)
-        steps = _substeps(mp, p, s_mp)
-        # step generator -2 pi (s/steps) A'
-        w = _superdiagonal(p).astype(object) * (-2 * mp.pi * (s_mp / steps))
-        tol = mp.mpf(10) ** (-(digits + 10))
-        row = np.array([mp.mpf(1)] + [mp.mpf(0)] * (p.n_nodes - 1), dtype=object)
-        if s_mp == 0:
-            return row
-        for _ in range(steps):
-            acc = row.copy()
-            term = row
-            order = 1
-            while True:
-                term = _times_adjacency(term, w) / order
-                acc += term
-                if max(abs(term)) < tol:
-                    break
-                order += 1
-            row = acc
-        return row
+        return np.array([mp.mpf((r, -(bits + x))) for r, x in zip(row, e)], dtype=object)
 
 
 def lr_walk_grid_highprec(p: ChainParams, ks, ss, digits: int = 60) -> np.ndarray:
     """C_k(s) in arbitrary precision, shape (len(ks), len(ss)), mpmath floats.
 
-    One big-float row per time serves every k, as the tail sums of its
-    squares.  All inputs, and the work budget at the largest time, are
-    checked before the first row is built.
+    One fixed-point row per distinct time serves every k, as the tail sums
+    of its squares; the rows step once along the time lattice.  All inputs,
+    and the work budget at the largest time, are checked before the first
+    row is built.
     """
     mp = _require_mpmath()
     validate_params(p)
     ks = [validate_qubit_index(p, k) for k in ks]
     _check_digits(digits)
     ss = validate_times(ss)
+    _substeps(p, float(np.max(ss, initial=0.0)))
+    bits = _row_bits(digits)
     out = np.empty((len(ks), len(ss)), dtype=object)
     with mp.workdps(digits + 10):
-        _substeps(mp, p, mp.mpf(np.max(ss, initial=0.0)))
-        for j, s in enumerate(ss.tolist()):
-            row = exp_first_row_highprec(p, s, digits)
-            for i, k in enumerate(ks):
-                out[i, j] = +(2 * mp.sqrt(mp.fsum(x * x for x in row[2 * k - 1:])))
+        for s, row, e in _fixed_rows(p, ss.tolist(), bits):
+            tails = _tail_sums(row, e)
+            column = [2 * mp.sqrt(mp.mpf((tails[2 * k - 1], -2 * (bits + e[2 * k - 1]))))
+                      for k in ks]
+            out[:, ss == s] = np.array(column, dtype=object).reshape(-1, 1)
     return out
 
 

@@ -68,6 +68,13 @@ class TestCrossingTime:
         with pytest.raises(HorizonError):
             crossing_time(p, 5, 0.1, s_max=100.0)
 
+    @pytest.mark.parametrize("window", [{"s_max": math.nan}, {"s_max": math.inf},
+                                        {"s_max": -1.0}, {"coarse_step": 0.0},
+                                        {"coarse_step": -0.1}, {"coarse_step": math.nan}])
+    def test_bad_window_rejected(self, window):
+        with pytest.raises(ValidationError):
+            crossing_time(ChainParams(20, 1.0), 5, 0.1, **window)
+
 
 class TestFrontVelocity:
     def test_default_fit_range_shape(self):

@@ -65,6 +65,18 @@ class TestCorrelate:
         col = header.index("absdiff1")
         assert max(float(r[col]) for r in rows) < 1e-10
 
+    def test_both_methods_trust_reads_values_not_differences(self):
+        # walk and dense agree to round-off, so the absdiff columns sit below
+        # the 1e-13 floor; only C9 = 4e-14 at s = 0.25 makes a row untrusted
+        out = run_ok(["correlate", "--nq", "9", "--jp", "0.5", "--k", "1..9",
+                      "--smax", "3", "--ns", "13", "--method", "both"])
+        _, header, rows = parse_csv(out)
+        values = [i for i, name in enumerate(header) if name.startswith("C")]
+        for r in rows:
+            above = all(float(r[i]) >= 1e-13 for i in values) or float(r[0]) == 0.0
+            assert r[-1] == str(above)
+        assert [r[-1] for r in rows].count("True") == 12
+
     def test_direct_guard_exit_code(self):
         code = main(["correlate", "--nq", "20", "--jp", "1.0", "--method", "direct"])
         assert code == 2

@@ -271,41 +271,92 @@ class TestHighPrecision:
         with pytest.raises(ValidationError):
             lr_walk_highprec(ChainParams(4, 1.0), 1, 0.5, digits=8)
 
-    def _count_rows(self, monkeypatch):
+    def _count_steps(self, monkeypatch):
         calls = []
-        real = walk.exp_first_row_highprec
+        real = walk._advance
 
-        def counted(p, s, digits=60):
-            calls.append(s)
-            return real(p, s, digits)
+        def counted(p, row, tau0, h, bits):
+            calls.append((tau0, h))
+            return real(p, row, tau0, h, bits)
 
-        monkeypatch.setattr(walk, "exp_first_row_highprec", counted)
+        monkeypatch.setattr(walk, "_advance", counted)
         return calls
 
     def test_grid_builds_one_row_per_time(self, monkeypatch):
+        # lattice step 1 at J' = 0.7: whole steps to s = 2, and one partial
+        # step from the lattice point below each time off the lattice
         p = ChainParams(6, 0.7)
-        ks, ss = [1, 3, 4, 6], [0.0, 0.25, 0.9]
-        calls = self._count_rows(monkeypatch)
+        ks, ss = [1, 3, 4, 6], [0.0, 2.5, 0.25, 0.9, 2.0]
+        assert walk._lattice_step(p) == 1.0
+        calls = self._count_steps(monkeypatch)
         grid = lr_walk_grid_highprec(p, ks, ss, 30)
-        assert calls == ss
+        assert calls == [(0.0, 0.25), (0.0, 0.9), (0.0, 1.0), (1.0, 1.0), (2.0, 0.5)]
         assert grid.shape == (len(ks), len(ss))
         for i, k in enumerate(ks):
             for j, s in enumerate(ss):
                 assert grid[i, j] == lr_walk_highprec(p, k, s, 30)
 
     def test_grid_checks_every_time_before_any_row(self, monkeypatch):
-        calls = self._count_rows(monkeypatch)
+        calls = self._count_steps(monkeypatch)
         with pytest.raises(ValidationError):
             lr_walk_grid_highprec(ChainParams(4, 0.5), [1, 2], [0.1, 0.2, math.nan], 20)
         assert calls == []
 
     def test_work_budget_refuses_long_times_at_once(self, monkeypatch):
-        calls = self._count_rows(monkeypatch)
+        calls = self._count_steps(monkeypatch)
         with pytest.raises(GuardError):
             lr_walk_highprec(ChainParams(2, 0.5), 1, 1e6, 20)
         with pytest.raises(GuardError):
             lr_walk_grid_highprec(ChainParams(2, 0.5), [1], [0.1, 1e6], 20)
         assert calls == []
-        # the deep N = 200, J' = 2 light cone out to s = 30 stays inside the budget
+        # the deep N = 200, J' = 2 light cone out to s = 30 stays inside the
+        # budget: 60 lattice steps of 0.5 plus one partial step, 400 nodes each
+        p = ChainParams(200, 2.0)
+        assert walk._substeps(p, 30.0) == 61
+        assert 61 * p.n_nodes <= walk.MAX_HIGHPREC_WORK
+
+    @pytest.mark.parametrize("s", [0.1, 0.5, 1.5])
+    def test_matches_120_digit_expm(self, s):
+        # cells fall to 3e-76; every one is held to relative error 1e-25
         import mpmath as mp
-        assert walk._substeps(mp, ChainParams(200, 2.0), mp.mpf(30)) == 2048
+        p = ChainParams(24, 0.5)
+        ks = list(range(1, p.n_qubits + 1))
+        grid = lr_walk_grid_highprec(p, ks, [s], 40)
+        with mp.workdps(120):
+            a = mp.zeros(p.n_nodes, p.n_nodes)
+            for m, c in enumerate(walk._superdiagonal(p)):
+                a[m, m + 1], a[m + 1, m] = c, -c
+            row = mp.expm(-2 * mp.pi * mp.mpf(s) * a)[0, :]
+            for i, k in enumerate(ks):
+                ref = 2 * mp.sqrt(mp.fsum(x * x for x in row[2 * k - 1:]))
+                assert ref > 1e-77
+                assert abs(grid[i, 0] / ref - 1) <= 1e-25
+
+    def test_zero_coupling_keeps_unreachable_nodes_zero(self):
+        # J' = 0 cuts the walk after node 1: r = (cos 2 pi s, -sin 2 pi s, 0, ...)
+        import mpmath as mp
+        p, s = ChainParams(24, 0.0), 0.7
+        row = exp_first_row_highprec(p, s, 40)
+        assert all(x == 0 for x in row[2:])
+        grid = lr_walk_grid_highprec(p, range(1, p.n_qubits + 1), [s], 40)
+        assert all(c == 0 for c in grid[1:, 0])
+        with mp.workdps(50):
+            theta = 2 * mp.pi * mp.mpf(s)
+            assert abs(row[0] / mp.cos(theta) - 1) < 1e-45
+            assert abs(row[1] / -mp.sin(theta) - 1) < 1e-45
+            assert abs(grid[0, 0] / (2 * abs(mp.sin(theta))) - 1) < 1e-45
+
+    @settings(max_examples=20, deadline=None)
+    @given(nq=st.integers(1, 8), jp=st.floats(0.0, 3.0),
+           ss=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4))
+    def test_grid_cells_equal_one_cell_calls(self, nq, jp, ss):
+        p = ChainParams(nq, jp)
+        ss = ss + ss[:1]          # unsorted, with a repeated time
+        ks = list(range(1, nq + 1))
+        grid = lr_walk_grid_highprec(p, ks, ss, 20)
+        double = lr_walk_grid(p, ks, ss)
+        for i, k in enumerate(ks):
+            for j, s in enumerate(ss):
+                assert grid[i, j] == lr_walk_highprec(p, k, s, 20)
+                if double[i, j] >= 1e-6:
+                    assert abs(float(grid[i, j]) - double[i, j]) < 1e-12
