@@ -4,7 +4,8 @@ Output conventions: CSV files open with `#`-prefixed key=value metadata
 lines, then one header row, then data; floats carry 17 significant digits so
 files round-trip doubles exactly; log10 of an exact zero is emitted as the
 literal -inf.  Rows computed in double precision carry a `trusted` column
-that drops to False wherever a value sits below the 1e-13 noise floor.
+that drops to False wherever a value sits below the 1e-13 noise floor; with
+`--digits` it drops where a nonzero value is zero or subnormal as a double.
 
 Exit codes: 0 success, 1 usage error, 2 numeric-guard refusal.
 """
@@ -126,6 +127,14 @@ def time_grid(s_values, s_max, n_s):
     return np.linspace(0.0, s_max, n_s)
 
 
+def highprec_grid(p: ChainParams, ks, ss, digits: int):
+    """Arbitrary-precision walk grid as doubles, and the mask of cells the cast
+    lost: nonzero in mpmath but zero or subnormal as a double."""
+    exact = walk.lr_walk_grid_highprec(p, ks, ss, digits)
+    grid = exact.astype(float)
+    return grid, (exact != 0) & (np.abs(grid) < np.finfo(float).tiny)
+
+
 @click.group()
 def cli():
     """Lieb-Robinson correlation functions for the transverse-field Ising chain."""
@@ -167,6 +176,7 @@ def correlate(nq, jp, out, fmt_name, k_spec, s_values, smax, ns, method, digits)
     tg = TimeGrid(tuple(float(s) for s in ss))
 
     columns = {}
+    lost = np.zeros((len(ks), len(ss)), dtype=bool)
 
     def add_series(grid, which: Method):
         for k, col in zip(ks, grid):
@@ -178,7 +188,8 @@ def correlate(nq, jp, out, fmt_name, k_spec, s_values, smax, ns, method, digits)
         if digits is None:
             add_series(walk.lr_walk_grid(p, ks, ss), Method.WALK)
         else:
-            add_series(walk.lr_walk_grid_highprec(p, ks, ss, digits).astype(float), Method.WALK)
+            grid, lost = highprec_grid(p, ks, ss, digits)
+            add_series(grid, Method.WALK)
     if method in ("direct", "both"):
         from .oracle import lr_direct_grid
         add_series(lr_direct_grid(p, ks, ss), Method.DIRECT)
@@ -188,8 +199,9 @@ def correlate(nq, jp, out, fmt_name, k_spec, s_values, smax, ns, method, digits)
         add_series(critical.lr_critical_grid(ks, ss), Method.CRITICAL)
     # the noise floor applies to the double-precision walk and dense values
     values = np.reshape(list(columns.values()), (len(columns), len(ss)))
-    trusted = (np.all(double_trusted(values, ss), axis=0)
-               | (digits is not None or method == "critical"))
+    trusted = ((np.all(double_trusted(values, ss), axis=0)
+                | (digits is not None or method == "critical"))
+               & ~np.any(lost, axis=0))
     if method == "both":
         for k in ks:
             columns[f"absdiff{k}"] = np.abs(columns[f"C{k}_walk"] - columns[f"C{k}_direct"])
@@ -220,10 +232,11 @@ def snapshot(nq, jp, out, fmt_name, s_values, k_spec, with_critical, digits):
     if with_critical and jp != 1.0:
         raise ValidationError("--critical requires jp = 1")
 
+    lost = np.zeros((len(ks), len(ss)), dtype=bool)
     if digits is None:
         grid = walk.lr_walk_grid(p, ks, np.asarray(ss))
     else:
-        grid = walk.lr_walk_grid_highprec(p, ks, ss, digits).astype(float)
+        grid, lost = highprec_grid(p, ks, ss, digits)
     if with_critical:
         grid = np.hstack([grid, critical.lr_critical_grid(ks, ss)])
     header = ["k"] + [f"C_s{fmt(float(s))}" for s in ss]
@@ -232,9 +245,9 @@ def snapshot(nq, jp, out, fmt_name, s_values, k_spec, with_critical, digits):
     header += ["trusted"]
     in_floor = np.all(double_trusted(grid, ss * (2 if with_critical else 1)), axis=1)
     rows = []
-    for k, vals, floor_ok in zip(ks, grid, in_floor):
+    for k, vals, floor_ok, row_lost in zip(ks, grid, in_floor, np.any(lost, axis=1)):
         horizon = analysis.reflection_safe_horizon(p, k)
-        trusted = (digits is not None or floor_ok) and max(ss) <= horizon
+        trusted = (digits is not None or floor_ok) and max(ss) <= horizon and not row_lost
         rows.append([int(k)] + [float(v) for v in vals] + [bool(trusted)])
     meta = {"nq": nq, "jp": jp, "method": "walk+critical" if with_critical else "walk",
             "precision": digits if digits else "double"}

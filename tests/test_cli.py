@@ -117,6 +117,14 @@ class TestCorrelate:
         assert meta["precision"] == "40"
         assert all(r[-1] == "True" for r in rows)
 
+    def test_digits_cells_lost_in_the_double_cast_untrusted(self):
+        # at s = 0.01 the k = 60 value is about 2e-322, subnormal as a double
+        out = run_ok(["correlate", "--nq", "80", "--jp", "2", "--k", "40,60",
+                      "--s", "0,0.01,0.05", "--digits", "30"])
+        _, _, rows = parse_csv(out)
+        assert 0.0 < float(rows[1][2]) < 2.2250738585072014e-308
+        assert [r[-1] for r in rows] == ["True", "False", "True"]
+
 
 class TestSnapshot:
     def test_rows_per_qubit_with_trust(self):
@@ -139,6 +147,14 @@ class TestSnapshot:
                       "--k", "1,60,100,200"])
         _, _, rows = parse_csv(out)
         assert [r[-1] for r in rows] == ["True", "False", "False", "False"]
+
+    def test_digits_rows_lost_in_the_double_cast_untrusted(self):
+        # nonzero in mpmath, but 0 as a double at k = 80 and subnormal at k = 60, s = 0.01
+        out = run_ok(["snapshot", "--nq", "80", "--jp", "2", "--s", "0.05,0.01",
+                      "--k", "40,60,70,80", "--digits", "30"])
+        _, _, rows = parse_csv(out)
+        assert [r[-1] for r in rows] == ["True", "False", "False", "False"]
+        assert float(rows[3][1]) == 0.0
 
     def test_untrusted_rows_flagged_beyond_horizon(self):
         # s = 40 is far past the reflection horizon of a 20-qubit chain

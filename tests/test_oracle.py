@@ -19,6 +19,7 @@ from isinglr import (
     operator_norm,
     pauli_string_matrix,
 )
+from isinglr import lr_walk_grid, oracle
 from isinglr.oracle import PAULI, commutator_with_z, _z1_evolved
 
 
@@ -239,3 +240,56 @@ class TestNormEquivalence:
         assert ok
         assert math.sqrt(max(c, 0.0)) == pytest.approx(
             lr_direct(ChainParams(6, 2.0), 3, 1.0), abs=1e-12)
+
+
+class TestSectorOracle:
+    """The parity-sector grid against routes that share none of its steps."""
+
+    @pytest.mark.parametrize("nq", range(1, 7))
+    @pytest.mark.parametrize("jp", [0.0, 0.5, 1.0, 2.5])
+    def test_matches_full_space_evolution(self, nq, jp):
+        p = ChainParams(nq, jp)
+        ks = list(range(1, nq + 1))
+        ss = np.linspace(0.0, 3.0, 9)
+        grid = lr_direct_grid(p, ks, ss)
+        h = build_hamiltonian(p)
+        z1 = pauli_string_matrix(PauliString.from_str("Z" + "I" * (nq - 1)))
+        for j, s in enumerate(ss):
+            z1t = heisenberg_evolve(z1, h, float(s))
+            for i, k in enumerate(ks):
+                full = frobenius_norm(commutator_with_z(p, k, z1t))
+                assert abs(grid[i, j] - full) <= 1e-13
+
+    def test_one_factorization_per_sector(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        for obj in vars(oracle).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+        monkeypatch.setattr(oracle.np.linalg, "eigh", counting_eigh)
+        p, ss = ChainParams(6, 0.7), np.linspace(0.0, 3.0, 13)
+        lr_direct_grid(p, range(1, 7), ss)
+        assert len(calls) == 2
+        lr_direct_grid(p, range(1, 7), ss)
+        assert len(calls) == 2
+
+    @given(nq=st.integers(1, 8),
+           jp=st.floats(0.0, 5.0, allow_nan=False),
+           times=st.lists(st.floats(0.0, 10.0, allow_nan=False), min_size=1, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_properties_against_walk(self, nq, jp, times):
+        p = ChainParams(nq, jp)
+        ks = list(range(1, nq + 1))
+        ss = np.array([0.0] + times)
+        direct = lr_direct_grid(p, ks, ss)
+        walk = lr_walk_grid(p, ks, ss)
+        assert np.max(np.abs(direct - walk)) <= 1e-12
+        assert np.all((direct >= -1e-12) & (direct <= 2.0 + 1e-12))
+        assert np.all(direct[:, 0] == 0.0) and np.all(walk[:, 0] == 0.0)
+        assert np.all(np.diff(walk, axis=0) <= 0.0)
+        assert np.all(np.diff(direct, axis=0) <= 1e-13)
