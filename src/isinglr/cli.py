@@ -3,18 +3,22 @@
 Output conventions: CSV files open with `#`-prefixed key=value metadata
 lines, then one header row, then data; floats carry 17 significant digits so
 files round-trip doubles exactly; log10 of an exact zero is emitted as the
-literal -inf.  Rows computed in double precision carry a `trusted` column
-that drops to False wherever a value sits below the 1e-13 noise floor; with
-`--digits` it drops where a nonzero value is zero or subnormal as a double.
+literal -inf and a NaN as nan.  JSON tables carry float cells as the same
+17-digit strings, so -inf and nan survive JSON.  Rows computed in double
+precision carry a `trusted` column that drops to False wherever a value sits
+below the 1e-13 noise floor; with `--digits` it drops where a nonzero value
+is zero or subnormal as a double.
 
 Exit codes: 0 success, 1 usage error, 2 numeric-guard refusal.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
+from dataclasses import dataclass
 
 import click
 import numpy as np
@@ -35,13 +39,36 @@ GUARD_EXIT = 2
 
 
 def fmt(x) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return f"{x:.17g}"
-    return str(x)
+    return format(x, ".17g") if isinstance(x, float) else str(x)
+
+
+#: Rows joined and written per write call, so no file is built as one string.
+_BLOCK_ROWS = 4096
+
+
+@dataclass(frozen=True)
+class Tiled:
+    """Column of an outer-product grid: every value repeated `each` times in a
+    row, and that sequence repeated `times` times.  Each distinct value is
+    formatted once."""
+
+    values: object
+    each: int = 1
+    times: int = 1
+
+
+def _cells(col, text: bool) -> list:
+    """One column's cells, in one pass with one formatter per dtype: floats as
+    17-significant-digit strings; ints and bools as strings when `text`, as
+    themselves otherwise (JSON)."""
+    if isinstance(col, Tiled):
+        cells = _cells(col.values, text)
+        return [c for c in cells for _ in range(col.each)] * col.times
+    values = np.asarray(col)
+    cells = values.tolist()
+    if values.dtype.kind == "f":
+        return list(map("{:.17g}".format, cells))
+    return list(map(str, cells)) if text else cells
 
 
 class Output:
@@ -55,14 +82,15 @@ class Output:
             return sys.stdout, False
         return open(self.path, "w", encoding="utf-8"), True
 
-    def csv(self, meta: dict, header, rows):
+    def csv(self, meta: dict, header, columns):
+        lines = map(",".join, zip(*(_cells(col, text=True) for col in columns)))
         stream, owned = self._open()
         try:
             for key, val in meta.items():
                 stream.write(f"# {key}={fmt(val)}\n")
             stream.write(",".join(header) + "\n")
-            for row in rows:
-                stream.write(",".join(fmt(v) for v in row) + "\n")
+            while block := list(itertools.islice(lines, _BLOCK_ROWS)):
+                stream.write("\n".join(block) + "\n")
         finally:
             if owned:
                 stream.close()
@@ -76,31 +104,29 @@ class Output:
             if owned:
                 stream.close()
 
-    def table(self, meta: dict, header, rows, format: str):
+    def table(self, meta: dict, header, columns, format: str):
+        """Write equal-length `columns` (1-D arrays, sequences or `Tiled`)
+        under `header`."""
         if format == "json":
-            def jsonable(v):
-                if isinstance(v, float):
-                    return fmt(v)
-                if isinstance(v, (bool, np.bool_)):
-                    return bool(v)
-                if isinstance(v, np.integer):
-                    return int(v)
-                return v
-            self.json({"meta": {k: jsonable(v) for k, v in meta.items()},
+            self.json({"meta": {k: fmt(v) if isinstance(v, float) else v
+                                for k, v in meta.items()},
                        "columns": list(header),
-                       "rows": [[jsonable(v) for v in row] for row in rows]})
+                       "rows": list(zip(*(_cells(col, text=False) for col in columns)))})
         else:
-            self.csv(meta, header, rows)
+            self.csv(meta, header, columns)
 
 
 def parse_int_list(text: str):
-    """Integer lists: '3', '1,4,9', '1..10', or '1,3,...,39' (arithmetic)."""
+    """Integer lists: '3', '1,4,9', '1..10', or '1,3,...,39' (arithmetic).
+
+    A list that expands to nothing, such as '3..2', is a usage error.
+    """
     text = text.strip()
+    parts = [p.strip() for p in text.split(",")]
     if ".." in text and "..." not in text:
         lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    parts = [p.strip() for p in text.split(",")]
-    if "..." in parts:
+        values = list(range(int(lo), int(hi) + 1))
+    elif "..." in parts:
         i = parts.index("...")
         if i < 2 or i != len(parts) - 2:
             raise click.UsageError(f"cannot expand ellipsis in {text!r}; "
@@ -109,8 +135,12 @@ def parse_int_list(text: str):
         step = nxt - start
         if step == 0 or (end - start) % step != 0:
             raise click.UsageError(f"ellipsis in {text!r} is not an arithmetic progression")
-        return list(range(start, end + (1 if step > 0 else -1), step))
-    return [int(p) for p in parts]
+        values = list(range(start, end + (1 if step > 0 else -1), step))
+    else:
+        values = [int(p) for p in parts]
+    if not values:
+        raise click.UsageError(f"{text!r} selects nothing")
+    return values
 
 
 def parse_float_list(text: str):
@@ -161,7 +191,8 @@ def common_options(fn):
 @click.option("--k", "k_spec", default=None, help="Qubit indices, e.g. 1..10 or 2,5,9.")
 @click.option("--s", "s_values", default=None, help="Explicit time list (overrides --smax/--ns).")
 @click.option("--smax", type=float, default=3.0, show_default=True, help="Grid end time t/tau.")
-@click.option("--ns", type=int, default=61, show_default=True, help="Grid points.")
+@click.option("--ns", type=click.IntRange(min=1), default=61, show_default=True,
+              help="Grid points.")
 @click.option("--method", type=click.Choice(["walk", "direct", "both", "critical"]),
               default="walk", show_default=True)
 @click.option("--digits", type=int, default=None,
@@ -206,14 +237,10 @@ def correlate(nq, jp, out, fmt_name, k_spec, s_values, smax, ns, method, digits)
         for k in ks:
             columns[f"absdiff{k}"] = np.abs(columns[f"C{k}_walk"] - columns[f"C{k}_direct"])
 
-    header = ["s"] + list(columns) + ["trusted"]
-    table = np.reshape(list(columns.values()), (len(columns), len(ss)))
-    rows = [[float(s)] + [float(v) for v in table[:, j]] + [bool(trusted[j])]
-            for j, s in enumerate(ss)]
-
     meta = {"nq": nq, "jp": jp, "method": method,
             "precision": digits if digits else "double"}
-    Output(out).table(meta, header, rows, fmt_name)
+    Output(out).table(meta, ["s", *columns, "trusted"],
+                      [ss, *columns.values(), trusted], fmt_name)
 
 
 @cli.command()
@@ -231,6 +258,8 @@ def snapshot(nq, jp, out, fmt_name, s_values, k_spec, with_critical, digits):
     ss = parse_float_list(s_values)
     if with_critical and jp != 1.0:
         raise ValidationError("--critical requires jp = 1")
+    if len(set(ss)) != len(ss):
+        raise click.UsageError(f"--s {s_values!r} repeats a time")
 
     lost = np.zeros((len(ks), len(ss)), dtype=bool)
     if digits is None:
@@ -239,19 +268,18 @@ def snapshot(nq, jp, out, fmt_name, s_values, k_spec, with_critical, digits):
         grid, lost = highprec_grid(p, ks, ss, digits)
     if with_critical:
         grid = np.hstack([grid, critical.lr_critical_grid(ks, ss)])
-    header = ["k"] + [f"C_s{fmt(float(s))}" for s in ss]
+    header = ["k"] + [f"C_s{fmt(s)}" for s in ss]
     if with_critical:
-        header += [f"critical_s{fmt(float(s))}" for s in ss]
-    header += ["trusted"]
+        header += [f"critical_s{fmt(s)}" for s in ss]
     in_floor = np.all(double_trusted(grid, ss * (2 if with_critical else 1)), axis=1)
-    rows = []
-    for k, vals, floor_ok, row_lost in zip(ks, grid, in_floor, np.any(lost, axis=1)):
-        horizon = analysis.reflection_safe_horizon(p, k)
-        trusted = (digits is not None or floor_ok) and max(ss) <= horizon and not row_lost
-        rows.append([int(k)] + [float(v) for v in vals] + [bool(trusted)])
+    # analysis.reflection_safe_horizon for every k at once
+    v = asymptotics.v_group_max(jp)
+    horizon = (2.0 * nq - np.asarray(ks) - 1.0) / v if v != 0.0 else math.inf
+    trusted = ((digits is not None or in_floor) & (max(ss) <= horizon)
+               & ~np.any(lost, axis=1))
     meta = {"nq": nq, "jp": jp, "method": "walk+critical" if with_critical else "walk",
             "precision": digits if digits else "double"}
-    Output(out).table(meta, header, rows, fmt_name)
+    Output(out).table(meta, header + ["trusted"], [ks, *grid.T, trusted], fmt_name)
 
 
 @cli.command()
@@ -291,15 +319,16 @@ def front(nq, jp, out, fmt_name, threshold, kmin, kmax):
               default="csv", show_default=True)
 def saturation(jp_list, nq, k_probe, out, fmt_name):
     """Measured long-time plateau of C_k against the analytic 2 min(1, 1/J')."""
-    rows = []
-    for jp in parse_float_list(jp_list):
+    jps = parse_float_list(jp_list)
+    measured = []
+    for jp in jps:
         n_use = nq if jp < 3.0 else max(nq, 300)
         p = ChainParams(n_use, jp)
         window = analysis.saturation_window(p, k_probe)
-        measured = analysis.measure_saturation(p, k_probe, window)
-        rows.append([jp, measured, asymptotics.saturation_value(jp)])
+        measured.append(analysis.measure_saturation(p, k_probe, window))
     Output(out).table({"nq": nq, "k": k_probe}, ["jp", "measured", "analytic"],
-                      rows, fmt_name)
+                      [jps, measured, [asymptotics.saturation_value(jp) for jp in jps]],
+                      fmt_name)
 
 
 @cli.command()
@@ -311,15 +340,13 @@ def saturation(jp_list, nq, k_probe, out, fmt_name):
               default="csv", show_default=True)
 def velocities(jp_list, nq, threshold, out, fmt_name):
     """Front velocity vs coupling, with the analytic front and leading-edge speeds."""
-    rows = []
-    for jp in parse_float_list(jp_list):
-        p = ChainParams(nq, jp)
-        est = analysis.front_velocity(p, threshold)
-        rows.append([jp, est.velocity, asymptotics.v_group_max(jp),
-                     asymptotics.v_lieb_robinson(jp)])
+    jps = parse_float_list(jp_list)
+    measured = [analysis.front_velocity(ChainParams(nq, jp), threshold).velocity
+                for jp in jps]
     Output(out).table({"nq": nq, "threshold": threshold},
                       ["jp", "v_front_measured", "v_front_analytic", "v_lieb_robinson"],
-                      rows, fmt_name)
+                      [jps, measured, [asymptotics.v_group_max(jp) for jp in jps],
+                       [asymptotics.v_lieb_robinson(jp) for jp in jps]], fmt_name)
 
 
 @cli.command()
@@ -327,7 +354,7 @@ def velocities(jp_list, nq, threshold, out, fmt_name):
 @click.option("--kmin", type=int, default=1, show_default=True)
 @click.option("--kmax", type=int, default=None, help="Default: chain end.")
 @click.option("--smax", type=float, default=30.0, show_default=True)
-@click.option("--ns", type=int, default=101, show_default=True)
+@click.option("--ns", type=click.IntRange(min=1), default=101, show_default=True)
 @click.option("--digits", type=int, default=None,
               help="High-precision rows; needed for contours below 1e-13.")
 def lightcone(nq, jp, out, fmt_name, kmin, kmax, smax, ns, digits):
@@ -335,13 +362,11 @@ def lightcone(nq, jp, out, fmt_name, kmin, kmax, smax, ns, digits):
     p = ChainParams(nq, jp)
     grid = analysis.lightcone(p, (kmin, kmax if kmax else nq), (0.0, smax),
                               resolution=ns, digits=digits)
-    rows = []
-    for i, k in enumerate(grid.k_values):
-        for j, s in enumerate(grid.s_values):
-            rows.append([int(k), float(s), float(grid.log10_c[i, j]),
-                         bool(grid.trust_mask[i, j])])
+    n_k, n_s = len(grid.k_values), len(grid.s_values)
     meta = {"nq": nq, "jp": jp, "precision": digits if digits else "double"}
-    Output(out).table(meta, ["k", "s", "log10C", "trusted"], rows, fmt_name)
+    Output(out).table(meta, ["k", "s", "log10C", "trusted"],
+                      [Tiled(grid.k_values, each=n_s), Tiled(grid.s_values, times=n_k),
+                       np.ravel(grid.log10_c), np.ravel(grid.trust_mask)], fmt_name)
 
 
 @cli.command()
@@ -373,13 +398,11 @@ def edge(jp, out, k_spec, s_values, forms, fmt_name):
     if unknown:
         raise click.UsageError(f"unknown forms {unknown}")
     header = ["k", "s"] + [f"log10C_{f}" for f in wanted]
-    rows = []
-    for k in ks:
-        for s in ss:
-            rows.append([k, float(s)] +
-                        [evaluators[f](int(k), float(s)).log10_magnitude for f in wanted])
+    columns = [Tiled(ks, each=len(ss)), Tiled(ss, times=len(ks))]
+    columns += [[evaluators[f](k, s).log10_magnitude for k in ks for s in ss]
+                for f in wanted]
     Output(out).table({"jp": jp, "v_lieb_robinson": asymptotics.v_lieb_robinson(jp)},
-                      header, rows, fmt_name)
+                      header, columns, fmt_name)
 
 
 @cli.command("bench")
@@ -388,7 +411,7 @@ def edge(jp, out, k_spec, s_values, forms, fmt_name):
 @click.option("--compare-nq", type=int, default=10, show_default=True,
               help="Chain length for the walk vs direct comparison.")
 @click.option("--smax", type=float, default=3.0, show_default=True)
-@click.option("--ns", type=int, default=60, show_default=True)
+@click.option("--ns", type=click.IntRange(min=1), default=60, show_default=True)
 @click.option("--repeats", type=int, default=3, show_default=True)
 @click.option("--out", type=click.Path(writable=True), default=None)
 def bench_cmd(nq_list, compare_nq, smax, ns, repeats, out):

@@ -60,6 +60,11 @@ from .params import (
 )
 from .oracle import PauliString
 
+#: Largest double-precision walk grid, in float entries, that is allocated:
+#: the (2q)^2 eigenvectors of the light-cone prefix plus one (n_s, 2N) row
+#: array (several such arrays are live at once).  The largest benchmark grid,
+#: N = 1000 out to s = 101 on 201 times, needs 1.7e6.
+MAX_GRID_ENTRIES = 2 ** 24
 #: Largest arbitrary-precision row work, Taylor steps x 2N nodes, that is
 #: started; the deep N = 200, J' = 2, s = 30 light cone needs 61 x 400.
 MAX_HIGHPREC_WORK = 2 ** 18
@@ -209,6 +214,11 @@ def _rows_eig(p: ChainParams, ss: np.ndarray) -> np.ndarray:
     are zero.
     """
     q = _light_cone_qubits(p, float(np.max(ss, initial=0.0)))
+    entries = (2 * q) ** 2 + len(ss) * p.n_nodes
+    if entries > MAX_GRID_ENTRIES:
+        raise GuardError(
+            f"a walk grid of {len(ss)} times x {p.n_nodes} nodes on a {q}-qubit light "
+            f"cone needs {entries} entries, above the budget {MAX_GRID_ENTRIES}")
     lam, even, odd = _eig_factor(ChainParams(q, p.j_coupling))
     theta = np.multiply.outer(2.0 * np.pi * ss, lam)
     rows = np.zeros((len(ss), p.n_nodes))

@@ -1,10 +1,13 @@
 import json
 import math
 
+import click
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from isinglr.cli import cli, main, parse_float_list, parse_int_list
+from isinglr import cli as cli_module
+from isinglr.cli import Output, Tiled, cli, fmt, main, parse_float_list, parse_int_list
 
 
 def run_ok(args):
@@ -38,9 +41,33 @@ class TestListParsing:
         assert parse_float_list("828,830,...,836") == [828.0, 830.0, 832.0, 834.0, 836.0]
 
     def test_bad_ellipsis_rejected(self):
-        import click
         with pytest.raises(click.UsageError):
             parse_int_list("1,...,10")
+
+    @pytest.mark.parametrize("text", ["3..2", "5,3,...,9"])
+    def test_empty_selection_rejected(self, text):
+        with pytest.raises(click.UsageError):
+            parse_int_list(text)
+
+
+class TestSelectionExitCodes:
+    @pytest.mark.parametrize("args", [
+        ["correlate", "--nq", "10", "--jp", "0.5", "--ns", "-1"],
+        ["correlate", "--nq", "10", "--jp", "0.5", "--ns", "0"],
+        ["lightcone", "--nq", "10", "--jp", "0.5", "--ns", "-3"],
+        ["bench", "--nq", "20", "--compare-nq", "4", "--ns", "0", "--repeats", "1"],
+    ])
+    def test_non_positive_grid_points(self, args):
+        assert main(args) == 1
+
+    @pytest.mark.parametrize("args", [
+        ["correlate", "--nq", "10", "--jp", "0.5", "--k", "3..2"],
+        ["snapshot", "--nq", "10", "--jp", "0.5", "--s", "1", "--k", "3..2"],
+        ["edge", "--jp", "2.0", "--k", "5..4", "--s", "1"],
+        ["snapshot", "--nq", "10", "--jp", "0.5", "--s", "1,1"],
+    ])
+    def test_empty_or_repeated_selection(self, args):
+        assert main(args) == 1
 
 
 class TestCorrelate:
@@ -89,6 +116,13 @@ class TestCorrelate:
         assert main(["correlate", "--nq", "6", "--jp", "0.5", "--k", "2",
                      "--s", "nan", "--digits", "20"]) == 1
         assert main(["correlate", "--nq", "6", "--jp", "0.5", "--k", "2", "--s", "inf"]) == 1
+
+    def test_walk_grid_budget_exit_code(self, monkeypatch):
+        def no_factor(p):
+            raise AssertionError("an oversized grid reached the factorization")
+
+        monkeypatch.setattr(cli_module.walk, "_eig_factor", no_factor)
+        assert main(["correlate", "--nq", "200000", "--jp", "0.5", "--ns", "200000"]) == 2
 
     def test_highprec_work_budget_exit_code(self):
         assert main(["correlate", "--nq", "2", "--jp", "0.5", "--k", "1",
@@ -245,3 +279,106 @@ class TestRecipe:
         for path in recipes:
             spec = json.loads(path.read_text())
             assert cli.get_command(None, spec["command"]) is not None, path
+
+
+def reference_fmt(x) -> str:
+    """Cell format of the former row-by-row writer."""
+    if isinstance(x, float):
+        if math.isnan(x):
+            return "nan"
+        if math.isinf(x):
+            return "inf" if x > 0 else "-inf"
+        return f"{x:.17g}"
+    return str(x)
+
+
+def reference_table(meta, header, rows, format):
+    """Bytes of the former row-by-row writer: one formatted cell at a time."""
+    if format == "json":
+        def jsonable(v):
+            if isinstance(v, float):
+                return reference_fmt(v)
+            if isinstance(v, (bool, np.bool_)):
+                return bool(v)
+            if isinstance(v, np.integer):
+                return int(v)
+            return v
+        return json.dumps({"meta": {k: jsonable(v) for k, v in meta.items()},
+                           "columns": list(header),
+                           "rows": [[jsonable(v) for v in row] for row in rows]},
+                          indent=2) + "\n"
+    text = "".join(f"# {key}={reference_fmt(val)}\n" for key, val in meta.items())
+    text += ",".join(header) + "\n"
+    return text + "".join(",".join(reference_fmt(v) for v in row) + "\n" for row in rows)
+
+
+def reference_rows(columns):
+    """Rows of a column table, with each `Tiled` column spelled out."""
+    spelled = [[v for v in col.values for _ in range(col.each)] * col.times
+               if isinstance(col, Tiled) else list(col) for col in columns]
+    return list(zip(*spelled))
+
+
+SPECIAL_FLOATS = [math.nan, -math.nan, -math.inf, math.inf, -0.0, 0.0, 5e-324,
+                  2.2250738585072014e-308, 1.0 / 3.0, 1e300, -2.5]
+
+
+class TestGoldenBytes:
+    """The column writer against the former row writer, byte for byte."""
+
+    def test_fmt_is_17_significant_digits(self):
+        for x in SPECIAL_FLOATS + [np.float64(-0.0), np.float64(5e-324)]:
+            assert fmt(x) == format(x, ".17g") == reference_fmt(x)
+        assert fmt(-0.0) == "-0" and fmt(-math.nan) == "nan"
+        assert fmt(7) == "7" and fmt("double") == "double"
+
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    @pytest.mark.parametrize("columns", [
+        [np.array(SPECIAL_FLOATS), np.arange(-5, 6, dtype=np.int64),
+         np.array([True, False] * 5 + [True]), list(range(11))],
+        [Tiled([3, 7], each=3), Tiled([0.0, -0.0, math.nan], times=2),
+         np.linspace(-1.0, 1.0, 6), Tiled(np.array([True, False]), each=3)],
+        [np.zeros(0), np.zeros(0, dtype=bool)],
+        [],
+        [np.arange(2 * cli_module._BLOCK_ROWS + 3) * 0.1],
+    ], ids=["special", "tiled", "no-rows", "no-columns", "blocks"])
+    def test_cells(self, capsys, columns, format):
+        header = [f"c{i}" for i in range(len(columns))]
+        meta = {"nq": 4, "jp": -0.0, "precision": "double", "x": math.nan}
+        Output(None).table(meta, header, columns, format)
+        out = capsys.readouterr().out
+        assert out == reference_table(meta, header, reference_rows(columns), format)
+
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    @pytest.mark.parametrize("args", [
+        ["correlate", "--nq", "6", "--jp", "0.5", "--k", "1..3", "--smax", "1", "--ns", "5"],
+        ["correlate", "--nq", "6", "--jp", "0.5", "--k", "1,2", "--smax", "2",
+         "--ns", "5", "--method", "both"],
+        ["correlate", "--nq", "6", "--jp", "1", "--smax", "1", "--ns", "4",
+         "--method", "critical"],
+        # the k = 60 cell at s = 0.01 is subnormal as a double: an untrusted row
+        ["correlate", "--nq", "80", "--jp", "2", "--k", "40,60", "--s", "0,0.01,0.05",
+         "--digits", "30"],
+        ["snapshot", "--nq", "40", "--jp", "1.0", "--s", "0,2", "--critical"],
+        ["snapshot", "--nq", "20", "--jp", "1.0", "--s", "1,40", "--k", "1,5,20"],
+        ["snapshot", "--nq", "80", "--jp", "2", "--s", "0.05,0.01", "--k", "40,60,70,80",
+         "--digits", "30"],
+        ["lightcone", "--nq", "20", "--jp", "1.0", "--kmax", "6", "--smax", "2", "--ns", "3"],
+        ["lightcone", "--nq", "8", "--jp", "0.5", "--smax", "1", "--ns", "3", "--digits", "20"],
+        ["edge", "--jp", "2.0", "--k", "11300,11340", "--s", "930,932"],
+        ["saturation", "--jp", "0.5,2", "--nq", "80", "--k", "6"],
+        ["velocities", "--jp", "1", "--nq", "70"],
+    ], ids=lambda args: "-".join(args[:1] + args[-2:]))
+    def test_every_table_command(self, monkeypatch, args, format):
+        calls = []
+        real = Output.table
+
+        def record(self, meta, header, columns, format):
+            calls.append((meta, header, columns, format))
+            return real(self, meta, header, columns, format)
+
+        monkeypatch.setattr(Output, "table", record)
+        out = run_ok(args + ["--format", format])
+        (meta, header, columns, fmt_name), = calls
+        assert fmt_name == format
+        assert out == reference_table(meta, header, reference_rows(columns), format)

@@ -229,6 +229,22 @@ class TestLrWalk:
             partials.append(2.0 * math.sqrt(float(np.sum(np.abs(total[2 * k - 1:]) ** 2))))
         assert partials[-1] == pytest.approx(lr_walk(p, k, s), abs=1e-10)
 
+    def test_grid_budget_refuses_oversized_grids_at_once(self, monkeypatch):
+        def no_factor(p):
+            raise AssertionError("an oversized grid reached the factorization")
+
+        monkeypatch.setattr(walk, "_eig_factor", no_factor)
+        p = ChainParams(200000, 0.5)
+        with pytest.raises(GuardError):      # 200,000 times x 400,000 nodes
+            lr_walk_grid(p, [1], np.linspace(0.0, 3.0, 200000))
+        with pytest.raises(GuardError):      # one time, a 200,000-qubit light cone
+            lr_walk(p, 1, 1e5)
+        # the largest benchmark grid, N = 1000 out to s = 101 on 201 times,
+        # stays inside an eighth of the budget
+        p, ss = ChainParams(1000, 0.5), np.linspace(0.0, 101.0, 201)
+        q = walk._light_cone_qubits(p, 101.0)
+        assert 8 * ((2 * q) ** 2 + len(ss) * p.n_nodes) < walk.MAX_GRID_ENTRIES
+
     def test_grid_matches_single_point(self):
         p = ChainParams(140, 1.7)
         ss = np.linspace(0.0, 4.0, 23)
