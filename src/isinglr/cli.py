@@ -116,28 +116,40 @@ class Output:
             self.csv(meta, header, columns)
 
 
+def _number(kind, item: str, text: str):
+    """One list item as `kind` (int or float); anything else is a usage error."""
+    try:
+        return kind(item)
+    except ValueError:
+        raise click.UsageError(f"{item!r} in {text!r} is not a valid {kind.__name__}") from None
+
+
 def parse_int_list(text: str):
     """Integer lists: '3', '1,4,9', '1..10', or '1,3,...,39' (arithmetic).
 
-    A list that expands to nothing, such as '3..2', is a usage error.
+    A list that expands to nothing, such as '3..2', or that holds an item
+    that is not an integer, such as 'a', is a usage error.
     """
     text = text.strip()
     parts = [p.strip() for p in text.split(",")]
     if ".." in text and "..." not in text:
-        lo, hi = text.split("..")
-        values = list(range(int(lo), int(hi) + 1))
+        bounds = text.split("..")
+        if len(bounds) != 2:
+            raise click.UsageError(f"cannot expand range {text!r}; use start..end")
+        lo, hi = (_number(int, b, text) for b in bounds)
+        values = list(range(lo, hi + 1))
     elif "..." in parts:
         i = parts.index("...")
         if i < 2 or i != len(parts) - 2:
             raise click.UsageError(f"cannot expand ellipsis in {text!r}; "
                                    "use start,next,...,end")
-        start, nxt, end = int(parts[i - 2]), int(parts[i - 1]), int(parts[i + 1])
+        start, nxt, end = (_number(int, parts[j], text) for j in (i - 2, i - 1, i + 1))
         step = nxt - start
         if step == 0 or (end - start) % step != 0:
             raise click.UsageError(f"ellipsis in {text!r} is not an arithmetic progression")
         values = list(range(start, end + (1 if step > 0 else -1), step))
     else:
-        values = [int(p) for p in parts]
+        values = [_number(int, p, text) for p in parts]
     if not values:
         raise click.UsageError(f"{text!r} selects nothing")
     return values
@@ -147,13 +159,17 @@ def parse_float_list(text: str):
     parts = [p.strip() for p in text.split(",")]
     if "..." in parts:
         return [float(v) for v in parse_int_list(text)]
-    return [float(p) for p in parts]
+    return [_number(float, p, text) for p in parts]
 
 
 def time_grid(s_values, s_max, n_s):
     if s_values:
-        # time-series grids must be strictly increasing
-        return np.unique(np.asarray(parse_float_list(s_values), dtype=float))
+        # time-series grids must be strictly increasing: np.unique's sort and
+        # mask, spelled out because np.unique imports numpy.ma on first use
+        ss = np.sort(np.asarray(parse_float_list(s_values), dtype=float))
+        first = np.ones(len(ss), dtype=bool)
+        first[1:] = ss[1:] != ss[:-1]
+        return ss[first]
     return np.linspace(0.0, s_max, n_s)
 
 

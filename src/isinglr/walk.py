@@ -12,6 +12,10 @@ first row of an orthogonal matrix,
 In double precision the row comes from the eigendecomposition of the
 equivalent real symmetric tridiagonal matrix (phase-conjugating A' by
 diag(i^m) makes i A' real symmetric), exact orthogonality by construction.
+That matrix has a zero diagonal, so in even/odd node order it is
+[[0, B], [B^T, 0]] with B an N x N bidiagonal block, and its eigenpairs come
+from the SVD of B: half the size, in numpy alone.  The SVD is taken of B^T,
+which is upper bidiagonal, for accuracy (see `_eig_factor`).
 Up to time s the row is nonzero in double precision only inside the light
 cone, the first ~2 pi s (1 + J') nodes, so only that prefix of the chain is
 factorized and the cost at short times does not grow with N.
@@ -47,7 +51,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .params import (
     ChainParams,
@@ -61,8 +64,11 @@ from .params import (
 from .oracle import PauliString
 
 #: Largest double-precision walk grid, in float entries, that is allocated:
-#: the (2q)^2 eigenvectors of the light-cone prefix plus one (n_s, 2N) row
-#: array (several such arrays are live at once).  The largest benchmark grid,
+#: (2q)^2 for the factor of the light-cone prefix plus one (n_s, 2N) row
+#: array (several such arrays are live at once).  The cached factor is two
+#: q x q halves, so the (2q)^2 term over-counts it by 2x; the margin is kept
+#: so that the budget refuses the same grids as the (2q)^2 eigenvectors of a
+#: full tridiagonal eigendecomposition would.  The largest benchmark grid,
 #: N = 1000 out to s = 101 on 201 times, needs 1.7e6.
 MAX_GRID_ENTRIES = 2 ** 24
 #: Largest arbitrary-precision row work, Taylor steps x 2N nodes, that is
@@ -184,27 +190,32 @@ def _light_cone_qubits(p: ChainParams, s_max: float) -> int:
 
 @functools.lru_cache(maxsize=32)
 def _eig_factor(p: ChainParams):
-    """Spectral factorization of i A' via the real symmetric tridiagonal twin.
+    """Spectral factorization of i A' from the SVD of its bidiagonal block.
 
     Conjugating by diag(i^m) turns i A' into the real symmetric tridiagonal
-    matrix with the same superdiagonal, so row 1 of exp(-2 pi s A') is
-    Re(i^m sum_j V_0j V_mj e^{2 pi i s lam_j}): a cosine sum with sign
-    (-1)^(m/2) at even m, a sine sum with sign -(-1)^((m-1)/2) at odd m.
-    Returns lam and the two signed halves of V_0j V_mj, each (2N, N).
+    matrix T with the same superdiagonal, so row 1 of exp(-2 pi s A') is
+    Re(i^m sum_j V_0j V_mj e^{2 pi i s lam_j}) over the eigenpairs of T.  In
+    even/odd node order T = [[0, B], [B^T, 0]], with B lower bidiagonal
+    (diagonal 1, subdiagonal J'); if B = U diag(sigma) V^T, its eigenpairs
+    are +-sigma_j with vectors (u_j, +-v_j)/sqrt(2) (Golub & Kahan 1965).
+    The pairs combine into a cosine sum sum_j u_0j u_nj cos(2 pi s sigma_j)
+    with sign (-1)^n at node m = 2n, and a sine sum sum_j u_0j v_nj
+    sin(2 pi s sigma_j) with sign -(-1)^n at node m = 2n + 1.
+
+    B^T is decomposed, not B: LAPACK first reduces a matrix to upper
+    bidiagonal form, which leaves B^T untouched but rotates B with rounded
+    Householder reflections, and only a bidiagonal input keeps the accuracy
+    of the bidiagonal SVD itself (Demmel & Kahan 1990).  Decomposing B puts
+    the rows off by 2.5e-13 at N = 200, J' = 2, s = 40, above the 1e-13
+    floor; B^T stays within 4e-14.
+    Returns sigma and the two signed halves u_0j u_nj and u_0j v_nj, each
+    (N, N) with rows indexed by j.
     """
-    c = _superdiagonal(p)
-    diag = np.zeros(p.n_nodes)
-    try:
-        lam, vec = scipy.linalg.eigh_tridiagonal(diag, c)
-    except np.linalg.LinAlgError:
-        # stemr occasionally fails on tightly clustered spectra (large J');
-        # the QR driver is slower but unconditionally reliable.
-        lam, vec = scipy.linalg.eigh_tridiagonal(diag, c, lapack_driver="stev")
-    vec *= vec[0]
-    sign = np.resize([1.0, -1.0], p.n_qubits)[:, None]
-    even = np.ascontiguousarray((sign * vec[0::2]).T)
-    odd = np.ascontiguousarray((-sign * vec[1::2]).T)
-    return lam, even, odd
+    bt = np.eye(p.n_qubits)
+    bt[np.arange(p.n_qubits - 1), np.arange(1, p.n_qubits)] = p.j_coupling
+    v, sigma, ut = np.linalg.svd(bt)
+    weight = ut[:, :1] * np.resize([1.0, -1.0], p.n_qubits)     # u_0j (-1)^n
+    return sigma, ut * weight, -v.T * weight
 
 
 def _rows_eig(p: ChainParams, ss: np.ndarray) -> np.ndarray:
@@ -219,8 +230,8 @@ def _rows_eig(p: ChainParams, ss: np.ndarray) -> np.ndarray:
         raise GuardError(
             f"a walk grid of {len(ss)} times x {p.n_nodes} nodes on a {q}-qubit light "
             f"cone needs {entries} entries, above the budget {MAX_GRID_ENTRIES}")
-    lam, even, odd = _eig_factor(ChainParams(q, p.j_coupling))
-    theta = np.multiply.outer(2.0 * np.pi * ss, lam)
+    sigma, even, odd = _eig_factor(ChainParams(q, p.j_coupling))
+    theta = np.multiply.outer(2.0 * np.pi * ss, sigma)
     rows = np.zeros((len(ss), p.n_nodes))
     rows[:, 0:2 * q:2] = np.cos(theta) @ even
     rows[:, 1:2 * q:2] = np.sin(theta) @ odd
@@ -267,7 +278,7 @@ def lr_walk(p: ChainParams, k: int, s: float) -> float:
 def _require_mpmath():
     try:
         import mpmath
-    except ImportError as exc:  # pragma: no cover - mpmath ships with scipy
+    except ImportError as exc:  # pragma: no cover - mpmath is a declared dependency
         raise PrecisionUnavailableError(
             "arbitrary-precision evaluation needs the mpmath package") from exc
     return mpmath

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import click
 import numpy as np
@@ -68,6 +71,39 @@ class TestSelectionExitCodes:
     ])
     def test_empty_or_repeated_selection(self, args):
         assert main(args) == 1
+
+    @pytest.mark.parametrize("args, item", [
+        (["correlate", "--nq", "5", "--jp", "0.5", "--k", "a"], "'a'"),
+        (["snapshot", "--nq", "5", "--jp", "0.5", "--s", "1,,2"], "''"),
+    ], ids=["correlate-k", "snapshot-s"])
+    def test_non_numeric_item(self, args, item, capsys):
+        assert main(args) == 1
+        assert f"error: {item} in " in capsys.readouterr().err
+
+
+class TestImports:
+    def test_cli_loads_neither_scipy_nor_numpy_ma(self):
+        # numpy.ma comes in with np.unique's first call, scipy with scipy.linalg
+        code = (
+            "import contextlib, io, sys, isinglr.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert isinglr.cli.main(['correlate', '--nq', '10', '--jp', '0.5',\n"
+            "                             '--s', '0.3,0.6,0.3', '--digits', '20']) == 0\n"
+            "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+            "               or m == 'numpy.ma' or m.startswith('numpy.ma.')))\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.strip() == ""
+
+    @pytest.mark.parametrize("text", ["0.5,0.1,0.5,0.3", "7,5,...,1", "2,-0.0,0.0,1,-0.0",
+                                      "0.0,-0.0", "1e-300,5e-324,0,5e-324", "4"])
+    def test_time_grid_equals_np_unique(self, text):
+        got = cli_module.time_grid(text, 3.0, 61)
+        want = np.unique(np.asarray(parse_float_list(text), dtype=float))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestCorrelate:

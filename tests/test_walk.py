@@ -156,6 +156,20 @@ class TestExpFirstRow:
             truncated += _light_cone_qubits(p, float(ss.max())) < nq
         assert truncated >= 2
 
+    @pytest.mark.parametrize("nq, jp, s", [
+        (200, 2.0, 40.0), (64, 5.0, 10.0), (240, 2.0, 39.0), (200, 0.5, 40.0),
+        (300, 1.0, 30.0), (40, 0.0, 3.0), (40, 1e-300, 3.0),
+    ])
+    def test_matches_30_digit_row(self, nq, jp, s):
+        # Decomposing the bidiagonal block B instead of B^T passes the 1e-12
+        # expm checks above but puts the first three shapes off by 1.6e-13 to
+        # 2.5e-13 here; the last two have fully degenerate spectra.
+        p = ChainParams(nq, jp)
+        row = exp_first_row(build_adjacency(p), s)
+        exact = np.array([float(x) for x in exp_first_row_highprec(p, s, 30)])
+        assert np.max(np.abs(row - exact)) < 1e-13
+        assert abs(np.linalg.norm(row) - 1.0) < 1e-14
+
     def test_negative_time_rejected(self):
         with pytest.raises(ValidationError):
             exp_first_row(build_adjacency(ChainParams(2, 1.0)), -0.5)
