@@ -18,7 +18,6 @@ from .params import (
     GuardError,
     HorizonError,
     Method,
-    PrecisionUnavailableError,
     ThresholdNotReachedError,
     TimeGrid,
     ValidationError,
@@ -36,8 +35,6 @@ from .oracle import (
     pauli_string_matrix,
 )
 from .walk import (
-    RelevantStrings,
-    WalkAdjacency,
     build_adjacency,
     exp_first_row,
     exp_first_row_highprec,

@@ -25,7 +25,7 @@ from .params import (
     validate_qubit_index,
 )
 from .asymptotics import saturation_value, v_group_max
-from .walk import _require_mpmath, lr_walk_grid, lr_walk_grid_highprec
+from .walk import lr_walk_grid, lr_walk_grid_highprec
 
 
 @dataclass(frozen=True)
@@ -228,7 +228,8 @@ def lightcone(p: ChainParams, k_range: tuple, s_range: tuple,
         with np.errstate(divide="ignore"):
             logs = np.log10(np.maximum(values, 0.0))
     else:
-        mp = _require_mpmath()
+        import mpmath as mp
+
         values = lr_walk_grid_highprec(p, ks, ss, digits)
         with mp.workdps(digits + 10):
             logs = np.array([[float(mp.log10(c)) if c > 0 else -math.inf for c in row]

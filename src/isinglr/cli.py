@@ -4,10 +4,14 @@ Output conventions: CSV files open with `#`-prefixed key=value metadata
 lines, then one header row, then data; floats carry 17 significant digits so
 files round-trip doubles exactly; log10 of an exact zero is emitted as the
 literal -inf and a NaN as nan.  JSON tables carry float cells as the same
-17-digit strings, so -inf and nan survive JSON.  Rows computed in double
-precision carry a `trusted` column that drops to False wherever a value sits
-below the 1e-13 noise floor; with `--digits` it drops where a nonzero value
-is zero or subnormal as a double.
+17-digit strings, so -inf and nan survive JSON.  `correlate`, `snapshot` and
+`lightcone` rows carry a `trusted` column: the AND of the trust masks of the
+value columns the row prints, each from its route's rule in `params`.  Eig walk
+and dense values are trusted at or above the 1e-13 noise floor; `--digits`
+walk values where the cast to double keeps them (an exact zero or a normal
+double); closed-form values while their tail sum (C pi s)^2 stays a normal
+double; `lightcone --digits` cells always.  Snapshot rows also drop past the
+reflection-safe horizon of their qubit.
 
 Exit codes: 0 success, 1 usage error, 2 numeric-guard refusal.
 """
@@ -16,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import sys
 from dataclasses import dataclass
 
@@ -30,6 +33,8 @@ from .params import (
     Method,
     TimeGrid,
     ValidationError,
+    cast_trusted,
+    critical_trusted,
     double_trusted,
 )
 from . import analysis, asymptotics, bench, critical, walk
@@ -173,12 +178,15 @@ def time_grid(s_values, s_max, n_s):
     return np.linspace(0.0, s_max, n_s)
 
 
-def highprec_grid(p: ChainParams, ks, ss, digits: int):
-    """Arbitrary-precision walk grid as doubles, and the mask of cells the cast
-    lost: nonzero in mpmath but zero or subnormal as a double."""
+def walk_grid(p: ChainParams, ks, ss, digits):
+    """The walk grid as doubles, and its trust mask: the eig route's, or with
+    `digits` the arbitrary-precision route's as cast to doubles."""
+    if digits is None:
+        grid = walk.lr_walk_grid(p, ks, ss)
+        return grid, double_trusted(grid, ss)
     exact = walk.lr_walk_grid_highprec(p, ks, ss, digits)
     grid = exact.astype(float)
-    return grid, (exact != 0) & (np.abs(grid) < np.finfo(float).tiny)
+    return grid, cast_trusted(exact, grid)
 
 
 @click.group()
@@ -186,24 +194,28 @@ def cli():
     """Lieb-Robinson correlation functions for the transverse-field Ising chain."""
 
 
-_common = [
+def _options(*options):
+    def apply(fn):
+        for opt in reversed(options):
+            fn = opt(fn)
+        return fn
+    return apply
+
+
+out_option = click.option("--out", type=click.Path(writable=True), default=None,
+                          help="Output file (default stdout).")
+chain_options = _options(
     click.option("--nq", type=int, required=True, help="Chain length N."),
-    click.option("--jp", type=float, required=True, help="Dimensionless coupling J' = J/gamma."),
-    click.option("--out", type=click.Path(writable=True), default=None,
-                 help="Output file (default stdout)."),
+    click.option("--jp", type=float, required=True, help="Dimensionless coupling J' = J/gamma."))
+output_options = _options(
+    out_option,
     click.option("--format", "fmt_name", type=click.Choice(["csv", "json"]),
-                 default="csv", show_default=True, help="Table output format."),
-]
-
-
-def common_options(fn):
-    for opt in reversed(_common):
-        fn = opt(fn)
-    return fn
+                 default="csv", show_default=True, help="Table output format."))
 
 
 @cli.command()
-@common_options
+@chain_options
+@output_options
 @click.option("--k", "k_spec", default=None, help="Qubit indices, e.g. 1..10 or 2,5,9.")
 @click.option("--s", "s_values", default=None, help="Explicit time list (overrides --smax/--ns).")
 @click.option("--smax", type=float, default=3.0, show_default=True, help="Grid end time t/tau.")
@@ -222,33 +234,27 @@ def correlate(nq, jp, out, fmt_name, k_spec, s_values, smax, ns, method, digits)
         raise ValidationError(f"--digits applies to the walk column only, not --method {method}")
     tg = TimeGrid(tuple(float(s) for s in ss))
 
-    columns = {}
-    lost = np.zeros((len(ks), len(ss)), dtype=bool)
+    columns, masks = {}, []
 
-    def add_series(grid, which: Method):
+    def add_series(which: Method, grid, mask):
         for k, col in zip(ks, grid):
             # bound/zero validation on every emitted series
             CorrelationSeries(k, tg, tuple(float(v) for v in col), which)
             columns[f"C{k}_{which.value}"] = col
+        masks.append(mask)
 
     if method in ("walk", "both"):
-        if digits is None:
-            add_series(walk.lr_walk_grid(p, ks, ss), Method.WALK)
-        else:
-            grid, lost = highprec_grid(p, ks, ss, digits)
-            add_series(grid, Method.WALK)
+        add_series(Method.WALK, *walk_grid(p, ks, ss, digits))
     if method in ("direct", "both"):
         from .oracle import lr_direct_grid
-        add_series(lr_direct_grid(p, ks, ss), Method.DIRECT)
+        grid = lr_direct_grid(p, ks, ss)
+        add_series(Method.DIRECT, grid, double_trusted(grid, ss))
     if method == "critical":
         if jp != 1.0:
             raise ValidationError("the closed form applies at jp = 1 only")
-        add_series(critical.lr_critical_grid(ks, ss), Method.CRITICAL)
-    # the noise floor applies to the double-precision walk and dense values
-    values = np.reshape(list(columns.values()), (len(columns), len(ss)))
-    trusted = ((np.all(double_trusted(values, ss), axis=0)
-                | (digits is not None or method == "critical"))
-               & ~np.any(lost, axis=0))
+        grid = critical.lr_critical_grid(ks, ss)
+        add_series(Method.CRITICAL, grid, critical_trusted(grid, ss))
+    trusted = np.all(masks, axis=(0, 1))
     if method == "both":
         for k in ks:
             columns[f"absdiff{k}"] = np.abs(columns[f"C{k}_walk"] - columns[f"C{k}_direct"])
@@ -260,7 +266,8 @@ def correlate(nq, jp, out, fmt_name, k_spec, s_values, smax, ns, method, digits)
 
 
 @cli.command()
-@common_options
+@chain_options
+@output_options
 @click.option("--s", "s_values", required=True,
               help="Snapshot times, e.g. 1,3,...,39.")
 @click.option("--k", "k_spec", default=None, help="Qubit range (default whole chain).")
@@ -277,35 +284,28 @@ def snapshot(nq, jp, out, fmt_name, s_values, k_spec, with_critical, digits):
     if len(set(ss)) != len(ss):
         raise click.UsageError(f"--s {s_values!r} repeats a time")
 
-    lost = np.zeros((len(ks), len(ss)), dtype=bool)
-    if digits is None:
-        grid = walk.lr_walk_grid(p, ks, np.asarray(ss))
-    else:
-        grid, lost = highprec_grid(p, ks, ss, digits)
+    grid, mask = walk_grid(p, ks, ss, digits)
+    header, columns, masks = [f"C_s{fmt(s)}" for s in ss], [*grid.T], [mask]
     if with_critical:
-        grid = np.hstack([grid, critical.lr_critical_grid(ks, ss)])
-    header = ["k"] + [f"C_s{fmt(s)}" for s in ss]
-    if with_critical:
+        grid = critical.lr_critical_grid(ks, ss)
         header += [f"critical_s{fmt(s)}" for s in ss]
-    in_floor = np.all(double_trusted(grid, ss * (2 if with_critical else 1)), axis=1)
-    # analysis.reflection_safe_horizon for every k at once
-    v = asymptotics.v_group_max(jp)
-    horizon = (2.0 * nq - np.asarray(ks) - 1.0) / v if v != 0.0 else math.inf
-    trusted = ((digits is not None or in_floor) & (max(ss) <= horizon)
-               & ~np.any(lost, axis=1))
+        columns += [*grid.T]
+        masks.append(critical_trusted(grid, ss))
+    horizon = np.array([analysis.reflection_safe_horizon(p, k) for k in ks])
+    trusted = np.all(masks, axis=(0, 2)) & (max(ss) <= horizon)
     meta = {"nq": nq, "jp": jp, "method": "walk+critical" if with_critical else "walk",
             "precision": digits if digits else "double"}
-    Output(out).table(meta, header + ["trusted"], [ks, *grid.T, trusted], fmt_name)
+    Output(out).table(meta, ["k", *header, "trusted"], [ks, *columns, trusted], fmt_name)
 
 
 @cli.command()
-@common_options
+@chain_options
+@out_option
 @click.option("--threshold", type=float, default=0.1, show_default=True)
 @click.option("--kmin", type=int, default=None, help="Fit window start (default bulk).")
 @click.option("--kmax", type=int, default=None, help="Fit window end (default bulk).")
-def front(nq, jp, out, fmt_name, threshold, kmin, kmax):
-    """Front-velocity estimate from threshold crossings, as JSON."""
-    del fmt_name  # estimates are nested; always JSON
+def front(nq, jp, out, threshold, kmin, kmax):
+    """Front-velocity estimate from threshold crossings, as JSON (nested, so no --format)."""
     p = ChainParams(nq, jp)
     fit_range = None
     if kmin is not None or kmax is not None:
@@ -330,9 +330,7 @@ def front(nq, jp, out, fmt_name, threshold, kmin, kmax):
 @click.option("--nq", type=int, default=200, show_default=True)
 @click.option("--k", "k_probe", type=int, default=10, show_default=True,
               help="Probe qubit for the plateau.")
-@click.option("--out", type=click.Path(writable=True), default=None)
-@click.option("--format", "fmt_name", type=click.Choice(["csv", "json"]),
-              default="csv", show_default=True)
+@output_options
 def saturation(jp_list, nq, k_probe, out, fmt_name):
     """Measured long-time plateau of C_k against the analytic 2 min(1, 1/J')."""
     jps = parse_float_list(jp_list)
@@ -351,9 +349,7 @@ def saturation(jp_list, nq, k_probe, out, fmt_name):
 @click.option("--jp", "jp_list", required=True, help="Couplings to scan.")
 @click.option("--nq", type=int, default=200, show_default=True)
 @click.option("--threshold", type=float, default=0.1, show_default=True)
-@click.option("--out", type=click.Path(writable=True), default=None)
-@click.option("--format", "fmt_name", type=click.Choice(["csv", "json"]),
-              default="csv", show_default=True)
+@output_options
 def velocities(jp_list, nq, threshold, out, fmt_name):
     """Front velocity vs coupling, with the analytic front and leading-edge speeds."""
     jps = parse_float_list(jp_list)
@@ -366,7 +362,8 @@ def velocities(jp_list, nq, threshold, out, fmt_name):
 
 
 @cli.command()
-@common_options
+@chain_options
+@output_options
 @click.option("--kmin", type=int, default=1, show_default=True)
 @click.option("--kmax", type=int, default=None, help="Default: chain end.")
 @click.option("--smax", type=float, default=30.0, show_default=True)
@@ -387,13 +384,11 @@ def lightcone(nq, jp, out, fmt_name, kmin, kmax, smax, ns, digits):
 
 @cli.command()
 @click.option("--jp", type=float, required=True, help="Dimensionless coupling J' = J/gamma.")
-@click.option("--out", type=click.Path(writable=True), default=None)
+@output_options
 @click.option("--k", "k_spec", required=True, help="Qubit indices, e.g. 11200..11350.")
 @click.option("--s", "s_values", required=True, help="Times, e.g. 928,930,...,940.")
 @click.option("--forms", default="exact,largek,exponential", show_default=True,
               help="Comma list from exact,largek,exponential.")
-@click.option("--format", "fmt_name", type=click.Choice(["csv", "json"]),
-              default="csv", show_default=True)
 def edge(jp, out, k_spec, s_values, forms, fmt_name):
     """Log-domain leading-edge tables far ahead of the front.
 
@@ -429,7 +424,7 @@ def edge(jp, out, k_spec, s_values, forms, fmt_name):
 @click.option("--smax", type=float, default=3.0, show_default=True)
 @click.option("--ns", type=click.IntRange(min=1), default=60, show_default=True)
 @click.option("--repeats", type=int, default=3, show_default=True)
-@click.option("--out", type=click.Path(writable=True), default=None)
+@out_option
 def bench_cmd(nq_list, compare_nq, smax, ns, repeats, out):
     """Wall-time scaling of the walk method and speedup over the dense oracle."""
     # the comparison runs first so that its dense-dimension guard fires before any timing

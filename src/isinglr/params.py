@@ -28,10 +28,6 @@ class DimensionGuardError(GuardError):
     """Dense-oracle dimension limit exceeded."""
 
 
-class PrecisionUnavailableError(GuardError):
-    """The arbitrary-precision backend could not be loaded."""
-
-
 class ThresholdNotReachedError(GuardError):
     """A requested correlation level is never attained inside the safe window."""
 
@@ -103,13 +99,38 @@ def validate_times(ss) -> np.ndarray:
     return ss
 
 
+# Trust masks of a (k, s) grid, one rule per route's error model; a printed
+# row is trusted where every value column it prints is.  log10 of an
+# arbitrary-precision value (`lightcone --digits`) needs no rule: the route's
+# error is relative ahead of the front, and every cell is trusted.
+
 def double_trusted(values, ss) -> np.ndarray:
-    """Trust mask of a double-precision (k, s) grid.
+    """Eig walk and dense oracle: absolute error, the round-off of unit rows.
 
     A cell is trusted at or above the noise floor, and at s = 0, where C = 0
     exactly.
     """
     return (np.asarray(values) >= DOUBLE_TRUST_FLOOR) | (np.asarray(ss) == 0.0)
+
+
+def cast_trusted(exact, values) -> np.ndarray:
+    """Arbitrary-precision values printed as the doubles `values`.
+
+    A cell is trusted where the cast keeps it: an exact zero, or a normal
+    double.  A nonzero value that casts to zero or to a subnormal is not.
+    """
+    return (np.asarray(exact) == 0) | (np.abs(values) >= np.finfo(float).tiny)
+
+
+def critical_trusted(values, ss) -> np.ndarray:
+    """J' = 1 closed form: relative error, until its tail sum underflows.
+
+    The tail sum_{m >= 2k} (m J_m)^2 equals (C pi s)^2, so its squares stay
+    normal doubles while C pi s >= sqrt(tiny), about 1.5e-154.  A cell is
+    trusted there, and at s = 0, where C = 0 exactly.
+    """
+    ss = np.asarray(ss)
+    return (np.asarray(values) * math.pi * ss >= math.sqrt(np.finfo(float).tiny)) | (ss == 0.0)
 
 
 @dataclass(frozen=True)

@@ -48,14 +48,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .params import (
     ChainParams,
     GuardError,
-    PrecisionUnavailableError,
     ValidationError,
     validate_params,
     validate_qubit_index,
@@ -82,21 +80,9 @@ _GUARD_BITS = 32
 _WEIGHT_GUARD_BITS = 32
 
 
-@dataclass(frozen=True)
-class RelevantStrings:
-    """The ordered closed set of 2N Pauli strings reachable from Z_1."""
-
-    strings: tuple
-
-    def __len__(self):
-        return len(self.strings)
-
-    def __getitem__(self, i):
-        return self.strings[i]
-
-
-def relevant_strings(p: ChainParams) -> RelevantStrings:
-    """Pairs (X_1..X_{j-1} Z_j, X_1..X_{j-1} Y_j) for j = 1..N, in node order."""
+def relevant_strings(p: ChainParams) -> tuple:
+    """The ordered closed set of 2N Pauli strings reachable from Z_1: pairs
+    (X_1..X_{j-1} Z_j, X_1..X_{j-1} Y_j) for j = 1..N, in node order."""
     validate_params(p)
     nq = p.n_qubits
     out = []
@@ -105,7 +91,7 @@ def relevant_strings(p: ChainParams) -> RelevantStrings:
         suffix = ["I"] * (nq - j)
         out.append(PauliString(tuple(prefix + ["Z"] + suffix)))
         out.append(PauliString(tuple(prefix + ["Y"] + suffix)))
-    return RelevantStrings(tuple(out))
+    return tuple(out)
 
 
 def _superdiagonal(p: ChainParams) -> np.ndarray:
@@ -115,35 +101,14 @@ def _superdiagonal(p: ChainParams) -> np.ndarray:
     return c
 
 
-@dataclass(frozen=True)
-class WalkAdjacency:
-    """A' = A / (2i): real, skew-symmetric, tridiagonal walk-graph matrix."""
-
-    n_qubits: int
-    coupling: float
-    superdiagonal: tuple
-
-    @property
-    def n_nodes(self) -> int:
-        return 2 * self.n_qubits
-
-    @property
-    def matrix(self) -> np.ndarray:
-        n = self.n_nodes
-        m = np.zeros((n, n))
-        c = np.asarray(self.superdiagonal)
-        m[np.arange(n - 1), np.arange(1, n)] = c
-        m[np.arange(1, n), np.arange(n - 1)] = -c
-        m.setflags(write=False)
-        return m
-
-    def params(self) -> ChainParams:
-        return ChainParams(self.n_qubits, self.coupling)
-
-
-def build_adjacency(p: ChainParams) -> WalkAdjacency:
+def build_adjacency(p: ChainParams) -> np.ndarray:
+    """A' = A / (2i): the real, skew-symmetric, tridiagonal walk-graph matrix,
+    read-only."""
     validate_params(p)
-    return WalkAdjacency(p.n_qubits, p.j_coupling, tuple(_superdiagonal(p)))
+    c = _superdiagonal(p)
+    m = np.diag(c, 1) - np.diag(c, -1)
+    m.setflags(write=False)
+    return m
 
 
 def walk_coefficients(p: ChainParams, n: int) -> np.ndarray:
@@ -238,10 +203,10 @@ def _rows_eig(p: ChainParams, ss: np.ndarray) -> np.ndarray:
     return rows
 
 
-def exp_first_row(a: WalkAdjacency, s: float) -> np.ndarray:
+def exp_first_row(p: ChainParams, s: float) -> np.ndarray:
     """Row 1 of exp(-2 pi s A'); a unit vector since the matrix is orthogonal."""
+    validate_params(p)
     ss = validate_times([s])
-    p = a.params()
     if ss[0] == 0.0:
         row = np.zeros(p.n_nodes)
         row[0] = 1.0
@@ -273,15 +238,6 @@ def lr_walk(p: ChainParams, k: int, s: float) -> float:
 
 # ---------------------------------------------------------------------------
 # arbitrary-precision route
-
-
-def _require_mpmath():
-    try:
-        import mpmath
-    except ImportError as exc:  # pragma: no cover - mpmath is a declared dependency
-        raise PrecisionUnavailableError(
-            "arbitrary-precision evaluation needs the mpmath package") from exc
-    return mpmath
 
 
 def _check_digits(digits: int) -> None:
@@ -362,8 +318,10 @@ def _step_weights(p: ChainParams, e: list, h: float, wbits: int):
     right shift to apply to its product, so no weight loses bits however far
     the scales of neighbours differ.  Returns ((left, shift), (right, shift)).
     """
+    import mpmath
+
     q = wbits + 16
-    pi_q = _require_mpmath().libmp.pi_fixed(q)
+    pi_q = mpmath.libmp.pi_fixed(q)
     base = {}
     h_num, h_den = h.as_integer_ratio()
     for c in {1.0, p.j_coupling}:
@@ -456,7 +414,8 @@ def exp_first_row_highprec(p: ChainParams, s: float, digits: int = 60) -> np.nda
     Built in scaled integer fixed point (see the module docstring), with 10
     guard digits; returns an object array of mpmath floats.
     """
-    mp = _require_mpmath()
+    import mpmath as mp
+
     validate_params(p)
     _check_digits(digits)
     (s,) = validate_times([s])
@@ -475,7 +434,8 @@ def lr_walk_grid_highprec(p: ChainParams, ks, ss, digits: int = 60) -> np.ndarra
     and the work budget at the largest time, are checked before the first
     row is built.
     """
-    mp = _require_mpmath()
+    import mpmath as mp
+
     validate_params(p)
     ks = [validate_qubit_index(p, k) for k in ks]
     _check_digits(digits)

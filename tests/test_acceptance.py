@@ -41,7 +41,7 @@ from isinglr.oracle import (
     operator_norm,
     _z1_evolved,
 )
-from isinglr.walk import exp_first_row, build_adjacency
+from isinglr.walk import exp_first_row
 
 RESULTS = []
 
@@ -289,8 +289,8 @@ def test_criterion_10_group_velocity():
 
 def test_criterion_11_structural_invariants():
     """Unit-norm exponential rows, monotone nesting, exact zeros at t = 0."""
-    adj = build_adjacency(ChainParams(200, 2.0))
-    norm_err = max(abs(np.sum(exp_first_row(adj, s) ** 2) - 1.0)
+    p = ChainParams(200, 2.0)
+    norm_err = max(abs(np.sum(exp_first_row(p, s) ** 2) - 1.0)
                    for s in (0.5, 3.0, 10.0, 25.0))
 
     nesting_ok = True

@@ -98,6 +98,21 @@ class TestImports:
                               text=True, check=True)
         assert done.stdout.strip() == ""
 
+    def test_double_precision_correlate_loads_no_mpmath(self):
+        code = (
+            "import contextlib, io, sys, isinglr.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for method in ('walk', 'both'):\n"
+            "        assert isinglr.cli.main(['correlate', '--nq', '6', '--jp', '0.5',\n"
+            "                                 '--s', '0,0.3', '--method', method]) == 0\n"
+            "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'mpmath'))\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.strip() == ""
+
     @pytest.mark.parametrize("text", ["0.5,0.1,0.5,0.3", "7,5,...,1", "2,-0.0,0.0,1,-0.0",
                                       "0.0,-0.0", "1e-300,5e-324,0,5e-324", "4"])
     def test_time_grid_equals_np_unique(self, text):
@@ -195,6 +210,23 @@ class TestCorrelate:
         assert 0.0 < float(rows[1][2]) < 2.2250738585072014e-308
         assert [r[-1] for r in rows] == ["True", "False", "True"]
 
+    def test_digits_keep_the_dense_floor(self):
+        # --digits changes the walk column only: C8_direct = 3.8e-15 at s = 0.1
+        # is round-off against a true 1.1e-17
+        out = run_ok(["correlate", "--nq", "8", "--jp", "0.5", "--k", "1,8",
+                      "--s", "0.1,0.3", "--method", "both", "--digits", "30"])
+        _, header, rows = parse_csv(out)
+        assert float(rows[0][header.index("C8_direct")]) > 1e-15
+        assert [r[-1] for r in rows] == ["False", "True"]
+
+    def test_critical_cells_past_tail_underflow_untrusted(self):
+        # C40 = 2.5e-212 at s = 0.01, so its tail sum (C pi s)^2 underflows to 0
+        out = run_ok(["correlate", "--nq", "200", "--jp", "1", "--k", "1,40,80",
+                      "--s", "0,0.01,0.5", "--method", "critical"])
+        _, _, rows = parse_csv(out)
+        assert float(rows[1][2]) == 0.0
+        assert [r[-1] for r in rows] == ["True", "False", "False"]
+
 
 class TestSnapshot:
     def test_rows_per_qubit_with_trust(self):
@@ -226,6 +258,15 @@ class TestSnapshot:
         assert [r[-1] for r in rows] == ["True", "False", "False", "False"]
         assert float(rows[3][1]) == 0.0
 
+    def test_digits_rows_with_underflowed_critical_cells_untrusted(self):
+        # the walk keeps C40 = 2.5e-212 at s = 0.01; the closed form prints 0
+        out = run_ok(["snapshot", "--nq", "200", "--jp", "1", "--k", "1,40,80",
+                      "--s", "0.01", "--critical", "--digits", "30"])
+        _, _, rows = parse_csv(out)
+        assert float(rows[1][1]) == pytest.approx(2.5e-212, rel=0.05)
+        assert float(rows[1][2]) == 0.0
+        assert [r[-1] for r in rows] == ["True", "False", "False"]
+
     def test_untrusted_rows_flagged_beyond_horizon(self):
         # s = 40 is far past the reflection horizon of a 20-qubit chain
         out = run_ok(["snapshot", "--nq", "20", "--jp", "1.0", "--s", "40"])
@@ -242,6 +283,10 @@ class TestFrontCommand:
         assert data["velocity"] == pytest.approx(2 * math.pi, rel=0.08)
         assert data["v_lieb_robinson"] == pytest.approx(math.e * math.pi, rel=1e-12)
         assert len(data["crossing_times"]) == 15
+
+    def test_format_rejected(self):
+        # the estimate is nested JSON; there is no CSV form to ask for
+        assert main(["front", "--nq", "60", "--jp", "1.0", "--format", "csv"]) == 1
 
 
 class TestScanCommands:

@@ -68,7 +68,7 @@ class TestSignedWalkSum:
 
     def test_matches_adjacency_matrix_powers(self):
         # row-1 entries of (A'_c)^n at critical coupling, large enough chain
-        a = build_adjacency(ChainParams(16, 1.0)).matrix
+        a = build_adjacency(ChainParams(16, 1.0))
         acc = np.eye(32)
         for n in range(13):
             for m in range(13):

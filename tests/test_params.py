@@ -18,7 +18,13 @@ from isinglr import (
     lr_walk_grid_highprec,
     validate_params,
 )
-from isinglr.params import validate_qubit_index
+from isinglr.params import (
+    DOUBLE_TRUST_FLOOR,
+    cast_trusted,
+    critical_trusted,
+    double_trusted,
+    validate_qubit_index,
+)
 
 
 class TestChainParams:
@@ -111,3 +117,32 @@ class TestCorrelationSeries:
     def test_good_series(self):
         s = CorrelationSeries(3, TimeGrid((0.0, 0.5)), (0.0, 1.2), "walk")
         assert s.method is Method.WALK
+
+
+TINY = np.finfo(float).tiny
+
+
+class TestTrustRules:
+    def test_double_floor(self):
+        below = np.nextafter(DOUBLE_TRUST_FLOOR, 0.0)
+        assert DOUBLE_TRUST_FLOOR == 1e-13
+        assert double_trusted([[DOUBLE_TRUST_FLOOR, below, 0.0]], [1.0, 1.0, 1.0]).tolist() \
+            == [[True, False, False]]
+        assert double_trusted([[0.0, below]], [0.0, 0.0]).tolist() == [[True, True]]
+
+    def test_cast_keeps_normal_doubles_and_exact_zeros(self):
+        import mpmath as mp
+        exact = np.array([[mp.mpf(TINY), mp.mpf(TINY) / 2, mp.mpf(0), mp.mpf("1e-400")]],
+                         dtype=object)
+        values = exact.astype(float)
+        assert values.tolist() == [[TINY, TINY / 2, 0.0, 0.0]]
+        assert cast_trusted(exact, values).tolist() == [[True, False, True, False]]
+
+    def test_critical_tail_sum_stays_normal(self):
+        # C pi s is sqrt(tiny) = 2^-511 where the tail sum (C pi s)^2 reaches tiny
+        edge = math.sqrt(TINY)
+        assert edge == 2.0 ** -511 and edge * edge == TINY
+        ss = [1.0, 1.0, 0.0, 2.0]
+        values = [[edge / math.pi * (1 + 1e-12), edge / math.pi * (1 - 1e-12), 0.0, 0.0]]
+        assert critical_trusted(values, ss).tolist() == [[True, False, True, False]]
+        assert (values[0][1] * math.pi * ss[1]) ** 2 < TINY
