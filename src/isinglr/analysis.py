@@ -18,11 +18,13 @@ import numpy as np
 from .params import (
     ChainParams,
     HorizonError,
-    ThresholdNotReachedError,
     ValidationError,
     double_trusted,
+    validate_count,
     validate_params,
+    validate_positive,
     validate_qubit_index,
+    validate_threshold,
 )
 from .asymptotics import saturation_value, v_group_max
 from .walk import lr_walk_grid, lr_walk_grid_highprec
@@ -89,12 +91,10 @@ def crossing_time(p: ChainParams, k: int, threshold: float,
     """
     validate_params(p)
     validate_qubit_index(p, k)
-    for name, value in (("coarse_step", coarse_step), ("s_max", s_max)):
-        if value is not None and not (math.isfinite(value) and value > 0.0):
-            raise ValidationError(f"{name} must be finite and positive, got {value}")
-    if not (0.0 < threshold < saturation_value(p.j_coupling)):
-        raise ThresholdNotReachedError(
-            f"threshold {threshold} outside (0, C_sat={saturation_value(p.j_coupling)})")
+    coarse_step = validate_positive("coarse_step", coarse_step)
+    if s_max is not None:
+        s_max = validate_positive("s_max", s_max)
+    threshold = validate_threshold(threshold, saturation_value(p.j_coupling))
     horizon = reflection_safe_horizon(p, k)
     if s_max is None:
         s_max = min(horizon, 3.0 * _expected_arrival(p, k) + 12.0)
@@ -144,11 +144,13 @@ def front_velocity(p: ChainParams, threshold: float = 0.1,
     is the slow front broadening, and dropping it biases any small-window
     slope by several percent.  A least-squares fit of that three-parameter
     model recovers v well inside 2 percent; the raw per-step finite
-    differences are reported alongside.
+    differences are reported alongside.  An open end of `fit_range` (None)
+    takes its value from `default_fit_range`.
     """
     validate_params(p)
-    if fit_range is None:
-        fit_range = default_fit_range(p)
+    threshold = validate_threshold(threshold, saturation_value(p.j_coupling))
+    fit_range = tuple(default if k is None else k for k, default
+                      in zip(fit_range or (None, None), default_fit_range(p), strict=True))
     k_min, k_max = (validate_qubit_index(p, k) for k in fit_range)
     if not k_min < k_max:
         raise ValidationError(f"fit range {fit_range} must increase")
@@ -166,7 +168,7 @@ def front_velocity(p: ChainParams, threshold: float = 0.1,
     coeffs, *_ = np.linalg.lstsq(design, times, rcond=None)
     velocity = 1.0 / coeffs[1]
     steps = 1.0 / np.diff(times)
-    return FrontEstimate(threshold=float(threshold),
+    return FrontEstimate(threshold=threshold,
                          crossing_times=tuple(zip(ks.tolist(), times.tolist())),
                          velocity=float(velocity),
                          fit_range=(k_min, k_max),
@@ -182,6 +184,7 @@ def measure_saturation(p: ChainParams, k: int, s_window: tuple,
     """
     validate_params(p)
     validate_qubit_index(p, k)
+    samples = validate_count("samples", samples)
     s_lo, s_hi = float(s_window[0]), float(s_window[1])
     if not (0.0 <= s_lo < s_hi):
         raise ValidationError(f"bad saturation window {s_window}")
@@ -195,6 +198,7 @@ def measure_saturation(p: ChainParams, k: int, s_window: tuple,
 
 def saturation_window(p: ChainParams, k: int, width: float = 15.0) -> tuple:
     """A default window: well after front arrival, inside the horizon."""
+    width = validate_positive("width", width)
     arrival = _expected_arrival(p, k)
     start = 3.0 * arrival + 8.0
     horizon = reflection_safe_horizon(p, k)
@@ -217,6 +221,7 @@ def lightcone(p: ChainParams, k_range: tuple, s_range: tuple,
     if k_hi < k_lo:
         raise ValidationError("empty qubit range")
     ks = tuple(range(k_lo, k_hi + 1))
+    resolution = validate_count("resolution", resolution)
     s_lo, s_hi = float(s_range[0]), float(s_range[1])
     if not (0.0 <= s_lo <= s_hi):
         raise ValidationError(f"bad time range {s_range}")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .params import ValidationError
+from .params import ValidationError, validate_positive
 
 LOG10_E = math.log10(math.e)
 
@@ -65,8 +65,7 @@ class LogValue:
 
 def v_lieb_robinson(jp: float) -> float:
     """Leading-edge speed limit in units of 1/tau: e pi sqrt(J')."""
-    if jp < 0.0:
-        raise ValidationError("coupling must be >= 0")
+    validate_positive("coupling", jp, allow_zero=True)
     return math.e * math.pi * math.sqrt(jp)
 
 
@@ -74,8 +73,8 @@ def lr_leading_exact(k: int, s: float, jp: float) -> LogValue:
     """Leading-edge correlation monomial, exact coefficient, in log domain."""
     if k < 1:
         raise ValidationError("qubit index must be >= 1")
-    if s < 0.0 or jp < 0.0:
-        raise ValidationError("time and coupling must be >= 0")
+    validate_positive("time", s, allow_zero=True)
+    validate_positive("coupling", jp, allow_zero=True)
     if s == 0.0 or (jp == 0.0 and k >= 2):
         return LogValue.zero()
     log10 = (2 * k * math.log10(2.0)
@@ -90,8 +89,8 @@ def lr_leading_largek(k: int, s: float, jp: float) -> LogValue:
     """Stirling form of the leading edge; valid for k well above 1."""
     if k < 2:
         raise ValidationError("the large-k form needs k >= 2")
-    if s < 0.0 or jp <= 0.0:
-        raise ValidationError("needs s >= 0 and coupling > 0")
+    validate_positive("time", s, allow_zero=True)
+    validate_positive("coupling", jp)
     if s == 0.0:
         return LogValue.zero()
     vt = v_lieb_robinson(jp) * s
@@ -109,8 +108,8 @@ def lr_leading_exponential(k: int, s: float, jp: float) -> LogValue:
     """
     if k < 1:
         raise ValidationError("qubit index must be >= 1")
-    if s < 0.0 or jp <= 0.0:
-        raise ValidationError("needs s >= 0 and coupling > 0")
+    validate_positive("time", s, allow_zero=True)
+    validate_positive("coupling", jp)
     vt = v_lieb_robinson(jp) * s
     log10 = (LOG10_E
              - 0.5 * math.log10(math.pi * jp * k)
@@ -120,16 +119,14 @@ def lr_leading_exponential(k: int, s: float, jp: float) -> LogValue:
 
 def dispersion(q: float, jp: float) -> float:
     """Quasiparticle energy 2 J' sqrt(g^2 + 1 - 2 g cos q), g = 1/J', in units of gamma."""
-    if jp <= 0.0:
-        raise ValidationError("dispersion needs coupling > 0 (g = 1/J' undefined at 0)")
+    validate_positive("coupling", jp)
     # algebraically identical to the g form, stable for small J'
     return 2.0 * math.sqrt(1.0 + jp * jp - 2.0 * jp * math.cos(q))
 
 
 def v_group(q: float, jp: float) -> float:
     """Group velocity dE/dq in units of 1/tau."""
-    if jp <= 0.0:
-        raise ValidationError("group velocity needs coupling > 0")
+    validate_positive("coupling", jp)
     sin_q = math.sin(q)
     if sin_q == 0.0:
         return 0.0
@@ -139,8 +136,7 @@ def v_group(q: float, jp: float) -> float:
 
 def v_group_max(jp: float) -> float:
     """Band maximum of the group velocity: 2 pi J' below the transition, 2 pi above."""
-    if jp < 0.0:
-        raise ValidationError("coupling must be >= 0")
+    validate_positive("coupling", jp, allow_zero=True)
     return 2.0 * math.pi * min(jp, 1.0)
 
 
@@ -154,8 +150,7 @@ def v_group_max_numeric(jp: float, iterations: int = 90):
     stationarity condition to pin the maximizer; ships alongside the
     piecewise closed form so each can audit the other.
     """
-    if jp <= 0.0:
-        raise ValidationError("needs coupling > 0")
+    validate_positive("coupling", jp)
     a, b = 0.0, math.pi
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
@@ -194,6 +189,5 @@ def v_group_max_numeric(jp: float, iterations: int = 90):
 
 def saturation_value(jp: float) -> float:
     """Long-time plateau of C_k on an effectively infinite chain: 2 min(1, 1/J')."""
-    if jp < 0.0:
-        raise ValidationError("coupling must be >= 0")
+    validate_positive("coupling", jp, allow_zero=True)
     return 2.0 if jp <= 1.0 else 2.0 / jp

@@ -13,7 +13,8 @@ import time
 
 import numpy as np
 
-from .params import MAX_DENSE_QUBITS, ChainParams, DimensionGuardError
+from .params import (MAX_DENSE_QUBITS, ChainParams, DimensionGuardError, ValidationError,
+                     validate_count)
 from .oracle import lr_direct_grid
 from .walk import _eig_factor, lr_walk_grid
 
@@ -21,7 +22,7 @@ from .walk import _eig_factor, lr_walk_grid
 def time_walk(p: ChainParams, ks, ss, repeats: int = 3) -> float:
     """Best-of-N wall time for a full walk-method grid, cold caches."""
     best = np.inf
-    for _ in range(repeats):
+    for _ in range(validate_count("repeats", repeats)):
         _eig_factor.cache_clear()
         t0 = time.perf_counter()
         lr_walk_grid(p, ks, ss)
@@ -29,16 +30,13 @@ def time_walk(p: ChainParams, ks, ss, repeats: int = 3) -> float:
     return best
 
 
-def time_direct(p: ChainParams, ks, ss) -> float:
-    t0 = time.perf_counter()
-    lr_direct_grid(p, ks, ss)
-    return time.perf_counter() - t0
-
-
 def scaling_report(n_qubits_list=(50, 100, 200, 400), jp: float = 0.5,
                    s_max: float = 3.0, n_times: int = 60, k_count: int = 10,
                    repeats: int = 3) -> dict:
     """Walk-method wall time across chain lengths plus a power-law fit."""
+    if len(set(n_qubits_list)) < 2:
+        raise ValidationError("the scaling fit needs at least two distinct chain lengths, "
+                              f"got {list(n_qubits_list)}")
     ss = np.linspace(0.0, s_max, n_times)
     rows = []
     for nq in n_qubits_list:
@@ -68,7 +66,9 @@ def comparison_report(n_qubits: int = 10, jp: float = 0.5, s_max: float = 3.0,
     ks = list(range(1, n_qubits + 1))
     ss = np.linspace(0.0, s_max, n_times)
     walk_t = time_walk(p, ks, ss, repeats)
-    direct_t = time_direct(p, ks, ss)
+    t0 = time.perf_counter()
+    lr_direct_grid(p, ks, ss)
+    direct_t = time.perf_counter() - t0
     return {
         "n_qubits": n_qubits,
         "j_coupling": jp,

@@ -5,19 +5,21 @@ lines, then one header row, then data; floats carry 17 significant digits so
 files round-trip doubles exactly; log10 of an exact zero is emitted as the
 literal -inf and a NaN as nan.  JSON tables carry float cells as the same
 17-digit strings, so -inf and nan survive JSON.  `correlate`, `snapshot` and
-`lightcone` rows carry a `trusted` column: the AND of the trust masks of the
-value columns the row prints, each from its route's rule in `params`.  Eig walk
-and dense values are trusted at or above the 1e-13 noise floor; `--digits`
-walk values where the cast to double keeps them (an exact zero or a normal
-double); closed-form values while their tail sum (C pi s)^2 stays a normal
-double; `lightcone --digits` cells always.  Snapshot rows also drop past the
-reflection-safe horizon of their qubit.
+`lightcone` rows carry a `trusted` column: the AND of the trust mask of each
+value column the row prints.  `route_grid` is the one place where a route's
+grid is paired with its rule in `params`: eig walk and dense values are
+trusted at or above the 1e-13 noise floor; `--digits` walk values where the
+cast to double keeps them (an exact zero or a normal double); closed-form
+values while their tail sum (C pi s)^2 stays a normal double.  `lightcone`
+takes its mask from `analysis.lightcone` (every `--digits` cell is trusted).
+Snapshot rows also drop past the reflection-safe horizon of their qubit.
 
 Exit codes: 0 success, 1 usage error, 2 numeric-guard refusal.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import sys
@@ -37,7 +39,7 @@ from .params import (
     critical_trusted,
     double_trusted,
 )
-from . import analysis, asymptotics, bench, critical, walk
+from . import analysis, asymptotics, bench, critical, oracle, walk
 
 USAGE_EXIT = 1
 GUARD_EXIT = 2
@@ -82,32 +84,27 @@ class Output:
     def __init__(self, path):
         self.path = path
 
-    def _open(self):
+    @contextlib.contextmanager
+    def _stream(self):
         if self.path in (None, "-"):
-            return sys.stdout, False
-        return open(self.path, "w", encoding="utf-8"), True
+            yield sys.stdout
+        else:
+            with open(self.path, "w", encoding="utf-8") as stream:
+                yield stream
 
     def csv(self, meta: dict, header, columns):
         lines = map(",".join, zip(*(_cells(col, text=True) for col in columns)))
-        stream, owned = self._open()
-        try:
+        with self._stream() as stream:
             for key, val in meta.items():
                 stream.write(f"# {key}={fmt(val)}\n")
             stream.write(",".join(header) + "\n")
             while block := list(itertools.islice(lines, _BLOCK_ROWS)):
                 stream.write("\n".join(block) + "\n")
-        finally:
-            if owned:
-                stream.close()
 
     def json(self, payload: dict):
-        stream, owned = self._open()
-        try:
+        with self._stream() as stream:
             json.dump(payload, stream, indent=2)
             stream.write("\n")
-        finally:
-            if owned:
-                stream.close()
 
     def table(self, meta: dict, header, columns, format: str):
         """Write equal-length `columns` (1-D arrays, sequences or `Tiled`)
@@ -178,15 +175,29 @@ def time_grid(s_values, s_max, n_s):
     return np.linspace(0.0, s_max, n_s)
 
 
-def walk_grid(p: ChainParams, ks, ss, digits):
-    """The walk grid as doubles, and its trust mask: the eig route's, or with
-    `digits` the arbitrary-precision route's as cast to doubles."""
-    if digits is None:
-        grid = walk.lr_walk_grid(p, ks, ss)
-        return grid, double_trusted(grid, ss)
-    exact = walk.lr_walk_grid_highprec(p, ks, ss, digits)
-    grid = exact.astype(float)
-    return grid, cast_trusted(exact, grid)
+def route_grid(method: Method, p: ChainParams, ks, ss, digits=None):
+    """One route's grid as doubles, and the trust mask from its rule in `params`:
+    the eig walk, the walk with `digits` (cast to doubles), the dense oracle or
+    the J' = 1 closed form.  The other routes ignore `digits`."""
+    if method is Method.CRITICAL:
+        grid = critical.lr_critical_grid(ks, ss)
+        return grid, critical_trusted(grid, ss)
+    if method is Method.WALK and digits is not None:
+        exact = walk.lr_walk_grid_highprec(p, ks, ss, digits)
+        grid = exact.astype(float)
+        return grid, cast_trusted(exact, grid)
+    grid = (oracle.lr_direct_grid if method is Method.DIRECT else walk.lr_walk_grid)(p, ks, ss)
+    return grid, double_trusted(grid, ss)
+
+
+def route_grids(routes, p: ChainParams, ks, ss, digits=None):
+    """The grids of `routes` and their masks, two tuples in route order; every
+    route is checked to apply before the first grid is computed."""
+    if Method.CRITICAL in routes and p.j_coupling != 1.0:
+        raise ValidationError("the closed form applies at jp = 1 only")
+    if digits is not None and Method.WALK not in routes:
+        raise ValidationError("--digits applies to the walk route only")
+    return zip(*(route_grid(method, p, ks, ss, digits) for method in routes))
 
 
 @click.group()
@@ -230,39 +241,22 @@ def correlate(nq, jp, out, fmt_name, k_spec, s_values, smax, ns, method, digits)
     p = ChainParams(nq, jp)
     ks = parse_int_list(k_spec) if k_spec else list(range(1, min(nq, 10) + 1))
     ss = time_grid(s_values, smax, ns)
-    if digits is not None and method not in ("walk", "both"):
-        raise ValidationError(f"--digits applies to the walk column only, not --method {method}")
-    tg = TimeGrid(tuple(float(s) for s in ss))
-
-    columns, masks = {}, []
-
-    def add_series(which: Method, grid, mask):
+    tg = TimeGrid(ss)
+    routes = [Method.WALK, Method.DIRECT] if method == "both" else [Method(method)]
+    grids, trust = route_grids(routes, p, ks, ss, digits)
+    columns = {}
+    for which, grid in zip(routes, grids):
         for k, col in zip(ks, grid):
             # bound/zero validation on every emitted series
             CorrelationSeries(k, tg, tuple(float(v) for v in col), which)
             columns[f"C{k}_{which.value}"] = col
-        masks.append(mask)
-
-    if method in ("walk", "both"):
-        add_series(Method.WALK, *walk_grid(p, ks, ss, digits))
-    if method in ("direct", "both"):
-        from .oracle import lr_direct_grid
-        grid = lr_direct_grid(p, ks, ss)
-        add_series(Method.DIRECT, grid, double_trusted(grid, ss))
-    if method == "critical":
-        if jp != 1.0:
-            raise ValidationError("the closed form applies at jp = 1 only")
-        grid = critical.lr_critical_grid(ks, ss)
-        add_series(Method.CRITICAL, grid, critical_trusted(grid, ss))
-    trusted = np.all(masks, axis=(0, 1))
     if method == "both":
         for k in ks:
             columns[f"absdiff{k}"] = np.abs(columns[f"C{k}_walk"] - columns[f"C{k}_direct"])
-
     meta = {"nq": nq, "jp": jp, "method": method,
             "precision": digits if digits else "double"}
     Output(out).table(meta, ["s", *columns, "trusted"],
-                      [ss, *columns.values(), trusted], fmt_name)
+                      [ss, *columns.values(), np.all(trust, axis=(0, 1))], fmt_name)
 
 
 @cli.command()
@@ -279,23 +273,18 @@ def snapshot(nq, jp, out, fmt_name, s_values, k_spec, with_critical, digits):
     p = ChainParams(nq, jp)
     ks = parse_int_list(k_spec) if k_spec else list(range(1, nq + 1))
     ss = parse_float_list(s_values)
-    if with_critical and jp != 1.0:
-        raise ValidationError("--critical requires jp = 1")
     if len(set(ss)) != len(ss):
         raise click.UsageError(f"--s {s_values!r} repeats a time")
-
-    grid, mask = walk_grid(p, ks, ss, digits)
-    header, columns, masks = [f"C_s{fmt(s)}" for s in ss], [*grid.T], [mask]
-    if with_critical:
-        grid = critical.lr_critical_grid(ks, ss)
-        header += [f"critical_s{fmt(s)}" for s in ss]
-        columns += [*grid.T]
-        masks.append(critical_trusted(grid, ss))
+    routes = [Method.WALK, Method.CRITICAL] if with_critical else [Method.WALK]
+    grids, trust = route_grids(routes, p, ks, ss, digits)
+    prefix = {Method.WALK: "C", Method.CRITICAL: "critical"}
+    header = [f"{prefix[which]}_s{fmt(s)}" for which in routes for s in ss]
     horizon = np.array([analysis.reflection_safe_horizon(p, k) for k in ks])
-    trusted = np.all(masks, axis=(0, 2)) & (max(ss) <= horizon)
-    meta = {"nq": nq, "jp": jp, "method": "walk+critical" if with_critical else "walk",
+    trusted = np.all(trust, axis=(0, 2)) & (max(ss) <= horizon)
+    meta = {"nq": nq, "jp": jp, "method": "+".join(which.value for which in routes),
             "precision": digits if digits else "double"}
-    Output(out).table(meta, ["k", *header, "trusted"], [ks, *columns, trusted], fmt_name)
+    Output(out).table(meta, ["k", *header, "trusted"],
+                      [ks, *(col for grid in grids for col in grid.T), trusted], fmt_name)
 
 
 @cli.command()
@@ -306,12 +295,7 @@ def snapshot(nq, jp, out, fmt_name, s_values, k_spec, with_critical, digits):
 @click.option("--kmax", type=int, default=None, help="Fit window end (default bulk).")
 def front(nq, jp, out, threshold, kmin, kmax):
     """Front-velocity estimate from threshold crossings, as JSON (nested, so no --format)."""
-    p = ChainParams(nq, jp)
-    fit_range = None
-    if kmin is not None or kmax is not None:
-        lo, hi = analysis.default_fit_range(p)
-        fit_range = (kmin if kmin is not None else lo, kmax if kmax is not None else hi)
-    est = analysis.front_velocity(p, threshold, fit_range)
+    est = analysis.front_velocity(ChainParams(nq, jp), threshold, (kmin, kmax))
     Output(out).json({
         "nq": nq,
         "jp": jp,
@@ -336,8 +320,7 @@ def saturation(jp_list, nq, k_probe, out, fmt_name):
     jps = parse_float_list(jp_list)
     measured = []
     for jp in jps:
-        n_use = nq if jp < 3.0 else max(nq, 300)
-        p = ChainParams(n_use, jp)
+        p = ChainParams(nq, jp)
         window = analysis.saturation_window(p, k_probe)
         measured.append(analysis.measure_saturation(p, k_probe, window))
     Output(out).table({"nq": nq, "k": k_probe}, ["jp", "measured", "analytic"],
@@ -400,17 +383,14 @@ def edge(jp, out, k_spec, s_values, forms, fmt_name):
     ks = parse_int_list(k_spec)
     ss = parse_float_list(s_values)
     wanted = [f.strip() for f in forms.split(",")]
-    evaluators = {
-        "exact": lambda k, s: asymptotics.lr_leading_exact(k, s, jp),
-        "largek": lambda k, s: asymptotics.lr_leading_largek(k, s, jp),
-        "exponential": lambda k, s: asymptotics.lr_leading_exponential(k, s, jp),
-    }
+    evaluators = {"exact": asymptotics.lr_leading_exact, "largek": asymptotics.lr_leading_largek,
+                  "exponential": asymptotics.lr_leading_exponential}
     unknown = [f for f in wanted if f not in evaluators]
     if unknown:
         raise click.UsageError(f"unknown forms {unknown}")
     header = ["k", "s"] + [f"log10C_{f}" for f in wanted]
     columns = [Tiled(ks, each=len(ss)), Tiled(ss, times=len(ks))]
-    columns += [[evaluators[f](k, s).log10_magnitude for k in ks for s in ss]
+    columns += [[evaluators[f](k, s, jp).log10_magnitude for k in ks for s in ss]
                 for f in wanted]
     Output(out).table({"jp": jp, "v_lieb_robinson": asymptotics.v_lieb_robinson(jp)},
                       header, columns, fmt_name)
@@ -435,6 +415,13 @@ def bench_cmd(nq_list, compare_nq, smax, ns, repeats, out):
     Output(out).json({"scaling": scaling, "comparison": comparison})
 
 
+def recipe_argv(options: dict) -> list:
+    """A recipe's options as command-line arguments: `--key value`, or a bare
+    `--key` for a true flag (a false flag is left out)."""
+    return [arg for key, val in options.items() if val is not False
+            for arg in ([f"--{key}"] if val is True else [f"--{key}", str(val)])]
+
+
 @cli.command()
 @click.argument("config", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", type=click.Path(writable=True), default=None,
@@ -447,17 +434,10 @@ def recipe(config, out):
     target = cli.get_command(None, name)
     if target is None:
         raise click.UsageError(f"recipe names unknown command {name!r}")
-    args = []
     options = dict(spec.get("options", {}))
     if out is not None:
         options["out"] = out
-    for key, val in options.items():
-        if isinstance(val, bool):
-            if val:
-                args.append(f"--{key}")
-        else:
-            args.extend([f"--{key}", str(val)])
-    target.main(args=args, standalone_mode=False)
+    target.main(args=recipe_argv(options), standalone_mode=False)
 
 
 def main(argv=None) -> int:

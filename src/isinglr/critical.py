@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .params import ValidationError, validate_qubit_index, validate_times
+from .params import ValidationError, validate_positive, validate_qubit_index, validate_times
 
 #: Supported evaluation envelope for bessel_j.
 MAX_BESSEL_ORDER = 10_000
@@ -72,8 +72,7 @@ def bessel_jn_array(n_max: int, x: float) -> np.ndarray:
     """
     if n_max < 0:
         raise ValidationError("n_max must be >= 0")
-    if not math.isfinite(x) or x < 0.0:
-        raise ValidationError(f"argument must be finite and >= 0, got {x!r}")
+    x = validate_positive("argument", x, allow_zero=True)
     out = np.zeros(n_max + 1)
     if x == 0.0:
         out[0] = 1.0

@@ -132,7 +132,7 @@ def operator_norm(op: np.ndarray) -> float:
     return float(np.linalg.norm(op, 2))
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=1)
 def _sector_factors(p: ChainParams):
     """Real eigh of H'' in the even and odd sectors, W, and perm_k per site."""
     nq, half = p.n_qubits, 2 ** (p.n_qubits - 1)

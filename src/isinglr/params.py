@@ -55,10 +55,8 @@ class ChainParams:
             raise ValidationError(f"n_qubits must be an integer, got {self.n_qubits!r}")
         if self.n_qubits < 1:
             raise ValidationError(f"n_qubits must be >= 1, got {self.n_qubits}")
-        j = float(self.j_coupling)
-        if not math.isfinite(j) or j < 0.0:
-            raise ValidationError(f"j_coupling must be finite and >= 0, got {self.j_coupling!r}")
-        object.__setattr__(self, "j_coupling", j)
+        object.__setattr__(self, "j_coupling",
+                           validate_positive("j_coupling", self.j_coupling, allow_zero=True))
 
     @property
     def n_nodes(self) -> int:
@@ -97,6 +95,30 @@ def validate_times(ss) -> np.ndarray:
     if not np.all(np.isfinite(ss) & (ss >= 0.0)):
         raise ValidationError("times must all be finite and >= 0")
     return ss
+
+
+def validate_positive(name: str, value, allow_zero: bool = False) -> float:
+    """Return `value` as a finite float > 0, or >= 0 with `allow_zero`."""
+    value = float(value)
+    if not (math.isfinite(value) and (value >= 0.0 if allow_zero else value > 0.0)):
+        raise ValidationError(f"{name} must be finite and {'>=' if allow_zero else '>'} 0, "
+                              f"got {value}")
+    return value
+
+
+def validate_count(name: str, value) -> int:
+    """Return `value` as a plain int >= 1: a Python or numpy integer, not a bool."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+        raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
+def validate_threshold(threshold, plateau: float) -> float:
+    """A finite level > 0; one at or above the plateau C_sat is never reached."""
+    threshold = validate_positive("threshold", threshold)
+    if threshold >= plateau:
+        raise ThresholdNotReachedError(f"threshold {threshold} outside (0, C_sat={plateau})")
+    return threshold
 
 
 # Trust masks of a (k, s) grid, one rule per route's error model; a printed
@@ -140,11 +162,7 @@ class TimeGrid:
     values: tuple = ()
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        if any(not math.isfinite(v) for v in vals):
-            raise ValidationError("time grid entries must be finite")
-        if any(v < 0.0 for v in vals):
-            raise ValidationError("time grid entries must be >= 0")
+        vals = tuple(validate_times(self.values).tolist())
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValidationError("time grid must be strictly increasing")
         object.__setattr__(self, "values", vals)

@@ -153,7 +153,7 @@ def _light_cone_qubits(p: ChainParams, s_max: float) -> int:
     return min(p.n_qubits, 32 * math.ceil(nodes / 64.0))
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=1)
 def _eig_factor(p: ChainParams):
     """Spectral factorization of i A' from the SVD of its bidiagonal block.
 

@@ -63,6 +63,19 @@ class TestCrossingTime:
         with pytest.raises(ThresholdNotReachedError):
             crossing_time(ChainParams(30, 2.0), 3, 1.9)
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -0.1])
+    def test_non_finite_or_non_positive_threshold_rejected(self, threshold):
+        with pytest.raises(ValidationError):
+            crossing_time(ChainParams(30, 2.0), 3, threshold)
+        with pytest.raises(ValidationError):
+            front_velocity(ChainParams(30, 2.0), threshold, fit_range=(3, 6))
+
+    @pytest.mark.parametrize("threshold", [1.0, 1.9])
+    def test_threshold_at_or_above_plateau_never_reached(self, threshold):
+        # C_sat = 1 at J' = 2
+        with pytest.raises(ThresholdNotReachedError):
+            front_velocity(ChainParams(30, 2.0), threshold, fit_range=(3, 6))
+
     def test_window_beyond_horizon_rejected(self):
         p = ChainParams(20, 1.0)
         with pytest.raises(HorizonError):
@@ -118,6 +131,19 @@ class TestFrontVelocity:
         with pytest.raises(ValidationError):
             front_velocity(ChainParams(50, 1.0), fit_range=(40, 20))
 
+    def test_open_fit_range_ends_take_the_default(self):
+        p = ChainParams(60, 1.0)
+        lo, hi = default_fit_range(p)
+        assert front_velocity(p, fit_range=(None, 24)).fit_range == (lo, 24)
+        assert front_velocity(p, fit_range=(12, None)).fit_range == (12, hi)
+        assert front_velocity(p, fit_range=(None, None)).fit_range == (lo, hi)
+
+    def test_one_factorization_per_front(self):
+        walk._eig_factor.cache_clear()
+        front_velocity(ChainParams(120, 0.5), fit_range=(10, 84))
+        info = walk._eig_factor.cache_info()
+        assert info.misses == 1 and info.hits > 0
+
     def test_estimate_invariants_enforced(self):
         with pytest.raises(ValidationError):
             FrontEstimate(0.1, ((1, 0.5), (2, 0.4)), 1.0, (1, 2))
@@ -171,8 +197,23 @@ class TestSaturationMeasurement:
         with pytest.raises(HorizonError):
             saturation_window(ChainParams(12, 1.0), 11)
 
+    @pytest.mark.parametrize("samples", [0, -3, 2.5, True])
+    def test_sample_count_validated(self, samples):
+        with pytest.raises(ValidationError):
+            measure_saturation(ChainParams(120, 0.5), 8, (20.0, 30.0), samples=samples)
+
+    @pytest.mark.parametrize("width", [-5.0, 0.0, math.nan])
+    def test_window_width_validated(self, width):
+        with pytest.raises(ValidationError):
+            saturation_window(ChainParams(120, 0.5), 10, width=width)
+
 
 class TestLightcone:
+    @pytest.mark.parametrize("resolution", [-1, 0, 3.0])
+    def test_resolution_validated(self, resolution):
+        with pytest.raises(ValidationError):
+            lightcone(ChainParams(30, 1.0), (1, 10), (0.0, 2.0), resolution=resolution)
+
     def test_time_zero_column_is_minus_inf(self):
         p = ChainParams(30, 1.0)
         grid = lightcone(p, (1, 10), (0.0, 2.0), resolution=5)

@@ -142,6 +142,18 @@ class TestLeadingExponential:
                         >= lr_leading_exact(k, s, jp).log10_magnitude)
 
 
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_leading_edge_forms_and_lr_velocity_reject(self, bad):
+        for form in (lr_leading_exact, lr_leading_largek, lr_leading_exponential):
+            with pytest.raises(ValidationError):
+                form(5, bad, 2.0)
+            with pytest.raises(ValidationError):
+                form(5, 1.0, bad)
+        with pytest.raises(ValidationError):
+            v_lieb_robinson(bad)
+
+
 class TestVelocities:
     def test_lr_velocity_values(self):
         assert v_lieb_robinson(1.0) == pytest.approx(math.e * math.pi, rel=1e-15)

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from isinglr import ChainParams, Method, ValidationError, critical, oracle, walk
 from isinglr import cli as cli_module
+from isinglr.params import cast_trusted, critical_trusted, double_trusted
 from isinglr.cli import Output, Tiled, cli, fmt, main, parse_float_list, parse_int_list
 
 
@@ -228,6 +230,39 @@ class TestCorrelate:
         assert [r[-1] for r in rows] == ["True", "False", "False"]
 
 
+class TestRouteGrid:
+    """Each route's grid comes with the mask of that route's rule in `params`."""
+
+    KS, SS = [1, 3, 6], np.array([0.0, 0.01, 0.4])
+
+    @pytest.mark.parametrize("method, grid_fn, rule", [
+        (Method.WALK, walk.lr_walk_grid, double_trusted),
+        (Method.DIRECT, oracle.lr_direct_grid, double_trusted),
+        (Method.CRITICAL, lambda p, ks, ss: critical.lr_critical_grid(ks, ss), critical_trusted),
+    ], ids=["eig", "direct", "critical"])
+    def test_double_routes(self, method, grid_fn, rule):
+        p = ChainParams(6, 1.0)
+        grid, mask = cli_module.route_grid(method, p, self.KS, self.SS)
+        want = grid_fn(p, self.KS, self.SS)
+        assert grid.tobytes() == want.tobytes()
+        assert np.array_equal(mask, rule(want, self.SS))
+
+    def test_digits_walk_route(self):
+        p = ChainParams(6, 1.0)
+        grid, mask = cli_module.route_grid(Method.WALK, p, self.KS, self.SS, 30)
+        exact = walk.lr_walk_grid_highprec(p, self.KS, self.SS, 30)
+        assert grid.tobytes() == exact.astype(float).tobytes()
+        assert np.array_equal(mask, cast_trusted(exact, grid))
+
+    def test_routes_checked_before_any_grid(self, monkeypatch):
+        monkeypatch.setattr(cli_module, "route_grid", None)
+        p = ChainParams(6, 0.5)
+        with pytest.raises(ValidationError):
+            cli_module.route_grids([Method.WALK, Method.CRITICAL], p, [1], [0.5])
+        with pytest.raises(ValidationError):
+            cli_module.route_grids([Method.DIRECT], p, [1], [0.5], digits=30)
+
+
 class TestSnapshot:
     def test_rows_per_qubit_with_trust(self):
         out = run_ok(["snapshot", "--nq", "30", "--jp", "0.5", "--s", "1,3,...,7"])
@@ -267,6 +302,14 @@ class TestSnapshot:
         assert float(rows[1][2]) == 0.0
         assert [r[-1] for r in rows] == ["True", "False", "False"]
 
+    def test_critical_coupling_checked_before_any_grid(self, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("a walk grid was computed")
+
+        monkeypatch.setattr(cli_module.walk, "lr_walk_grid", no_grid)
+        assert main(["snapshot", "--nq", "20", "--jp", "0.5", "--s", "1", "--critical"]) == 1
+        assert main(["correlate", "--nq", "20", "--jp", "0.5", "--method", "critical"]) == 1
+
     def test_untrusted_rows_flagged_beyond_horizon(self):
         # s = 40 is far past the reflection horizon of a 20-qubit chain
         out = run_ok(["snapshot", "--nq", "20", "--jp", "1.0", "--s", "40"])
@@ -288,6 +331,19 @@ class TestFrontCommand:
         # the estimate is nested JSON; there is no CSV form to ask for
         assert main(["front", "--nq", "60", "--jp", "1.0", "--format", "csv"]) == 1
 
+    def test_one_open_fit_end_takes_the_default(self):
+        data = json.loads(run_ok(["front", "--nq", "60", "--jp", "1.0", "--kmax", "24"]))
+        assert data["fit_range"] == [10, 24]
+
+    @pytest.mark.parametrize("args", [
+        ["front", "--nq", "60", "--jp", "1.0", "--threshold", "nan"],
+        ["front", "--nq", "60", "--jp", "1.0", "--threshold", "-0.1"],
+        ["velocities", "--nq", "60", "--jp", "1.0", "--threshold", "0"],
+        ["velocities", "--nq", "60", "--jp", "1.0", "--threshold", "inf"],
+    ])
+    def test_bad_threshold_is_a_usage_error(self, args):
+        assert main(args) == 1
+
 
 class TestScanCommands:
     def test_saturation_table(self):
@@ -297,6 +353,11 @@ class TestScanCommands:
         measured = {float(r[0]): float(r[1]) for r in rows}
         assert measured[0.5] == pytest.approx(2.0, rel=0.02)
         assert measured[2.0] == pytest.approx(1.0, rel=0.02)
+
+    def test_saturation_runs_on_the_given_chain(self):
+        # the k = 10 window at J' = 4 needs more than 40 qubits, as at J' = 2
+        for jp in ("2", "4"):
+            assert main(["saturation", "--jp", jp, "--nq", "40", "--k", "10"]) == 2
 
     def test_velocities_table(self):
         out = run_ok(["velocities", "--jp", "1", "--nq", "70"])
@@ -326,6 +387,14 @@ class TestEdgeCommand:
         # deep-front magnitudes land far below double range yet stay finite here
         assert all(-2000.0 < float(r[2]) < 0.0 for r in rows)
 
+    @pytest.mark.parametrize("args", [
+        ["edge", "--jp", "nan", "--k", "3", "--s", "1"],
+        ["edge", "--jp", "2.0", "--k", "3", "--s", "nan"],
+    ], ids=["jp", "s"])
+    def test_non_finite_input_is_a_usage_error(self, args, capsys):
+        assert main(args) == 1
+        assert capsys.readouterr().out == ""
+
 
 class TestBenchCommand:
     def test_report_structure(self):
@@ -339,6 +408,15 @@ class TestBenchCommand:
     def test_dense_guard_exit_code(self):
         assert main(["bench", "--nq", "20,40", "--compare-nq", "20",
                      "--ns", "12", "--repeats", "1"]) == 2
+
+    @pytest.mark.parametrize("args", [
+        ["--nq", "20,40", "--repeats", "0"],
+        ["--nq", "20", "--repeats", "1"],
+        ["--nq", "20,20", "--repeats", "1"],
+    ], ids=["no-repeats", "one-length", "repeated-length"])
+    def test_no_report_without_a_fit(self, args, capsys):
+        assert main(["bench", "--compare-nq", "4", "--ns", "6", *args]) == 1
+        assert capsys.readouterr().out == ""
 
 
 class TestRecipe:
@@ -359,7 +437,19 @@ class TestRecipe:
         assert recipes, "recipe files should ship with the repo"
         for path in recipes:
             spec = json.loads(path.read_text())
-            assert cli.get_command(None, spec["command"]) is not None, path
+            command = cli.get_command(None, spec["command"])
+            assert command is not None, path
+            command.make_context(command.name, cli_module.recipe_argv(spec["options"]))
+
+    def test_recipe_options_parse_with_their_command(self):
+        command = cli.get_command(None, "snapshot")
+        argv = cli_module.recipe_argv({"nq": 8, "jp": 1.0, "s": "1,2", "critical": True,
+                                       "format": "json"})
+        params = command.make_context("snapshot", argv).params
+        assert params["nq"] == 8 and params["with_critical"] and params["fmt_name"] == "json"
+        assert cli_module.recipe_argv({"critical": False}) == []
+        with pytest.raises(click.NoSuchOption):
+            command.make_context("snapshot", cli_module.recipe_argv({"bogus": 1}))
 
 
 def reference_fmt(x) -> str:

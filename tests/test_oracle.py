@@ -278,6 +278,11 @@ class TestSectorOracle:
         lr_direct_grid(p, range(1, 7), ss)
         assert len(calls) == 2
 
+    def test_factor_cache_holds_one_chain(self):
+        lr_direct_grid(ChainParams(4, 0.5), [1, 2], [0.5, 1.0])
+        lr_direct_grid(ChainParams(5, 2.0), [1, 2], [0.5, 1.0])
+        assert oracle._sector_factors.cache_info().currsize == 1
+
     @given(nq=st.integers(1, 8),
            jp=st.floats(0.0, 5.0, allow_nan=False),
            times=st.lists(st.floats(0.0, 10.0, allow_nan=False), min_size=1, max_size=4))

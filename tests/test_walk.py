@@ -243,6 +243,11 @@ class TestLrWalk:
             partials.append(2.0 * math.sqrt(float(np.sum(np.abs(total[2 * k - 1:]) ** 2))))
         assert partials[-1] == pytest.approx(lr_walk(p, k, s), abs=1e-10)
 
+    def test_factor_cache_holds_one_chain(self):
+        lr_walk_grid(ChainParams(12, 0.5), [1, 3], [0.5, 1.0])
+        lr_walk_grid(ChainParams(14, 2.0), [1, 3], [0.5, 1.0])
+        assert walk._eig_factor.cache_info().currsize == 1
+
     def test_grid_budget_refuses_oversized_grids_at_once(self, monkeypatch):
         def no_factor(p):
             raise AssertionError("an oversized grid reached the factorization")
