@@ -407,12 +407,8 @@ def edge(jp, out, k_spec, s_values, forms, fmt_name):
 @out_option
 def bench_cmd(nq_list, compare_nq, smax, ns, repeats, out):
     """Wall-time scaling of the walk method and speedup over the dense oracle."""
-    # the comparison runs first so that its dense-dimension guard fires before any timing
-    comparison = bench.comparison_report(compare_nq, s_max=smax, n_times=ns,
-                                         repeats=repeats)
-    scaling = bench.scaling_report(parse_int_list(nq_list), s_max=smax,
-                                   n_times=ns, repeats=repeats)
-    Output(out).json({"scaling": scaling, "comparison": comparison})
+    Output(out).json(bench.report(parse_int_list(nq_list), compare_nq, s_max=smax,
+                                  n_times=ns, repeats=repeats))
 
 
 def recipe_argv(options: dict) -> list:

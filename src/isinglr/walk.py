@@ -13,9 +13,9 @@ In double precision the row comes from the eigendecomposition of the
 equivalent real symmetric tridiagonal matrix (phase-conjugating A' by
 diag(i^m) makes i A' real symmetric), exact orthogonality by construction.
 That matrix has a zero diagonal, so in even/odd node order it is
-[[0, B], [B^T, 0]] with B an N x N bidiagonal block, and its eigenpairs come
-from the SVD of B: half the size, in numpy alone.  The SVD is taken of B^T,
-which is upper bidiagonal, for accuracy (see `_eig_factor`).
+[[0, B], [B^T, 0]] with B an N x N bidiagonal block, whose singular triplets
+are the open chain's exact modes (Lieb, Schultz & Mattis 1961; Pfeuty 1970),
+written down in O(N^2) with no dense factorization (see `_eig_factor`).
 Up to time s the row is nonzero in double precision only inside the light
 cone, the first ~2 pi s (1 + J') nodes, so only that prefix of the chain is
 factorized and the cost at short times does not grow with N.
@@ -63,11 +63,11 @@ from .oracle import PauliString
 
 #: Largest double-precision walk grid, in float entries, that is allocated:
 #: (2q)^2 for the factor of the light-cone prefix plus one (n_s, 2N) row
-#: array (several such arrays are live at once).  The cached factor is two
-#: q x q halves, so the (2q)^2 term over-counts it by 2x; the margin is kept
-#: so that the budget refuses the same grids as the (2q)^2 eigenvectors of a
-#: full tridiagonal eigendecomposition would.  The largest benchmark grid,
-#: N = 1000 out to s = 101 on 201 times, needs 1.7e6.
+#: array (several such arrays are live at once).  The factor, the open q-qubit
+#: chain's exact modes built in O(q^2), is two q x q halves: the (2q)^2 term
+#: over-counts it by 2x, so the budget refuses the grids that a full tridiagonal
+#: eigendecomposition would.  The largest benchmark grid, N = 1000 out to
+#: s = 101 on 201 times, needs 1.7e6.
 MAX_GRID_ENTRIES = 2 ** 24
 #: Largest arbitrary-precision row work, Taylor steps x 2N nodes, that is
 #: started; the deep N = 200, J' = 2, s = 30 light cone needs 61 x 400.
@@ -153,34 +153,82 @@ def _light_cone_qubits(p: ChainParams, s_max: float) -> int:
     return min(p.n_qubits, 32 * math.ceil(nodes / 64.0))
 
 
+def _bulk_phases(q: int, jp: float) -> np.ndarray:
+    """psi_j = arg(J' + e^{i k_j}) of the modes j = 1..q-1 of `_eig_factor`: the
+    root on [0, pi] of psi = arg(J' - e^{-i eps}), eps = pi - k = (pi (q - j) +
+    psi)/q, by Newton steps kept inside a shrinking bracket."""
+    j = np.arange(1, q)
+    lo, hi, psi = np.zeros(q - 1), np.full(q - 1, math.pi), np.full(q - 1, math.pi / 2)
+    for _ in range(100):
+        eps = (math.pi * (q - j) + psi) / q
+        h = 2.0 * np.sin(eps / 2) ** 2                          # 1 - cos(eps), no cancellation
+        g = np.arctan2(np.sin(eps), jp - 1.0 + h) - psi
+        lo, hi = np.where(g > 0.0, psi, lo), np.where(g > 0.0, hi, psi)
+        step = psi + g / (1.0 + (1.0 - jp + jp * h) / (q * ((1.0 - jp) ** 2 + 2.0 * jp * h)))
+        inside = (lo <= step) & (step <= hi)
+        if inside.all() and np.max(np.abs(step - psi), initial=0.0) < 1e-10:
+            return step
+        psi = np.where(inside, step, (lo + hi) / 2)
+    return psi
+
+
+def _edge_root(q: int, jp: float) -> float:
+    """t = (pi - k)^2 of the mode nearest k = pi, by bisection: Pfeuty's condition
+    at k = pi - e over e, S(q + 1) = J' S(q) with S(m) = sin(e m)/e, has a simple
+    root in t, negative past J' = 1 + 1/q (the edge mode, S(m) = sinh(|e| m)/|e|).
+    S(q + 1) - S(q) is taken in product form; the residual is scaled to stay finite."""
+    lo, hi = (-math.log(jp) ** 2 if jp > 1.0 else 0.0), (math.pi / (q + 0.5)) ** 2
+    for _ in range(100):
+        t = (lo + hi) / 2
+        r, f = math.sqrt(abs(t)), 1.0 - (jp - 1.0) * q                 # f at t = 0
+        if t > 0.0:
+            f = 2.0 * math.cos(r * (q + 0.5)) * math.sin(r / 2) - (jp - 1.0) * math.sin(r * q)
+        elif t < 0.0:
+            f = (-math.expm1(-r) * (1.0 + math.exp(-r * (2 * q + 1)))
+                 + (jp - 1.0) * math.expm1(-2.0 * r * q) * math.exp(-r))
+        lo, hi = (t, hi) if f >= 0.0 else (lo, t)
+    return (lo + hi) / 2
+
+
 @functools.lru_cache(maxsize=1)
 def _eig_factor(p: ChainParams):
-    """Spectral factorization of i A' from the SVD of its bidiagonal block.
+    """Spectral factorization of i A' from the exact modes of the open chain.
 
-    Conjugating by diag(i^m) turns i A' into the real symmetric tridiagonal
-    matrix T with the same superdiagonal, so row 1 of exp(-2 pi s A') is
-    Re(i^m sum_j V_0j V_mj e^{2 pi i s lam_j}) over the eigenpairs of T.  In
-    even/odd node order T = [[0, B], [B^T, 0]], with B lower bidiagonal
-    (diagonal 1, subdiagonal J'); if B = U diag(sigma) V^T, its eigenpairs
-    are +-sigma_j with vectors (u_j, +-v_j)/sqrt(2) (Golub & Kahan 1965).
-    The pairs combine into a cosine sum sum_j u_0j u_nj cos(2 pi s sigma_j)
-    with sign (-1)^n at node m = 2n, and a sine sum sum_j u_0j v_nj
-    sin(2 pi s sigma_j) with sign -(-1)^n at node m = 2n + 1.
+    Conjugated by diag(i^m), i A' is the real symmetric tridiagonal matrix
+    T = [[0, B], [B^T, 0]] in even/odd node order, B lower bidiagonal
+    (diagonal 1, subdiagonal J').  If B = U diag(sigma) V^T, T has eigenpairs
+    +-sigma_j, (u_j, +-v_j)/sqrt(2) (Golub & Kahan 1965), so row 1 of
+    exp(-2 pi s A') is (-1)^n sum_j u_0j u_nj cos(2 pi s sigma_j) at node 2n
+    and -(-1)^n sum_j u_0j v_nj sin(2 pi s sigma_j) at node 2n + 1.
 
-    B^T is decomposed, not B: LAPACK first reduces a matrix to upper
-    bidiagonal form, which leaves B^T untouched but rotates B with rounded
-    Householder reflections, and only a bidiagonal input keeps the accuracy
-    of the bidiagonal SVD itself (Demmel & Kahan 1990).  Decomposing B puts
-    the rows off by 2.5e-13 at N = 200, J' = 2, s = 40, above the 1e-13
-    floor; B^T stays within 4e-14.
-    Returns sigma and the two signed halves u_0j u_nj and u_0j v_nj, each
-    (N, N) with rows indexed by j.
+    The singular triplets are the open chain's exact modes (Lieb, Schultz &
+    Mattis 1961; Pfeuty 1970), built in O(q^2): u_n = sin(k n + psi),
+    v_n = sin(k (n + 1)), sigma = |1 + J' e^{ik}|, psi = arg(J' + e^{ik}) and
+    k = (pi j - psi)/q, j = 1..q.  Phases m (k + pi) = pi ((j + q) m mod 2q)/q
+    - psi m/q are reduced in exact integers, so no entry loses q ulps.  Mode
+    q, nearest k = pi, is (-1)^n (S(q - n), S(n + 1)) in the variable t of
+    `_edge_root`, continuous where it meets k = pi at J' = 1 + 1/q and turns
+    into the edge mode, whose sigma is 1/prod(other sigma) as |det B| = 1.
+    Returns sigma and the signed halves of the two sums, rows indexed by j.
     """
-    bt = np.eye(p.n_qubits)
-    bt[np.arange(p.n_qubits - 1), np.arange(1, p.n_qubits)] = p.j_coupling
-    v, sigma, ut = np.linalg.svd(bt)
-    weight = ut[:, :1] * np.resize([1.0, -1.0], p.n_qubits)     # u_0j (-1)^n
-    return sigma, ut * weight, -v.T * weight
+    q, jp = p.n_qubits, p.j_coupling
+    psi, t, n = _bulk_phases(q, jp), _edge_root(q, jp), np.arange(q + 1)
+    y = np.multiply.outer(np.arange(q + 1, 2 * q), n) % (2 * q) * (math.pi / q)
+    y -= np.multiply.outer(psi, n / q)
+    even, odd = np.sin(y[:, :-1] + psi[:, None]), np.sin(y[:, 1:])   # (-1)^n u_n, -(-1)^n v_n
+    norm_u, norm_v = np.einsum("jn,jn->j", even, even), np.einsum("jn,jn->j", odd, odd)
+    even *= (np.sin(psi) / norm_u)[:, None]
+    odd *= (np.sin(psi) / np.sqrt(norm_u * norm_v))[:, None]
+    r = math.sqrt(abs(t))
+    eps = np.append((math.pi * (q - n[1:-1]) + psi) / q, r)
+    sigma = np.hypot(1.0 - jp, 2.0 * math.sqrt(jp) * np.sin(eps / 2))
+    if t < 0.0:                                    # S(1..q) scaled by e^(-r (q + 1))
+        edge = -np.expm1(-2.0 * r * n[1:]) * np.exp(r * (n[1:] - q - 1)) / (2.0 * r)
+        sigma[-1] = np.prod(1.0 / sigma[:-1])
+    else:
+        edge = n[1:] * np.sinc(r * n[1:] / math.pi)
+    edge *= edge[-1] / np.dot(edge, edge)
+    return sigma, np.vstack([even, edge[::-1]]), np.vstack([odd, -edge])
 
 
 def _rows_eig(p: ChainParams, ss: np.ndarray) -> np.ndarray:

@@ -418,6 +418,23 @@ class TestBenchCommand:
         assert main(["bench", "--compare-nq", "4", "--ns", "6", *args]) == 1
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("args, code", [
+        (["--nq", "20"], 1),
+        (["--nq", "1,x"], 1),
+        (["--nq", "20,20"], 1),
+        (["--nq", "20,0"], 1),
+        (["--nq", "20,40", "--repeats", "0"], 1),
+        (["--nq", "20,40", "--compare-nq", "20"], 2),
+    ], ids=["one-length", "non-integer-length", "repeated-length", "zero-length",
+            "no-repeats", "dense-guard"])
+    def test_inputs_checked_before_anything_is_timed(self, args, code, monkeypatch):
+        def timed(*_args, **_kwargs):
+            raise AssertionError("timed before every input was checked")
+
+        monkeypatch.setattr(cli_module.bench, "time_walk", timed)
+        monkeypatch.setattr(oracle, "lr_direct_grid", timed)
+        assert main(["bench", "--compare-nq", "10", "--ns", "6", *args]) == code
+
 
 class TestRecipe:
     def test_recipe_roundtrip(self, tmp_path):

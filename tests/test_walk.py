@@ -159,11 +159,14 @@ class TestExpFirstRow:
     @pytest.mark.parametrize("nq, jp, s", [
         (200, 2.0, 40.0), (64, 5.0, 10.0), (240, 2.0, 39.0), (200, 0.5, 40.0),
         (300, 1.0, 30.0), (40, 0.0, 3.0), (40, 1e-300, 3.0),
+        (64, 1 + 1 / 64, 10.0), (64, 1 + 1 / 64 + 1e-9, 10.0), (64, 1 + 1 / 64 - 1e-9, 10.0),
+        (300, 1e-3, 20.0), (200, 2.0, 8.0),
     ])
     def test_matches_30_digit_row(self, nq, jp, s):
-        # Decomposing the bidiagonal block B instead of B^T passes the 1e-12
-        # expm checks above but puts the first three shapes off by 1.6e-13 to
-        # 2.5e-13 here; the last two have fully degenerate spectra.
+        # (40, 0) and (40, 1e-300) have fully degenerate spectra; the three
+        # 1 + 1/64 shapes sit on and beside the coupling where the mode
+        # nearest k = pi becomes the edge mode; the last two cut the light
+        # cone short of N (at 128 and 160 qubits).
         p = ChainParams(nq, jp)
         row = exp_first_row(p, s)
         exact = np.array([float(x) for x in exp_first_row_highprec(p, s, 30)])
@@ -193,6 +196,59 @@ class TestExpFirstRow:
             exp_first_row_highprec(p, s, 20)
         with pytest.raises(ValidationError):
             lr_walk_highprec(p, 2, s, 20)
+
+
+def _svd_factor(p):
+    """The factor as the SVD of the upper bidiagonal B^T: a test-only oracle."""
+    bt = np.eye(p.n_qubits)
+    bt[np.arange(p.n_qubits - 1), np.arange(1, p.n_qubits)] = p.j_coupling
+    v, sigma, ut = np.linalg.svd(bt)
+    weight = ut[:, :1] * np.resize([1.0, -1.0], p.n_qubits)
+    return sigma, ut * weight, -v.T * weight
+
+
+@st.composite
+def _chains(draw):
+    """(q, J'): J' drawn on [0, 8] or pinned at the points where the modes
+    degenerate, at the edge-mode threshold 1 + 1/q and beside it, and far past it."""
+    q = draw(st.integers(min_value=1, max_value=96))
+    edge = 1.0 + 1.0 / q
+    pinned = [0.0, 1e-300, 1.0, edge, edge + 1e-9, edge - 1e-9, edge + 1e-6, edge - 1e-6, 50.0]
+    return q, draw(st.one_of(st.floats(min_value=0.0, max_value=8.0), st.sampled_from(pinned)))
+
+
+class TestExactModes:
+    @given(_chains())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_svd_of_the_bidiagonal_block(self, chain):
+        q, jp = chain
+        p = ChainParams(q, jp)
+        # phases 2 pi s sigma up to 8 pi, where the SVD itself stays well
+        # inside 1e-13; all q modes enter, not just a light cone
+        ss = np.array([0.05, 0.5, 4.0]) / (1.0 + jp)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(walk, "_light_cone_qubits", lambda p, s_max: p.n_qubits)
+            rows = _rows_eig(p, ss)
+            mp.setattr(walk, "_eig_factor", _svd_factor)
+            reference = _rows_eig(p, ss)
+        assert np.max(np.abs(rows - reference)) < 1e-13
+
+        walk._eig_factor.cache_clear()
+        sigma = np.sort(walk._eig_factor(p)[0])
+        expect = np.sort(_svd_factor(p)[0])
+        edge = int(jp > 1.0 + 1.0 / q)   # the edge mode's sigma, the smallest, falls as J'^-q
+        assert np.max(np.abs(sigma[edge:] / expect[edge:] - 1.0), initial=0.0) < 1e-14
+        assert np.prod(sigma) == pytest.approx(1.0, rel=1e-12)   # |det B| = 1
+
+    def test_no_dense_factorization(self, monkeypatch):
+        def dense(*_args, **_kwargs):
+            raise AssertionError("a dense factorization was called")
+
+        for name in ("svd", "eigh", "eig", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, dense)
+        walk._eig_factor.cache_clear()
+        sigma, even, odd = walk._eig_factor(ChainParams(300, 1.5))
+        assert sigma.shape == (300,) and even.shape == odd.shape == (300, 300)
 
 
 class TestLrWalk:
