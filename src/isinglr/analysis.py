@@ -214,10 +214,12 @@ def lightcone(p: ChainParams, k_range: tuple, s_range: tuple,
     In double precision, cells below the 1e-13 floor are masked untrusted
     (exact zeros at s=0 stay trusted and are reported as -inf).  Passing
     `digits` switches to the arbitrary-precision row evaluation, which
-    resolves tails down to contour levels like 1e-100 and below.
+    resolves tails down to contour levels like 1e-100 and below.  An open end
+    of `k_range` (None) is the end of the chain, 1 or N.
     """
     validate_params(p)
-    k_lo, k_hi = (validate_qubit_index(p, k) for k in k_range)
+    k_lo, k_hi = (validate_qubit_index(p, end if k is None else k)
+                  for k, end in zip(k_range, (1, p.n_qubits), strict=True))
     if k_hi < k_lo:
         raise ValidationError("empty qubit range")
     ks = tuple(range(k_lo, k_hi + 1))

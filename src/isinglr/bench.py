@@ -13,8 +13,7 @@ import time
 
 import numpy as np
 
-from .params import (MAX_DENSE_QUBITS, ChainParams, DimensionGuardError, ValidationError,
-                     validate_count)
+from .params import ChainParams, ValidationError, validate_count
 from . import oracle
 from .walk import _eig_factor, lr_walk_grid
 
@@ -28,12 +27,6 @@ def time_walk(p: ChainParams, ks, ss, repeats: int = 3) -> float:
         lr_walk_grid(p, ks, ss)
         best = min(best, time.perf_counter() - t0)
     return best
-
-
-def _dense_chain(n_qubits: int, jp: float) -> ChainParams:
-    if n_qubits > MAX_DENSE_QUBITS:
-        raise DimensionGuardError(f"direct arm limited to n_qubits <= {MAX_DENSE_QUBITS}")
-    return ChainParams(n_qubits, jp)
 
 
 def scaling_report(n_qubits_list=(50, 100, 200, 400), jp: float = 0.5,
@@ -67,7 +60,7 @@ def scaling_report(n_qubits_list=(50, 100, 200, 400), jp: float = 0.5,
 def comparison_report(n_qubits: int = 10, jp: float = 0.5, s_max: float = 3.0,
                       n_times: int = 60, repeats: int = 3) -> dict:
     """Walk vs dense-oracle wall times on an identical (k, s) grid."""
-    p = _dense_chain(n_qubits, jp)
+    p = oracle._check_dense(ChainParams(n_qubits, jp))
     ks = list(range(1, n_qubits + 1))
     ss = np.linspace(0.0, s_max, n_times)
     walk_t = time_walk(p, ks, ss, repeats)
@@ -90,7 +83,7 @@ def report(n_qubits_list, compare_nq: int = 10, jp: float = 0.5, s_max: float = 
            n_times: int = 60, repeats: int = 3) -> dict:
     """Both reports, every input checked before either one times anything: the
     lengths by the scaling report, which runs first, and the rest here."""
-    _dense_chain(compare_nq, jp)
+    oracle._check_dense(ChainParams(compare_nq, jp))
     validate_count("repeats", repeats)
     return {"scaling": scaling_report(n_qubits_list, jp, s_max, n_times, repeats=repeats),
             "comparison": comparison_report(compare_nq, jp, s_max, n_times, repeats)}

@@ -126,42 +126,58 @@ def _number(kind, item: str, text: str):
         raise click.UsageError(f"{item!r} in {text!r} is not a valid {kind.__name__}") from None
 
 
+def _items(text: str, kind) -> list:
+    """A comma list of `kind` (int or float), where '...' as the next-to-last
+    item continues the two before it, start and next, as an arithmetic
+    progression that ends exactly at the last item.  Items before start are
+    kept as typed.  Terms are summed in exact decimal arithmetic, so each is
+    the value its decimal spelling would give; a last item that is not start
+    plus a whole number (at least one) of steps is a usage error."""
+    parts = [p.strip() for p in text.split(",")]
+    values = [_number(kind, p, text) for p in parts if p != "..."]
+    if "..." not in parts:
+        return values
+    i = parts.index("...")
+    if i < 2 or i != len(parts) - 2:
+        raise click.UsageError(f"cannot expand ellipsis in {text!r}; use start,next,...,end")
+    from fractions import Fraction      # imported on first use, off the start-up path
+
+    try:
+        start, nxt, end = (Fraction(parts[j]) for j in (i - 2, i - 1, i + 1))
+    except ValueError:
+        raise click.UsageError(f"progression in {text!r} needs finite terms") from None
+    step = nxt - start
+    count = (end - start) / step if step else 0
+    if count < 1 or count.denominator != 1:
+        raise click.UsageError(
+            f"ellipsis in {text!r} is not an arithmetic progression: end - start must be "
+            "a whole number (at least one) of steps next - start")
+    return values[:i - 2] + [kind(start + j * step) for j in range(int(count) + 1)]
+
+
 def parse_int_list(text: str):
-    """Integer lists: '3', '1,4,9', '1..10', or '1,3,...,39' (arithmetic).
+    """Integer lists: '3', '1,4,9', '1..10', or '1,3,...,39' (see `_items`).
 
     A list that expands to nothing, such as '3..2', or that holds an item
     that is not an integer, such as 'a', is a usage error.
     """
     text = text.strip()
-    parts = [p.strip() for p in text.split(",")]
     if ".." in text and "..." not in text:
         bounds = text.split("..")
         if len(bounds) != 2:
             raise click.UsageError(f"cannot expand range {text!r}; use start..end")
         lo, hi = (_number(int, b, text) for b in bounds)
         values = list(range(lo, hi + 1))
-    elif "..." in parts:
-        i = parts.index("...")
-        if i < 2 or i != len(parts) - 2:
-            raise click.UsageError(f"cannot expand ellipsis in {text!r}; "
-                                   "use start,next,...,end")
-        start, nxt, end = (_number(int, parts[j], text) for j in (i - 2, i - 1, i + 1))
-        step = nxt - start
-        if step == 0 or (end - start) % step != 0:
-            raise click.UsageError(f"ellipsis in {text!r} is not an arithmetic progression")
-        values = list(range(start, end + (1 if step > 0 else -1), step))
     else:
-        values = [_number(int, p, text) for p in parts]
+        values = _items(text, int)
     if not values:
         raise click.UsageError(f"{text!r} selects nothing")
     return values
 
 
 def parse_float_list(text: str):
-    parts = [p.strip() for p in text.split(",")]
-    if "..." in parts:
-        return [float(v) for v in parse_int_list(text)]
-    return [_number(float, p, text) for p in parts]
+    """Float lists: '0.5', '1,2.5', or '0.5,1,...,3' (see `_items`)."""
+    return _items(text, float)
 
 
 def time_grid(s_values, s_max, n_s):
@@ -356,8 +372,7 @@ def velocities(jp_list, nq, threshold, out, fmt_name):
 def lightcone(nq, jp, out, fmt_name, kmin, kmax, smax, ns, digits):
     """Light-cone grid: k, s, log10 C, trusted; -inf marks exact zeros."""
     p = ChainParams(nq, jp)
-    grid = analysis.lightcone(p, (kmin, kmax if kmax else nq), (0.0, smax),
-                              resolution=ns, digits=digits)
+    grid = analysis.lightcone(p, (kmin, kmax), (0.0, smax), resolution=ns, digits=digits)
     n_k, n_s = len(grid.k_values), len(grid.s_values)
     meta = {"nq": nq, "jp": jp, "precision": digits if digits else "double"}
     Output(out).table(meta, ["k", "s", "log10C", "trusted"],
@@ -383,6 +398,8 @@ def edge(jp, out, k_spec, s_values, forms, fmt_name):
     ks = parse_int_list(k_spec)
     ss = parse_float_list(s_values)
     wanted = [f.strip() for f in forms.split(",")]
+    if len(set(wanted)) != len(wanted):
+        raise click.UsageError(f"--forms {forms!r} repeats a form")
     evaluators = {"exact": asymptotics.lr_leading_exact, "largek": asymptotics.lr_leading_largek,
                   "exponential": asymptotics.lr_leading_exponential}
     unknown = [f for f in wanted if f not in evaluators]

@@ -18,7 +18,8 @@ are the open chain's exact modes (Lieb, Schultz & Mattis 1961; Pfeuty 1970),
 written down in O(N^2) with no dense factorization (see `_eig_factor`).
 Up to time s the row is nonzero in double precision only inside the light
 cone, the first ~2 pi s (1 + J') nodes, so only that prefix of the chain is
-factorized and the cost at short times does not grow with N.
+factorized and the cost at short times does not grow with N.  At s = 0 the
+row is written as the exact unit row, so C_k(0) = 0 comes from the row itself.
 
 A second route evaluates the row in arbitrary precision for the deep tail,
 where values fall below anything representable in doubles.  It runs in
@@ -69,8 +70,9 @@ from .oracle import PauliString
 #: eigendecomposition would.  The largest benchmark grid, N = 1000 out to
 #: s = 101 on 201 times, needs 1.7e6.
 MAX_GRID_ENTRIES = 2 ** 24
-#: Largest arbitrary-precision row work, Taylor steps x 2N nodes, that is
-#: started; the deep N = 200, J' = 2, s = 30 light cone needs 61 x 400.
+#: Largest arbitrary-precision row work that is started: Taylor steps x 2N
+#: nodes x max(1, digits/120)^2, as a node step costs about digits^2.4; the
+#: deep N = 200, J' = 2, s = 30 light cone at 120 digits needs 61 x 400.
 MAX_HIGHPREC_WORK = 2 ** 18
 #: Largest generator norm 2 pi h (1 + J') of one step of the row lattice.
 _LATTICE_NORM = 16.0
@@ -235,7 +237,8 @@ def _rows_eig(p: ChainParams, ss: np.ndarray) -> np.ndarray:
     """exp(-2 pi s A') first rows for each s, shape (n_s, 2N).
 
     Only the light-cone prefix of the chain is factorized; entries past it
-    are zero.
+    are zero.  The row at s = 0 is the exact unit row (node 0 only), free of
+    the factor's round-off.
     """
     q = _light_cone_qubits(p, float(np.max(ss, initial=0.0)))
     entries = (2 * q) ** 2 + len(ss) * p.n_nodes
@@ -248,18 +251,14 @@ def _rows_eig(p: ChainParams, ss: np.ndarray) -> np.ndarray:
     rows = np.zeros((len(ss), p.n_nodes))
     rows[:, 0:2 * q:2] = np.cos(theta) @ even
     rows[:, 1:2 * q:2] = np.sin(theta) @ odd
+    rows[ss == 0.0] = np.eye(1, p.n_nodes)          # exp(0) = I: the exact unit row
     return rows
 
 
 def exp_first_row(p: ChainParams, s: float) -> np.ndarray:
     """Row 1 of exp(-2 pi s A'); a unit vector since the matrix is orthogonal."""
     validate_params(p)
-    ss = validate_times([s])
-    if ss[0] == 0.0:
-        row = np.zeros(p.n_nodes)
-        row[0] = 1.0
-        return row
-    return _rows_eig(p, ss)[0]
+    return _rows_eig(p, validate_times([s]))[0]
 
 
 def _tail_correlations(rows: np.ndarray) -> np.ndarray:
@@ -274,9 +273,7 @@ def lr_walk_grid(p: ChainParams, ks, ss) -> np.ndarray:
     ks = [validate_qubit_index(p, k) for k in ks]
     ss = validate_times(ss)
     c_all = _tail_correlations(_rows_eig(p, ss))   # (n_s, 2N), column m = tail from m
-    out = c_all[:, [2 * k - 1 for k in ks]].T
-    out[:, ss == 0.0] = 0.0
-    return out
+    return c_all[:, [2 * k - 1 for k in ks]].T
 
 
 def lr_walk(p: ChainParams, k: int, s: float) -> float:
@@ -288,11 +285,6 @@ def lr_walk(p: ChainParams, k: int, s: float) -> float:
 # arbitrary-precision route
 
 
-def _check_digits(digits: int) -> None:
-    if digits < 16:
-        raise ValidationError(f"precision must be >= 16 digits, got {digits}")
-
-
 def _lattice_step(p: ChainParams) -> float:
     """Power-of-two time step h of the row lattice, with 2 pi h (1 + J') <= 16."""
     _, exponent = math.frexp(_LATTICE_NORM / (2.0 * math.pi * (1.0 + p.j_coupling)))
@@ -300,22 +292,23 @@ def _lattice_step(p: ChainParams) -> float:
 
 
 def _substeps(p: ChainParams, s_max: float) -> int:
-    """Taylor steps that reach s_max: whole lattice steps plus one partial step.
+    """Taylor steps that reach s_max: whole lattice steps plus one partial step."""
+    return math.floor(s_max / _lattice_step(p)) + 1
 
-    Every step costs 2N big-integer products per Taylor term, so a work
-    budget refuses long times up front.
-    """
-    steps = math.floor(s_max / _lattice_step(p)) + 1
-    if steps * p.n_nodes > MAX_HIGHPREC_WORK:
+
+def _row_bits(p: ChainParams, ss, digits: int) -> tuple:
+    """The fixed-point engine's one entry: checks digits >= 16, the times and
+    the work budget at the largest time, before any row is built; returns the
+    times and P = digits + 10 guard digits, plus guard bits."""
+    if digits < 16:
+        raise ValidationError(f"precision must be >= 16 digits, got {digits}")
+    ss = validate_times(ss)
+    steps = _substeps(p, float(np.max(ss, initial=0.0)))
+    if steps * p.n_nodes * max(digits, 120) ** 2 > MAX_HIGHPREC_WORK * 120 ** 2:
         raise GuardError(
-            f"{steps} steps x {p.n_nodes} nodes exceeds the arbitrary-precision "
-            f"work budget {MAX_HIGHPREC_WORK}")
-    return steps
-
-
-def _row_bits(digits: int) -> int:
-    """Fixed-point bits P: digits + 10 guard digits, plus guard bits."""
-    return math.ceil((digits + 10) * math.log2(10.0)) + _GUARD_BITS
+            f"{steps} steps x {p.n_nodes} nodes x max(1, {digits} digits/120)^2 exceeds "
+            f"the arbitrary-precision work budget {MAX_HIGHPREC_WORK}")
+    return ss, math.ceil((digits + 10) * math.log2(10.0)) + _GUARD_BITS
 
 
 def _round_shift(x: int, d: int) -> int:
@@ -465,10 +458,7 @@ def exp_first_row_highprec(p: ChainParams, s: float, digits: int = 60) -> np.nda
     import mpmath as mp
 
     validate_params(p)
-    _check_digits(digits)
-    (s,) = validate_times([s])
-    _substeps(p, s)
-    bits = _row_bits(digits)
+    (s,), bits = _row_bits(p, [s], digits)
     ((_, row, e),) = _fixed_rows(p, [s], bits)
     with mp.workdps(digits + 10):
         return np.array([mp.mpf((r, -(bits + x))) for r, x in zip(row, e)], dtype=object)
@@ -486,10 +476,7 @@ def lr_walk_grid_highprec(p: ChainParams, ks, ss, digits: int = 60) -> np.ndarra
 
     validate_params(p)
     ks = [validate_qubit_index(p, k) for k in ks]
-    _check_digits(digits)
-    ss = validate_times(ss)
-    _substeps(p, float(np.max(ss, initial=0.0)))
-    bits = _row_bits(digits)
+    ss, bits = _row_bits(p, ss, digits)
     out = np.empty((len(ks), len(ss)), dtype=object)
     with mp.workdps(digits + 10):
         for s, row, e in _fixed_rows(p, ss.tolist(), bits):

@@ -214,6 +214,13 @@ class TestLightcone:
         with pytest.raises(ValidationError):
             lightcone(ChainParams(30, 1.0), (1, 10), (0.0, 2.0), resolution=resolution)
 
+    def test_open_qubit_ends_are_the_chain_ends(self):
+        p = ChainParams(8, 0.5)
+        assert lightcone(p, (None, None), (0.0, 1.0), resolution=2).k_values == tuple(range(1, 9))
+        assert lightcone(p, (3, None), (0.0, 1.0), resolution=2).k_values == tuple(range(3, 9))
+        with pytest.raises(ValidationError):
+            lightcone(p, (1, 0), (0.0, 1.0), resolution=2)
+
     def test_time_zero_column_is_minus_inf(self):
         p = ChainParams(30, 1.0)
         grid = lightcone(p, (1, 10), (0.0, 2.0), resolution=5)

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from isinglr import ChainParams, Method, ValidationError, critical, oracle, walk
+from isinglr import (ChainParams, DimensionGuardError, Method, ValidationError, critical, oracle,
+                     walk)
 from isinglr import cli as cli_module
 from isinglr.params import cast_trusted, critical_trusted, double_trusted
 from isinglr.cli import Output, Tiled, cli, fmt, main, parse_float_list, parse_int_list
@@ -54,6 +55,24 @@ class TestListParsing:
         with pytest.raises(click.UsageError):
             parse_int_list(text)
 
+    def test_items_before_a_progression_are_kept(self):
+        assert parse_int_list("1,2,3,5,...,9") == [1, 2, 3, 5, 7, 9]
+        assert parse_float_list("0.25,1,3,...,7") == [0.25, 1.0, 3.0, 5.0, 7.0]
+
+    def test_fractional_progression_is_exact_decimal(self):
+        assert parse_float_list("0.5,1,...,3") == [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+        # each term is the double its decimal spelling gives: 0.1 + 2 * 0.1 != 0.3
+        assert parse_float_list("0.1,0.2,...,0.5") == [0.1, 0.2, 0.3, 0.4, 0.5]
+        assert parse_float_list("3,2.75,...,2") == [3.0, 2.75, 2.5, 2.25, 2.0]
+        out = run_ok(["correlate", "--nq", "6", "--jp", "0.5", "--k", "1",
+                      "--s", "0.5,1,...,3"])
+        assert [row[0] for row in parse_csv(out)[2]] == ["0.5", "1", "1.5", "2", "2.5", "3"]
+
+    @pytest.mark.parametrize("text", ["0.5,1,...,2.2", "1,3,...,1", "1,1,...,3"])
+    def test_progression_missing_its_typed_end_rejected(self, text):
+        with pytest.raises(click.UsageError, match="whole number"):
+            parse_float_list(text)
+
 
 class TestSelectionExitCodes:
     @pytest.mark.parametrize("args", [
@@ -70,6 +89,8 @@ class TestSelectionExitCodes:
         ["snapshot", "--nq", "10", "--jp", "0.5", "--s", "1", "--k", "3..2"],
         ["edge", "--jp", "2.0", "--k", "5..4", "--s", "1"],
         ["snapshot", "--nq", "10", "--jp", "0.5", "--s", "1,1"],
+        ["lightcone", "--nq", "6", "--jp", "0.5", "--kmax", "0", "--ns", "3"],
+        ["edge", "--jp", "2.0", "--k", "3", "--s", "1", "--forms", "exact,exact"],
     ])
     def test_empty_or_repeated_selection(self, args):
         assert main(args) == 1
@@ -180,6 +201,14 @@ class TestCorrelate:
     def test_highprec_work_budget_exit_code(self):
         assert main(["correlate", "--nq", "2", "--jp", "0.5", "--k", "1",
                      "--s", "1e6", "--digits", "20"]) == 2
+
+    def test_highprec_work_budget_counts_digits(self, monkeypatch):
+        def no_step(*_args):
+            raise AssertionError("a Taylor step started before the budget refused")
+
+        monkeypatch.setattr(walk, "_advance", no_step)
+        assert main(["correlate", "--nq", "2", "--jp", "0.5", "--k", "1",
+                     "--s", "0.1", "--digits", "100000"]) == 2
 
     def test_digits_without_walk_column_rejected(self):
         for method in ("critical", "direct"):
@@ -408,6 +437,13 @@ class TestBenchCommand:
     def test_dense_guard_exit_code(self):
         assert main(["bench", "--nq", "20,40", "--compare-nq", "20",
                      "--ns", "12", "--repeats", "1"]) == 2
+
+    def test_dense_refusal_is_the_oracles(self, capsys):
+        assert main(["bench", "--nq", "20,40", "--compare-nq", "15",
+                     "--ns", "12", "--repeats", "1"]) == 2
+        assert "dense oracle refuses n_qubits=15" in capsys.readouterr().err
+        with pytest.raises(DimensionGuardError, match="dense oracle refuses"):
+            cli_module.bench.comparison_report(15, repeats=1)
 
     @pytest.mark.parametrize("args", [
         ["--nq", "20,40", "--repeats", "0"],

@@ -125,6 +125,15 @@ class TestExpFirstRow:
         r = exp_first_row(ChainParams(3, 1.0), 0.0)
         assert np.array_equal(r, [1, 0, 0, 0, 0, 0])
 
+    @pytest.mark.parametrize("nq, jp, s", [(3, 1.0, 0.7), (40, 2.0, 1.3), (200, 0.5, 12.0)])
+    def test_time_zero_row_is_exact_beside_other_times(self, nq, jp, s):
+        # the factor's round-off (about 2e-16) must not reach the s = 0 row
+        p = ChainParams(nq, jp)
+        rows = _rows_eig(p, np.array([0.0, s, 0.0]))
+        unit = [1.0] + [0.0] * (p.n_nodes - 1)
+        assert rows[0].tolist() == unit and rows[2].tolist() == unit
+        assert lr_walk_grid(p, range(1, nq + 1), [0.0, s])[:, 0].tolist() == [0.0] * nq
+
     def test_single_qubit_rotation(self):
         # 2x2 generator: row is (cos 2 pi s, -sin 2 pi s)
         p = ChainParams(1, 0.9)
@@ -405,6 +414,27 @@ class TestHighPrecision:
         p = ChainParams(200, 2.0)
         assert walk._substeps(p, 30.0) == 61
         assert 61 * p.n_nodes <= walk.MAX_HIGHPREC_WORK
+
+    def test_work_budget_counts_digits(self, monkeypatch):
+        # one step on 4 nodes is cheap at 120 digits, but 100000 digits ask
+        # mpmath for pi to millions of bits and run for minutes: refused
+        def no_step(*_args):
+            raise AssertionError("a Taylor step started before the budget refused")
+
+        monkeypatch.setattr(walk, "_advance", no_step)
+        p = ChainParams(2, 0.5)
+        with pytest.raises(GuardError, match="work budget"):
+            lr_walk_grid_highprec(p, [1], [0.1], 100000)
+        with pytest.raises(GuardError, match="work budget"):
+            exp_first_row_highprec(p, 0.1, 100000)
+        # up to 120 digits the budget is that of steps x nodes alone: one
+        # step on MAX_HIGHPREC_WORK nodes fits at 120 digits, not at 121, and
+        # so does the deep N = 200, J' = 2 light cone out to s = 30
+        top = ChainParams(walk.MAX_HIGHPREC_WORK // 2, 0.5)
+        walk._row_bits(top, [0.1], 120)
+        walk._row_bits(ChainParams(200, 2.0), [30.0], 120)
+        with pytest.raises(GuardError):
+            walk._row_bits(top, [0.1], 121)
 
     @pytest.mark.parametrize("s", [0.1, 0.5, 1.5])
     def test_matches_120_digit_expm(self, s):
