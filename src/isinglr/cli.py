@@ -8,8 +8,9 @@ literal -inf and a NaN as nan.  JSON tables carry float cells as the same
 `lightcone` rows carry a `trusted` column: the AND of the trust mask of each
 value column the row prints.  `route_grid` is the one place where a route's
 grid is paired with its rule in `params`: eig walk and dense values are
-trusted at or above the 1e-13 noise floor; `--digits` walk values where the
-cast to double keeps them (an exact zero or a normal double); closed-form
+trusted at or above the 1e-13 noise floor; `--digits` walk values, each
+rounded once to a double from its integer tail sum, where that double keeps
+them (an exact zero or a normal double); closed-form
 values while their tail sum (C pi s)^2 stays a normal double.  `lightcone`
 takes its mask from `analysis.lightcone` (every `--digits` cell is trusted).
 Snapshot rows also drop past the reflection-safe horizon of their qubit.
@@ -22,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -126,13 +128,21 @@ def _number(kind, item: str, text: str):
         raise click.UsageError(f"{item!r} in {text!r} is not a valid {kind.__name__}") from None
 
 
+def _check_length(n: int, text: str):
+    """No list longer than the largest walk grid is expanded (a guard refusal)."""
+    if n > walk.MAX_GRID_ENTRIES:
+        raise GuardError(f"{text!r} expands to {n} items, above the budget {walk.MAX_GRID_ENTRIES}")
+
+
 def _items(text: str, kind) -> list:
     """A comma list of `kind` (int or float), where '...' as the next-to-last
     item continues the two before it, start and next, as an arithmetic
     progression that ends exactly at the last item.  Items before start are
-    kept as typed.  Terms are summed in exact decimal arithmetic, so each is
-    the value its decimal spelling would give; a last item that is not start
-    plus a whole number (at least one) of steps is a usage error."""
+    kept as typed.  Terms are (a + j b) / d, with d the common denominator
+    of the exact decimal start and step and one correctly rounded division
+    each, so each is the value its decimal spelling would give; a last item
+    that is not start plus a whole number (at least one) of steps is a usage
+    error."""
     parts = [p.strip() for p in text.split(",")]
     values = [_number(kind, p, text) for p in parts if p != "..."]
     if "..." not in parts:
@@ -152,7 +162,11 @@ def _items(text: str, kind) -> list:
         raise click.UsageError(
             f"ellipsis in {text!r} is not an arithmetic progression: end - start must be "
             "a whole number (at least one) of steps next - start")
-    return values[:i - 2] + [kind(start + j * step) for j in range(int(count) + 1)]
+    _check_length(i - 2 + int(count) + 1, text)
+    d = math.lcm(start.denominator, step.denominator)
+    a, b = int(start * d), int(step * d)
+    terms = range(a, a + (int(count) + 1) * b, b)
+    return values[:i - 2] + (list(map(kind, terms)) if d == 1 else [t / d for t in terms])
 
 
 def parse_int_list(text: str):
@@ -167,6 +181,7 @@ def parse_int_list(text: str):
         if len(bounds) != 2:
             raise click.UsageError(f"cannot expand range {text!r}; use start..end")
         lo, hi = (_number(int, b, text) for b in bounds)
+        _check_length(hi - lo + 1, text)
         values = list(range(lo, hi + 1))
     else:
         values = _items(text, int)
@@ -193,15 +208,15 @@ def time_grid(s_values, s_max, n_s):
 
 def route_grid(method: Method, p: ChainParams, ks, ss, digits=None):
     """One route's grid as doubles, and the trust mask from its rule in `params`:
-    the eig walk, the walk with `digits` (cast to doubles), the dense oracle or
-    the J' = 1 closed form.  The other routes ignore `digits`."""
+    the eig walk, the walk with `digits` (each cell rounded once from its
+    integer tail sum), the dense oracle or the J' = 1 closed form.  The other
+    routes ignore `digits`."""
     if method is Method.CRITICAL:
         grid = critical.lr_critical_grid(ks, ss)
         return grid, critical_trusted(grid, ss)
     if method is Method.WALK and digits is not None:
-        exact = walk.lr_walk_grid_highprec(p, ks, ss, digits)
-        grid = exact.astype(float)
-        return grid, cast_trusted(exact, grid)
+        grid, tails = walk.lr_walk_grid_doubles(p, ks, ss, digits)
+        return grid, cast_trusted(tails, grid)
     grid = (oracle.lr_direct_grid if method is Method.DIRECT else walk.lr_walk_grid)(p, ks, ss)
     return grid, double_trusted(grid, ss)
 

@@ -23,7 +23,8 @@ import math
 
 import numpy as np
 
-from .params import ValidationError, validate_positive, validate_qubit_index, validate_times
+from .params import (GuardError, ValidationError, validate_positive, validate_qubit_index,
+                     validate_times)
 
 #: Supported evaluation envelope for bessel_j.
 MAX_BESSEL_ORDER = 10_000
@@ -132,10 +133,18 @@ def lr_critical_grid(ks, ss) -> np.ndarray:
     """C_k(s) at J' = 1 for qubit list `ks` and times `ss`, shape (len(ks), len(ss)).
 
     One Bessel sweep per time serves every k: the tails sum_{m >= 2k} (m J_m)^2
-    are read off one reversed cumulative sum, added smallest terms first.
+    are read off one reversed cumulative sum, added smallest terms first.  A
+    grid whose largest sweep leaves the envelope of `bessel_j` is refused
+    before any sweep (times s = 0 need none).
     """
     ks = [validate_qubit_index(None, k) for k in ks]
     ss = validate_times(ss)
+    z_max = 4.0 * math.pi * float(np.max(ss, initial=0.0))
+    top = _tail_orders(max(ks, default=1), z_max)
+    if z_max > 0.0 and (top > MAX_BESSEL_ORDER or z_max > MAX_BESSEL_ARG):
+        raise GuardError(
+            f"the closed form sums Bessel orders to {top} at argument {z_max:g}, outside the "
+            f"supported envelope (orders <= {MAX_BESSEL_ORDER}, arguments <= {MAX_BESSEL_ARG:g})")
     out = np.zeros((len(ks), len(ss)))
     orders = 2 * np.array(ks, dtype=int)
     for j, s in enumerate(ss.tolist()):

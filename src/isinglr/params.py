@@ -140,6 +140,8 @@ def cast_trusted(exact, values) -> np.ndarray:
 
     A cell is trusted where the cast keeps it: an exact zero, or a normal
     double.  A nonzero value that casts to zero or to a subnormal is not.
+    `exact` may be the values or anything zero where they are, such as the
+    integer tail sums they are rounded from.
     """
     return (np.asarray(exact) == 0) | (np.abs(values) >= np.finfo(float).tiny)
 

@@ -42,7 +42,10 @@ oscillate, the error stays that of the largest envelope met along the way,
 as in any fixed-precision evaluation.  Rows step along a lattice of
 power-of-two steps h with 2 pi h (1 + J') <= 16, and each output time takes
 one partial step from the lattice point below it, so a value depends only
-on (N, J', s, digits).
+on (N, J', s, digits).  Each C_k(s) is read off an integer tail sum T at a
+scale 2^(-2 e); `lr_walk_grid_doubles` rounds 2 sqrt(T 2^(-2 e)) once to a
+double with integer arithmetic alone, and `lr_walk_grid_highprec` returns it
+as an mpmath float.
 """
 
 from __future__ import annotations
@@ -350,6 +353,19 @@ def _envelope_exponents(row: np.ndarray, e: list, bits: int) -> list:
     return _scale_exponents(-np.maximum.accumulate(log_r[::-1])[::-1])
 
 
+@functools.lru_cache(maxsize=1)
+def _pi_fixed(q: int) -> int:
+    """floor(pi 2^q) by Machin's formula, pi = 16 atan(1/5) - 4 atan(1/239),
+    summed in integers with 32 guard bits (one unit of error per term)."""
+    def atan_inv(x: int) -> int:
+        total, power, n = 0, (1 << (q + 32)) // x, 1
+        while power:
+            total += power // n if n % 4 == 1 else -(power // n)
+            power, n = power // (x * x), n + 2
+        return total
+    return (16 * atan_inv(5) - 4 * atan_inv(239)) >> 32
+
+
 def _step_weights(p: ChainParams, e: list, h: float, wbits: int):
     """Fixed-point weights of one Taylor step on a row with node scales e.
 
@@ -359,10 +375,8 @@ def _step_weights(p: ChainParams, e: list, h: float, wbits: int):
     right shift to apply to its product, so no weight loses bits however far
     the scales of neighbours differ.  Returns ((left, shift), (right, shift)).
     """
-    import mpmath
-
     q = wbits + 16
-    pi_q = mpmath.libmp.pi_fixed(q)
+    pi_q = _pi_fixed(q)
     base = {}
     h_num, h_den = h.as_integer_ratio()
     for c in {1.0, p.j_coupling}:
@@ -464,27 +478,48 @@ def exp_first_row_highprec(p: ChainParams, s: float, digits: int = 60) -> np.nda
         return np.array([mp.mpf((r, -(bits + x))) for r, x in zip(row, e)], dtype=object)
 
 
-def lr_walk_grid_highprec(p: ChainParams, ks, ss, digits: int = 60) -> np.ndarray:
-    """C_k(s) in arbitrary precision, shape (len(ks), len(ss)), mpmath floats.
+def _tail_grid(p: ChainParams, ks, ss, digits: int) -> tuple:
+    """Integer tail sums T and scales e of every cell, C_k(s) = 2 sqrt(T 2^(-2 e)).
 
     One fixed-point row per distinct time serves every k, as the tail sums
     of its squares; the rows step once along the time lattice.  All inputs,
     and the work budget at the largest time, are checked before the first
     row is built.
     """
+    validate_params(p)
+    nodes = [2 * validate_qubit_index(p, k) - 1 for k in ks]
+    ss, bits = _row_bits(p, ss, digits)
+    tails, scales = np.empty((2, len(nodes), len(ss)), dtype=object)
+    for s, row, e in _fixed_rows(p, ss.tolist(), bits):
+        sums = _tail_sums(row, e)
+        tails[:, ss == s] = np.array([sums[m] for m in nodes], dtype=object).reshape(-1, 1)
+        scales[:, ss == s] = np.array([bits + e[m] for m in nodes], dtype=object).reshape(-1, 1)
+    return tails, scales
+
+
+def _sqrt_double(tail: int, scale: int) -> float:
+    """2 sqrt(tail 2^(-2 scale)) rounded once to a double: an integer square root
+    with 64 spare bits and a sticky bit, then a correctly rounded int / int."""
+    g = max(0, 117 - tail.bit_length() // 2)
+    root = math.isqrt(tail << 2 * g)
+    return (root | (root * root != tail << 2 * g)) / (1 << (g + scale - 1))
+
+
+def lr_walk_grid_highprec(p: ChainParams, ks, ss, digits: int = 60) -> np.ndarray:
+    """C_k(s) in arbitrary precision, shape (len(ks), len(ss)), mpmath floats."""
     import mpmath as mp
 
-    validate_params(p)
-    ks = [validate_qubit_index(p, k) for k in ks]
-    ss, bits = _row_bits(p, ss, digits)
-    out = np.empty((len(ks), len(ss)), dtype=object)
+    tails, scales = _tail_grid(p, ks, ss, digits)
     with mp.workdps(digits + 10):
-        for s, row, e in _fixed_rows(p, ss.tolist(), bits):
-            tails = _tail_sums(row, e)
-            column = [2 * mp.sqrt(mp.mpf((tails[2 * k - 1], -2 * (bits + e[2 * k - 1]))))
-                      for k in ks]
-            out[:, ss == s] = np.array(column, dtype=object).reshape(-1, 1)
-    return out
+        cell = np.frompyfunc(lambda t, e: 2 * mp.sqrt(mp.mpf((t, -2 * e))), 2, 1)
+        return cell(tails, scales)
+
+
+def lr_walk_grid_doubles(p: ChainParams, ks, ss, digits: int = 60) -> tuple:
+    """The grid of `lr_walk_grid_highprec`, each cell rounded once to a double
+    from its integer tail sum, with no mpmath; returns (values, tails)."""
+    tails, scales = _tail_grid(p, ks, ss, digits)
+    return np.frompyfunc(_sqrt_double, 2, 1)(tails, scales).astype(float), tails
 
 
 def lr_walk_highprec(p: ChainParams, k: int, s: float, digits: int = 60):

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from isinglr import (ChainParams, DimensionGuardError, Method, ValidationError, critical, oracle,
-                     walk)
+from isinglr import (ChainParams, DimensionGuardError, GuardError, Method, ValidationError,
+                     critical, oracle, walk)
 from isinglr import cli as cli_module
 from isinglr.params import cast_trusted, critical_trusted, double_trusted
 from isinglr.cli import Output, Tiled, cli, fmt, main, parse_float_list, parse_int_list
@@ -68,6 +68,19 @@ class TestListParsing:
                       "--s", "0.5,1,...,3"])
         assert [row[0] for row in parse_csv(out)[2]] == ["0.5", "1", "1.5", "2", "2.5", "3"]
 
+    def test_expansion_past_the_grid_budget_refused(self, monkeypatch):
+        monkeypatch.setattr(walk, "MAX_GRID_ENTRIES", 1000)
+        assert len(parse_int_list("1..1000")) == len(parse_float_list("1,2,...,1000")) == 1000
+        assert len(parse_float_list("0.5,1,2,...,999")) == 1000
+        for text in ("1..1001", "0,1,...,1000", "0.5,0,1,...,999"):
+            with pytest.raises(GuardError, match="expands to 1001 items"):
+                parse_float_list(text) if "," in text else parse_int_list(text)
+        assert main(["correlate", "--nq", "4", "--jp", "0.5", "--s", "0,0.001,...,1"]) == 2
+
+    def test_billion_term_progression_refused_at_once(self):
+        assert main(["correlate", "--nq", "4", "--jp", "0.5", "--s", "0,1e-9,...,1"]) == 2
+        assert main(["correlate", "--nq", "4", "--jp", "0.5", "--k", "1..1000000000"]) == 2
+
     @pytest.mark.parametrize("text", ["0.5,1,...,2.2", "1,3,...,1", "1,1,...,3"])
     def test_progression_missing_its_typed_end_rejected(self, text):
         with pytest.raises(click.UsageError, match="whole number"):
@@ -114,6 +127,22 @@ class TestImports:
             "                             '--s', '0.3,0.6,0.3', '--digits', '20']) == 0\n"
             "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
             "               or m == 'numpy.ma' or m.startswith('numpy.ma.')))\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.strip() == ""
+
+    def test_digits_tables_load_no_mpmath(self):
+        code = (
+            "import contextlib, io, sys, isinglr.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert isinglr.cli.main(['correlate', '--nq', '10', '--jp', '0.5',\n"
+            "                             '--s', '0,0.3', '--digits', '30']) == 0\n"
+            "    assert isinglr.cli.main(['snapshot', '--nq', '16', '--jp', '1', '--s', '0.5,1',\n"
+            "                             '--critical', '--digits', '30']) == 0\n"
+            "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'mpmath'))\n")
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from isinglr import (
     ChainParams,
+    GuardError,
     ValidationError,
     ballot_count,
     bessel_j,
@@ -19,6 +20,8 @@ from isinglr import (
     lr_walk_grid,
     signed_walk_sum,
 )
+from isinglr import critical
+from isinglr.cli import main
 from isinglr.critical import critical_radicand_difference
 
 
@@ -187,6 +190,19 @@ class TestLrCritical:
                 refs.append(float(4 * mp.sqrt(tail) / z))
         got = lr_critical_grid(ks, [s])[:, 0] if isinstance(k, tuple) else [lr_critical(k, s)]
         assert list(got) == pytest.approx(refs, rel=1e-12, abs=0.0)
+
+    def test_sweep_past_the_bessel_envelope_refused(self, monkeypatch):
+        # k = 300000 needs a 600040-order sweep; no sweep may start
+        def no_sweep(*_args):
+            raise AssertionError("a Bessel sweep started before the envelope check")
+
+        monkeypatch.setattr(critical, "bessel_jn_array", no_sweep)
+        for ks, ss in [([300000], [1.0]), ([1, 4981], [0.0, 0.1]), ([1], [0.5, 1e6])]:
+            with pytest.raises(GuardError, match="envelope"):
+                lr_critical_grid(ks, ss)
+        argv = ["correlate", "--nq", "10", "--jp", "1", "--method", "critical", "--s", "1"]
+        assert main(argv + ["--k", "300000"]) == 2
+        assert lr_critical_grid([4981], [0.0])[0, 0] == 0.0        # no sweep at s = 0
 
     def test_monotone_nesting_in_k(self):
         for s in (0.5, 3.0, 11.0):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from isinglr import (
     ChainParams,
@@ -23,6 +23,7 @@ from isinglr import (
     walk_coefficients,
 )
 from isinglr import walk
+from isinglr.params import cast_trusted
 from isinglr.walk import _light_cone_qubits, _rows_eig
 
 
@@ -216,6 +217,35 @@ def _svd_factor(p):
     return sigma, ut * weight, -v.T * weight
 
 
+def _nearest_doubles(exact):
+    """The double nearest each mpmath float of `exact`, subnormals included."""
+    import mpmath as mp
+
+    def nearest(x):
+        if x >= np.finfo(float).tiny:
+            return float(x)
+        return float(mp.nint(mp.ldexp(x, 1074))) * 2.0 ** -1074   # an exact product
+    return np.frompyfunc(nearest, 1, 1)(exact).astype(float)
+
+
+def _expm_rows(p, ss):
+    """Rows of exp(-2 pi s A'): the unit row times scipy's expm(-2 pi s A' / n),
+    n times, with n a power of two that brings the norm below 1.  This is the
+    row oracle of the exact modes.  The SVD of B^T is not one: its singular
+    vectors blur where the sigma cluster (off by 1.2e-13 at q = 12, J' = 2.5e-14).
+    Neither is expm at norms up to 8 pi (off by 1.3e-13 at q = 1, J' = 2).
+    This form was within 2.9e-15 of 30-digit rows on 200 drawn shapes."""
+    rows = []
+    for s in ss:
+        n = 2 ** max(0, math.frexp(2.0 * math.pi * s * (1.0 + p.j_coupling))[1])
+        step = scipy.linalg.expm(build_adjacency(p) * (-2.0 * math.pi * s / n))
+        row = np.eye(1, p.n_nodes)[0]
+        for _ in range(n):
+            row = row @ step
+        rows.append(row)
+    return np.array(rows)
+
+
 @st.composite
 def _chains(draw):
     """(q, J'): J' drawn on [0, 8] or pinned at the points where the modes
@@ -228,19 +258,18 @@ def _chains(draw):
 
 class TestExactModes:
     @given(_chains())
+    @example((12, 2.5034090512641736e-14))
+    @example((1, 2.0))
     @settings(max_examples=200, deadline=None)
     def test_rows_match_svd_of_the_bidiagonal_block(self, chain):
         q, jp = chain
         p = ChainParams(q, jp)
-        # phases 2 pi s sigma up to 8 pi, where the SVD itself stays well
-        # inside 1e-13; all q modes enter, not just a light cone
+        # phases 2 pi s sigma up to 8 pi; all q modes enter, not just a light cone
         ss = np.array([0.05, 0.5, 4.0]) / (1.0 + jp)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(walk, "_light_cone_qubits", lambda p, s_max: p.n_qubits)
             rows = _rows_eig(p, ss)
-            mp.setattr(walk, "_eig_factor", _svd_factor)
-            reference = _rows_eig(p, ss)
-        assert np.max(np.abs(rows - reference)) < 1e-13
+        assert np.max(np.abs(rows - _expm_rows(p, ss))) < 1e-13
 
         walk._eig_factor.cache_clear()
         sigma = np.sort(walk._eig_factor(p)[0])
@@ -417,7 +446,7 @@ class TestHighPrecision:
 
     def test_work_budget_counts_digits(self, monkeypatch):
         # one step on 4 nodes is cheap at 120 digits, but 100000 digits ask
-        # mpmath for pi to millions of bits and run for minutes: refused
+        # for pi to millions of bits and run for minutes: refused
         def no_step(*_args):
             raise AssertionError("a Taylor step started before the budget refused")
 
@@ -435,6 +464,43 @@ class TestHighPrecision:
         walk._row_bits(ChainParams(200, 2.0), [30.0], 120)
         with pytest.raises(GuardError):
             walk._row_bits(top, [0.1], 121)
+
+    def test_pi_bits_from_integers(self):
+        import mpmath as mp
+
+        assert all(walk._pi_fixed(q) == mp.libmp.pi_fixed(q) for q in range(16, 4097))
+        for q in (5003, 10007, 30011):
+            assert walk._pi_fixed(q) == mp.libmp.pi_fixed(q)
+
+    @settings(max_examples=25, deadline=None)
+    @given(nq=st.integers(1, 100), jp=st.floats(0.0, 3.0),
+           ss=st.lists(st.floats(0.0, 0.3), min_size=1, max_size=3),
+           digits=st.sampled_from([16, 30]))
+    @example(nq=90, jp=1.0, ss=[0.0, 0.1, 0.12], digits=20)
+    @example(nq=111, jp=2.0, ss=[0.06254501791463911], digits=20)
+    def test_double_cast_rounds_once(self, nq, jp, ss, digits):
+        # float() of an mpmath cell rounds to 53 bits and then again below
+        # 2^-1022 (at k = 77 of the second example, one subnormal unit off);
+        # the double grid is the nearest double, and equals float() elsewhere
+        p = ChainParams(nq, jp)
+        ks = list(range(1, nq + 1))
+        values, tails = walk.lr_walk_grid_doubles(p, ks, ss, digits)
+        exact = lr_walk_grid_highprec(p, ks, ss, digits)
+        cast = exact.astype(float)
+        assert values.dtype == float and values.tobytes() == _nearest_doubles(exact).tobytes()
+        kept = (cast >= np.finfo(float).tiny) | (exact == 0)
+        assert values[kept].tobytes() == cast[kept].tobytes()
+        assert np.array_equal(tails == 0, exact == 0)
+        assert np.array_equal(cast_trusted(tails, values), cast_trusted(exact, cast))
+
+    def test_double_cast_covers_every_band(self):
+        # the first pinned shape above holds exact zeros, cells that round
+        # to zero, subnormals and normal doubles
+        p, ks = ChainParams(90, 1.0), list(range(1, 91))
+        values, tails = walk.lr_walk_grid_doubles(p, ks, [0.0, 0.1, 0.12], 20)
+        tiny = np.finfo(float).tiny
+        assert np.any(tails == 0) and np.any((values == 0.0) & (tails != 0))
+        assert np.any((values > 0.0) & (values < tiny)) and np.any(values >= tiny)
 
     @pytest.mark.parametrize("s", [0.1, 0.5, 1.5])
     def test_matches_120_digit_expm(self, s):
