@@ -27,7 +27,7 @@ from .params import (
     validate_threshold,
 )
 from .asymptotics import saturation_value, v_group_max
-from .walk import lr_walk_grid, lr_walk_grid_highprec
+from . import walk
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ def crossing_time(p: ChainParams, k: int, threshold: float,
         raise HorizonError(f"search window {s_max} exceeds reflection horizon {horizon:.4g}")
 
     grid = np.arange(0.0, s_max + coarse_step, coarse_step)
-    values = lr_walk_grid(p, [k], grid)
+    values = walk.lr_walk_grid(p, [k], grid)
     return float(_first_crossings(p, [k], threshold, grid, values, s_max)[0])
 
 
@@ -123,7 +123,7 @@ def _first_crossings(p: ChainParams, ks, threshold: float, grid: np.ndarray,
     lo, hi = grid[first], grid[first + 1]
     while np.any(wide := hi - lo > 1e-8):
         mid = 0.5 * (lo + hi)
-        below = np.diagonal(lr_walk_grid(p, ks, mid)) < threshold
+        below = np.diagonal(walk.lr_walk_grid(p, ks, mid)) < threshold
         lo = np.where(wide & below, mid, lo)
         hi = np.where(wide & ~below, mid, hi)
     return 0.5 * (lo + hi)
@@ -161,7 +161,7 @@ def front_velocity(p: ChainParams, threshold: float = 0.1,
                 1.5 * _expected_arrival(p, k_max) + 15.0)
     coarse = 0.02
     grid = np.arange(0.0, s_top + coarse, coarse)
-    times = _first_crossings(p, ks, threshold, grid, lr_walk_grid(p, ks, grid), s_top)
+    times = _first_crossings(p, ks, threshold, grid, walk.lr_walk_grid(p, ks, grid), s_top)
 
     design = np.column_stack([np.ones_like(ks, dtype=float), ks.astype(float),
                               ks.astype(float) ** (1.0 / 3.0)])
@@ -193,7 +193,7 @@ def measure_saturation(p: ChainParams, k: int, s_window: tuple,
         raise HorizonError(
             f"window end {s_hi} exceeds reflection horizon {horizon:.4g} for k={k}")
     grid = np.linspace(s_lo, s_hi, samples)
-    return float(np.max(lr_walk_grid(p, [k], grid)[0]))
+    return float(np.max(walk.lr_walk_grid(p, [k], grid)[0]))
 
 
 def saturation_window(p: ChainParams, k: int, width: float = 15.0) -> tuple:
@@ -213,9 +213,9 @@ def lightcone(p: ChainParams, k_range: tuple, s_range: tuple,
 
     In double precision, cells below the 1e-13 floor are masked untrusted
     (exact zeros at s=0 stay trusted and are reported as -inf).  Passing
-    `digits` switches to the arbitrary-precision row evaluation, which
-    resolves tails down to contour levels like 1e-100 and below.  An open end
-    of `k_range` (None) is the end of the chain, 1 or N.
+    `digits` switches to the arbitrary-precision rows, which resolve tails to
+    1e-100 and below, each log10 rounded once from its integer tail sum.  An
+    open end of `k_range` (None) is the end of the chain, 1 or N.
     """
     validate_params(p)
     k_lo, k_hi = (validate_qubit_index(p, end if k is None else k)
@@ -223,24 +223,19 @@ def lightcone(p: ChainParams, k_range: tuple, s_range: tuple,
     if k_hi < k_lo:
         raise ValidationError("empty qubit range")
     ks = tuple(range(k_lo, k_hi + 1))
-    resolution = validate_count("resolution", resolution)
+    resolution = validate_count("resolution", resolution, walk.MAX_GRID_ENTRIES)
     s_lo, s_hi = float(s_range[0]), float(s_range[1])
     if not (0.0 <= s_lo <= s_hi):
         raise ValidationError(f"bad time range {s_range}")
     ss = np.linspace(s_lo, s_hi, resolution)
 
     if digits is None:
-        values = lr_walk_grid(p, ks, ss)
+        values = walk.lr_walk_grid(p, ks, ss)
         trusted = double_trusted(values, ss)
         with np.errstate(divide="ignore"):
             logs = np.log10(np.maximum(values, 0.0))
     else:
-        import mpmath as mp
-
-        values = lr_walk_grid_highprec(p, ks, ss, digits)
-        with mp.workdps(digits + 10):
-            logs = np.array([[float(mp.log10(c)) if c > 0 else -math.inf for c in row]
-                             for row in values]).reshape(values.shape)
+        logs = walk.lr_walk_grid_log10(p, ks, ss, digits)
         trusted = np.ones_like(logs, dtype=bool)
     return LightconeGrid(k_values=ks, s_values=tuple(ss.tolist()),
                          log10_c=logs, trust_mask=trusted)

@@ -14,17 +14,16 @@ import time
 import numpy as np
 
 from .params import ChainParams, ValidationError, validate_count
-from . import oracle
-from .walk import _eig_factor, lr_walk_grid
+from . import oracle, walk
 
 
 def time_walk(p: ChainParams, ks, ss, repeats: int = 3) -> float:
     """Best-of-N wall time for a full walk-method grid, cold caches."""
     best = np.inf
     for _ in range(validate_count("repeats", repeats)):
-        _eig_factor.cache_clear()
+        walk._eig_factor.cache_clear()
         t0 = time.perf_counter()
-        lr_walk_grid(p, ks, ss)
+        walk.lr_walk_grid(p, ks, ss)
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -38,7 +37,7 @@ def scaling_report(n_qubits_list=(50, 100, 200, 400), jp: float = 0.5,
         raise ValidationError("the scaling fit needs at least two distinct chain lengths, "
                               f"got {list(n_qubits_list)}")
     chains = [ChainParams(int(nq), jp) for nq in n_qubits_list]
-    ss = np.linspace(0.0, s_max, n_times)
+    ss = np.linspace(0.0, s_max, validate_count("n_times", n_times, walk.MAX_GRID_ENTRIES))
     rows = []
     for p in chains:
         ks = list(range(1, min(k_count, p.n_qubits) + 1))
@@ -62,7 +61,7 @@ def comparison_report(n_qubits: int = 10, jp: float = 0.5, s_max: float = 3.0,
     """Walk vs dense-oracle wall times on an identical (k, s) grid."""
     p = oracle._check_dense(ChainParams(n_qubits, jp))
     ks = list(range(1, n_qubits + 1))
-    ss = np.linspace(0.0, s_max, n_times)
+    ss = np.linspace(0.0, s_max, validate_count("n_times", n_times, walk.MAX_GRID_ENTRIES))
     walk_t = time_walk(p, ks, ss, repeats)
     t0 = time.perf_counter()
     oracle.lr_direct_grid(p, ks, ss)

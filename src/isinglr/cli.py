@@ -12,7 +12,7 @@ trusted at or above the 1e-13 noise floor; `--digits` walk values, each
 rounded once to a double from its integer tail sum, where that double keeps
 them (an exact zero or a normal double); closed-form
 values while their tail sum (C pi s)^2 stays a normal double.  `lightcone`
-takes its mask from `analysis.lightcone` (every `--digits` cell is trusted).
+trusts every `--digits` cell (`analysis.lightcone`), a log10 rounded likewise.
 Snapshot rows also drop past the reflection-safe horizon of their qubit.
 
 Exit codes: 0 success, 1 usage error, 2 numeric-guard refusal.
@@ -203,6 +203,7 @@ def time_grid(s_values, s_max, n_s):
         first = np.ones(len(ss), dtype=bool)
         first[1:] = ss[1:] != ss[:-1]
         return ss[first]
+    _check_length(n_s, "--ns")
     return np.linspace(0.0, s_max, n_s)
 
 
@@ -272,9 +273,9 @@ def correlate(nq, jp, out, fmt_name, k_spec, s_values, smax, ns, method, digits)
     p = ChainParams(nq, jp)
     ks = parse_int_list(k_spec) if k_spec else list(range(1, min(nq, 10) + 1))
     ss = time_grid(s_values, smax, ns)
-    tg = TimeGrid(ss)
     routes = [Method.WALK, Method.DIRECT] if method == "both" else [Method(method)]
     grids, trust = route_grids(routes, p, ks, ss, digits)
+    tg = TimeGrid(ss)               # a Python tuple of the times: after the grid budgets
     columns = {}
     for which, grid in zip(routes, grids):
         for k, col in zip(ks, grid):

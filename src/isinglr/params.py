@@ -106,10 +106,12 @@ def validate_positive(name: str, value, allow_zero: bool = False) -> float:
     return value
 
 
-def validate_count(name: str, value) -> int:
-    """Return `value` as a plain int >= 1: a Python or numpy integer, not a bool."""
+def validate_count(name: str, value, limit: int = None) -> int:
+    """Return `value` as a plain int >= 1 (a Python or numpy integer, not a bool), <= `limit`."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
         raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+    if limit is not None and value > limit:
+        raise GuardError(f"{name} {value} is above the grid budget {limit}")
     return int(value)
 
 
@@ -122,9 +124,9 @@ def validate_threshold(threshold, plateau: float) -> float:
 
 
 # Trust masks of a (k, s) grid, one rule per route's error model; a printed
-# row is trusted where every value column it prints is.  log10 of an
-# arbitrary-precision value (`lightcone --digits`) needs no rule: the route's
-# error is relative ahead of the front, and every cell is trusted.
+# row is trusted where every value column it prints is.  `lightcone --digits`
+# needs no rule: its log10 cells, rounded once from integer tail sums, carry the
+# route's error, relative ahead of the front, and every cell is trusted.
 
 def double_trusted(values, ss) -> np.ndarray:
     """Eig walk and dense oracle: absolute error, the round-off of unit rows.

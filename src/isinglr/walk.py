@@ -43,9 +43,9 @@ as in any fixed-precision evaluation.  Rows step along a lattice of
 power-of-two steps h with 2 pi h (1 + J') <= 16, and each output time takes
 one partial step from the lattice point below it, so a value depends only
 on (N, J', s, digits).  Each C_k(s) is read off an integer tail sum T at a
-scale 2^(-2 e); `lr_walk_grid_doubles` rounds 2 sqrt(T 2^(-2 e)) once to a
-double with integer arithmetic alone, and `lr_walk_grid_highprec` returns it
-as an mpmath float.
+scale 2^(-2 e) and rounded once to a double, as 2 sqrt(T 2^(-2 e)) or as its
+log10 (ln T by an integer atanh series), in integer arithmetic alone; only
+the functions that return mpmath floats import mpmath.
 """
 
 from __future__ import annotations
@@ -294,19 +294,19 @@ def _lattice_step(p: ChainParams) -> float:
     return math.ldexp(1.0, exponent - 1)
 
 
-def _substeps(p: ChainParams, s_max: float) -> int:
-    """Taylor steps that reach s_max: whole lattice steps plus one partial step."""
-    return math.floor(s_max / _lattice_step(p)) + 1
+def _substeps(p: ChainParams, s_max: float, partial: int = 1) -> int:
+    """Taylor steps that reach s_max: whole lattice steps plus `partial` partial steps."""
+    return math.floor(s_max / _lattice_step(p)) + partial
 
 
 def _row_bits(p: ChainParams, ss, digits: int) -> tuple:
     """The fixed-point engine's one entry: checks digits >= 16, the times and
-    the work budget at the largest time, before any row is built; returns the
-    times and P = digits + 10 guard digits, plus guard bits."""
+    the work budget of every step, partial steps included, before any row is
+    built; returns the times and P = digits + 10 guard digits, plus guard bits."""
     if digits < 16:
         raise ValidationError(f"precision must be >= 16 digits, got {digits}")
-    ss = validate_times(ss)
-    steps = _substeps(p, float(np.max(ss, initial=0.0)))
+    ss, h = validate_times(ss), _lattice_step(p)
+    steps = _substeps(p, max(ss, default=0.0), len({s for s in ss.tolist() if math.fmod(s, h)}))
     if steps * p.n_nodes * max(digits, 120) ** 2 > MAX_HIGHPREC_WORK * 120 ** 2:
         raise GuardError(
             f"{steps} steps x {p.n_nodes} nodes x max(1, {digits} digits/120)^2 exceeds "
@@ -353,17 +353,27 @@ def _envelope_exponents(row: np.ndarray, e: list, bits: int) -> list:
     return _scale_exponents(-np.maximum.accumulate(log_r[::-1])[::-1])
 
 
+def _arctan_fixed(num: int, den: int, q: int, alternate: bool) -> int:
+    """atan(z) 2^(q + 32) with `alternate` signs, or atanh(z) without, z = num/den,
+    summed in integers with 32 guard bits (one unit of error per term)."""
+    total, power, n, num2, den2 = 0, (num << (q + 32)) // den, 1, num * num, den * den
+    while power:
+        total += -(power // n) if alternate and n % 4 == 3 else power // n
+        power, n = power * num2 // den2, n + 2
+    return total
+
+
 @functools.lru_cache(maxsize=1)
 def _pi_fixed(q: int) -> int:
-    """floor(pi 2^q) by Machin's formula, pi = 16 atan(1/5) - 4 atan(1/239),
-    summed in integers with 32 guard bits (one unit of error per term)."""
-    def atan_inv(x: int) -> int:
-        total, power, n = 0, (1 << (q + 32)) // x, 1
-        while power:
-            total += power // n if n % 4 == 1 else -(power // n)
-            power, n = power // (x * x), n + 2
-        return total
-    return (16 * atan_inv(5) - 4 * atan_inv(239)) >> 32
+    """floor(pi 2^q) by Machin's formula, pi = 16 atan(1/5) - 4 atan(1/239)."""
+    return (16 * _arctan_fixed(1, 5, q, True) - 4 * _arctan_fixed(1, 239, q, True)) >> 32
+
+
+@functools.lru_cache(maxsize=1)
+def _logs_fixed() -> tuple:
+    """(ln 2, ln 100) 2^152: 2 atanh(1/3), and 2 (3 ln 2 + 2 atanh(1/9))."""
+    ln2 = 2 * _arctan_fixed(1, 3, 120, False)
+    return ln2, 6 * ln2 + 4 * _arctan_fixed(1, 9, 120, False)
 
 
 def _step_weights(p: ChainParams, e: list, h: float, wbits: int):
@@ -482,9 +492,8 @@ def _tail_grid(p: ChainParams, ks, ss, digits: int) -> tuple:
     """Integer tail sums T and scales e of every cell, C_k(s) = 2 sqrt(T 2^(-2 e)).
 
     One fixed-point row per distinct time serves every k, as the tail sums
-    of its squares; the rows step once along the time lattice.  All inputs,
-    and the work budget at the largest time, are checked before the first
-    row is built.
+    of its squares.  All inputs and the work budget are checked before the
+    first row is built.
     """
     validate_params(p)
     nodes = [2 * validate_qubit_index(p, k) - 1 for k in ks]
@@ -505,6 +514,16 @@ def _sqrt_double(tail: int, scale: int) -> float:
     return (root | (root * root != tail << 2 * g)) / (1 << (g + scale - 1))
 
 
+def _log10_double(tail: int, scale: int) -> float:
+    """log10 (2 sqrt(tail 2^(-2 scale))), -inf at 0, off by < 2^-100 before one int / int:
+    ln tail = (k - 1) ln 2 + 2 atanh((t - 2^151)/(t + 2^151)), t the top 152 of its k bits."""
+    if not tail:
+        return -math.inf
+    (ln2, ln100), k, half = _logs_fixed(), tail.bit_length(), 1 << 151
+    t = _round_shift(tail, 152 - k)
+    return ((k + 1 - 2 * scale) * ln2 + 2 * _arctan_fixed(t - half, t + half, 120, False)) / ln100
+
+
 def lr_walk_grid_highprec(p: ChainParams, ks, ss, digits: int = 60) -> np.ndarray:
     """C_k(s) in arbitrary precision, shape (len(ks), len(ss)), mpmath floats."""
     import mpmath as mp
@@ -520,6 +539,11 @@ def lr_walk_grid_doubles(p: ChainParams, ks, ss, digits: int = 60) -> tuple:
     from its integer tail sum, with no mpmath; returns (values, tails)."""
     tails, scales = _tail_grid(p, ks, ss, digits)
     return np.frompyfunc(_sqrt_double, 2, 1)(tails, scales).astype(float), tails
+
+
+def lr_walk_grid_log10(p: ChainParams, ks, ss, digits: int = 60) -> np.ndarray:
+    """log10 of the grid of `lr_walk_grid_doubles`, each cell rounded once, no mpmath."""
+    return np.frompyfunc(_log10_double, 2, 1)(*_tail_grid(p, ks, ss, digits)).astype(float)
 
 
 def lr_walk_highprec(p: ChainParams, k: int, s: float, digits: int = 60):

@@ -77,6 +77,25 @@ class TestListParsing:
                 parse_float_list(text) if "," in text else parse_int_list(text)
         assert main(["correlate", "--nq", "4", "--jp", "0.5", "--s", "0,0.001,...,1"]) == 2
 
+    def test_time_count_past_the_grid_budget_refused(self, monkeypatch):
+        def no_grid(*_args, **_kwargs):
+            raise AssertionError("a time grid was built before its count was checked")
+
+        monkeypatch.setattr(walk, "MAX_GRID_ENTRIES", 1000)
+        monkeypatch.setattr(np, "linspace", no_grid)
+        for args in (["correlate", "--nq", "4", "--jp", "0.5"],
+                     ["lightcone", "--nq", "4", "--jp", "0.5"],
+                     ["bench", "--nq", "4,6", "--compare-nq", "4", "--repeats", "1"]):
+            assert main(args + ["--ns", "1001"]) == 2
+        assert main(["correlate", "--nq", "4", "--jp", "0.5", "--ns", "1001", "--s", "1"]) == 0
+        p = ChainParams(4, 0.5)
+        with pytest.raises(GuardError, match="resolution 1001"):
+            cli_module.analysis.lightcone(p, (1, 4), (0.0, 1.0), resolution=1001)
+        with pytest.raises(GuardError, match="n_times 1001"):
+            cli_module.bench.scaling_report((4, 6), n_times=1001, repeats=1)
+        with pytest.raises(GuardError, match="n_times 1001"):
+            cli_module.bench.comparison_report(4, n_times=1001, repeats=1)
+
     def test_billion_term_progression_refused_at_once(self):
         assert main(["correlate", "--nq", "4", "--jp", "0.5", "--s", "0,1e-9,...,1"]) == 2
         assert main(["correlate", "--nq", "4", "--jp", "0.5", "--k", "1..1000000000"]) == 2
@@ -134,21 +153,37 @@ class TestImports:
                               text=True, check=True)
         assert done.stdout.strip() == ""
 
-    def test_digits_tables_load_no_mpmath(self):
+    def test_digits_tables_load_no_mpmath(self, tmp_path):
+        # every command, --digits tables included, with mpmath unimportable
+        recipe = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                              "recipes", "leading_edge_n10_jp05_highprec.json")
+        commands = [
+            ["correlate", "--nq", "10", "--jp", "0.5", "--s", "0,0.3", "--digits", "30"],
+            ["correlate", "--nq", "6", "--jp", "0.5", "--s", "0,0.3", "--method", "both"],
+            ["correlate", "--nq", "6", "--jp", "1", "--s", "0,0.3", "--method", "critical"],
+            ["snapshot", "--nq", "16", "--jp", "1", "--s", "0.5,1", "--critical", "--digits", "30"],
+            ["lightcone", "--nq", "8", "--jp", "0.5", "--smax", "1", "--ns", "3"],
+            ["lightcone", "--nq", "8", "--jp", "0", "--smax", "1", "--ns", "3", "--digits", "20"],
+            ["edge", "--jp", "2.0", "--k", "11300,11340", "--s", "930,932"],
+            ["front", "--nq", "60", "--jp", "1.0", "--kmin", "10", "--kmax", "24"],
+            ["saturation", "--jp", "0.5,2", "--nq", "80", "--k", "6"],
+            ["velocities", "--jp", "1", "--nq", "70"],
+            ["bench", "--nq", "4,6", "--compare-nq", "4", "--ns", "3", "--repeats", "1"],
+            ["recipe", recipe, "--out", str(tmp_path / "recipe.csv")],
+        ]
         code = (
-            "import contextlib, io, sys, isinglr.cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert isinglr.cli.main(['correlate', '--nq', '10', '--jp', '0.5',\n"
-            "                             '--s', '0,0.3', '--digits', '30']) == 0\n"
-            "    assert isinglr.cli.main(['snapshot', '--nq', '16', '--jp', '1', '--s', '0.5,1',\n"
-            "                             '--critical', '--digits', '30']) == 0\n"
-            "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'mpmath'))\n")
+            "import contextlib, io, sys\n"
+            "sys.modules['mpmath'] = None\n"
+            "import isinglr.cli\n"
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert isinglr.cli.main(argv) == 0, argv\n")
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, check=True)
-        assert done.stdout.strip() == ""
+                              text=True)
+        assert done.returncode == 0, done.stderr
 
     def test_double_precision_correlate_loads_no_mpmath(self):
         code = (
@@ -227,6 +262,14 @@ class TestCorrelate:
         monkeypatch.setattr(cli_module.walk, "_eig_factor", no_factor)
         assert main(["correlate", "--nq", "200000", "--jp", "0.5", "--ns", "200000"]) == 2
 
+    def test_time_tuple_built_after_the_walk_budget(self, monkeypatch):
+        def no_tuple(*_args):
+            raise AssertionError("a TimeGrid was built before the walk budget refused")
+
+        monkeypatch.setattr(walk, "MAX_GRID_ENTRIES", 1000)
+        monkeypatch.setattr(cli_module, "TimeGrid", no_tuple)
+        assert main(["correlate", "--nq", "4", "--jp", "0.5", "--ns", "200"]) == 2
+
     def test_highprec_work_budget_exit_code(self):
         assert main(["correlate", "--nq", "2", "--jp", "0.5", "--k", "1",
                      "--s", "1e6", "--digits", "20"]) == 2
@@ -238,6 +281,16 @@ class TestCorrelate:
         monkeypatch.setattr(walk, "_advance", no_step)
         assert main(["correlate", "--nq", "2", "--jp", "0.5", "--k", "1",
                      "--s", "0.1", "--digits", "100000"]) == 2
+
+    def test_highprec_work_budget_counts_partial_steps(self, monkeypatch):
+        # every time below the first lattice point takes its own partial step:
+        # 1999 steps on 400 nodes, although the largest time needs only one
+        def no_step(*_args):
+            raise AssertionError("a Taylor step started before the budget refused")
+
+        monkeypatch.setattr(walk, "_advance", no_step)
+        assert main(["correlate", "--nq", "200", "--jp", "2", "--k", "1,100", "--smax", "0.45",
+                     "--ns", "2000", "--digits", "30"]) == 2
 
     def test_digits_without_walk_column_rejected(self):
         for method in ("critical", "direct"):

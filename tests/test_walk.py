@@ -493,6 +493,46 @@ class TestHighPrecision:
         assert np.array_equal(tails == 0, exact == 0)
         assert np.array_equal(cast_trusted(tails, values), cast_trusted(exact, cast))
 
+    @settings(max_examples=25, deadline=None)
+    @given(nq=st.integers(1, 100), jp=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+           ss=st.lists(st.floats(0.0, 0.3), min_size=1, max_size=3),
+           digits=st.sampled_from([16, 30]))
+    @example(nq=90, jp=1.0, ss=[0.0, 0.1, 0.12], digits=20)
+    @example(nq=12, jp=0.0, ss=[0.25, 0.7], digits=16)
+    def test_log10_cast_matches_mpmath(self, nq, jp, ss, digits):
+        # the mpmath log10 that `lightcone --digits` printed, cell for cell,
+        # exact zeros (-inf) and cells far below 1e-308 included
+        import mpmath as mp
+
+        p = ChainParams(nq, jp)
+        ks = list(range(1, nq + 1))
+        logs = walk.lr_walk_grid_log10(p, ks, ss, digits)
+        exact = lr_walk_grid_highprec(p, ks, ss, digits)
+        with mp.workdps(digits + 10):
+            want = np.frompyfunc(lambda c: float(mp.log10(c)) if c > 0 else -math.inf,
+                                 1, 1)(exact).astype(float)
+        assert logs.dtype == float and logs.tobytes() == want.tobytes()
+
+    def test_log10_cast_covers_every_band(self):
+        # the first pinned shape above holds exact zeros and cells down to
+        # 1e-362; the second, at J' = 0, C_1 = 2 |sin 2 pi s| and C_k>1 = 0
+        logs = walk.lr_walk_grid_log10(ChainParams(90, 1.0), range(1, 91), [0.0, 0.1, 0.12], 20)
+        assert np.any(logs == -math.inf) and np.any(logs < -308) and np.any(logs > -13)
+        logs = walk.lr_walk_grid_log10(ChainParams(12, 0.0), range(1, 13), [0.25, 0.7], 16)
+        assert np.all(logs[1:] == -math.inf)
+        assert logs[0, 0] == math.log10(2.0)
+        assert logs[0, 1] == pytest.approx(math.log10(2.0 * math.sin(0.4 * math.pi)), rel=1e-15)
+
+    def test_log_constants_from_the_shared_series(self):
+        # ln 2 and ln 100 come from the series of Machin's pi, without
+        # alternation, at 152 bits
+        import mpmath as mp
+
+        with mp.workdps(60):
+            ln2, ln100 = (mp.ldexp(x, -152) for x in walk._logs_fixed())
+            assert abs(ln2 - mp.log(2)) < mp.mpf(2) ** -140
+            assert abs(ln100 - mp.log(100)) < mp.mpf(2) ** -140
+
     def test_double_cast_covers_every_band(self):
         # the first pinned shape above holds exact zeros, cells that round
         # to zero, subnormals and normal doubles
