@@ -14,19 +14,22 @@ pre-front region (radicand ~ 1e-30 against z^2/4 ~ 1e4) never happens.
 
 Bessel values come from Miller's backward recurrence with the even-order
 normalization sum; forward recurrence is unstable for order > argument, which
-is exactly the regime the closed form needs.
+is exactly the regime the closed form needs.  The recurrence is carried as
+ratios of neighbouring orders (Gautschi, SIAM Review 9 (1967) 24), which
+need no seed scale, no overflow rescale and no small-argument branch, and
+one sweep runs over a whole array of arguments.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
-from .params import (GuardError, ValidationError, validate_positive, validate_qubit_index,
-                     validate_times)
+from .params import GuardError, ValidationError, validate_qubit_index, validate_times
 
-#: Supported evaluation envelope for bessel_j.
+#: Supported evaluation envelope of the Bessel sweep.
 MAX_BESSEL_ORDER = 10_000
 MAX_BESSEL_ARG = 1.0e6
 
@@ -64,60 +67,44 @@ def _miller_start(n_max: int, x: float) -> int:
     return start + (start % 2)
 
 
-def bessel_jn_array(n_max: int, x: float) -> np.ndarray:
-    """J_0(x) .. J_{n_max}(x) by one backward-recurrence sweep.
+def _order(name: str, n) -> int:
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or not 0 <= n <= MAX_BESSEL_ORDER:
+        raise ValidationError(f"{name} must be an integer in [0, {MAX_BESSEL_ORDER}], got {n!r}")
+    return int(n)
 
-    Runs Miller's algorithm from a seed high above both n_max and x and
-    normalizes with J_0 + 2 sum_m J_{2m} = 1, rescaling on the way down to
-    dodge overflow.
+
+def bessel_jn_array(n_max: int, x) -> np.ndarray:
+    """J_0(x) .. J_{n_max}(x): shape (n_max + 1,) for scalar x, (n_max + 1, len(x)) for 1-D x.
+
+    One backward sweep serves every argument.  From an order high above n_max
+    and max x it carries the ratios q_m = J_m / J_{m-1} = x / (2m - x q_{m+1})
+    and u_m = q_m ([m even] + u_{m+1}), so the normalization J_0 + 2 sum_m
+    J_{2m} = 1 gives J_0 = 1 / (1 + 2 u_1), and J_m = J_0 q_1 ... q_m.  An
+    exact zero denominator (x on a zero of J_{m-1}) is nudged to 2m eps.
     """
-    if n_max < 0:
-        raise ValidationError("n_max must be >= 0")
-    x = validate_positive("argument", x, allow_zero=True)
-    out = np.zeros(n_max + 1)
-    if x == 0.0:
-        out[0] = 1.0
-        return out
-    if x < 1e-12:
-        # ascending-series limit J_m(x) ~ (x/2)^m / m!; relative error O(x^2).
-        # Also dodges 2/x overflow for denormal arguments.
-        term = 1.0
-        for m in range(n_max + 1):
-            out[m] = term
-            term *= x / (2.0 * (m + 1))
-            if term == 0.0:
-                break
-        return out
-    two_over_x = 2.0 / x
-    j_up = 0.0          # J_{m+1} estimate
-    j_cur = 1e-30       # J_m estimate, arbitrary seed scale
-    even_sum = 0.0
-    for m in range(_miller_start(n_max, x), 0, -1):
-        j_down = m * two_over_x * j_cur - j_up
-        j_up = j_cur
-        j_cur = j_down
-        if abs(j_cur) > 1e250:
-            j_cur *= 1e-250
-            j_up *= 1e-250
-            even_sum *= 1e-250
-            out *= 1e-250
-        order = m - 1
-        if order <= n_max:
-            out[order] = j_cur
-        if order > 0 and order % 2 == 0:
-            even_sum += 2.0 * j_cur
-    out /= even_sum + j_cur
-    return out
+    n_max = _order("order", n_max)
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim > 1 or not np.all((xs >= 0.0) & (xs <= MAX_BESSEL_ARG)):
+        raise ValidationError(f"arguments must be a scalar or 1-D in [0, {MAX_BESSEL_ARG:g}], "
+                              f"got {x!r}")
+    xv = np.atleast_1d(xs)
+    q = u = np.zeros_like(xv)
+    out = np.empty((n_max + 1, xv.size))
+    two_eps = 2.0 * np.finfo(float).eps
+    for m in range(_miller_start(n_max, float(np.max(xv, initial=0.0))), 0, -1):
+        d = 2.0 * m - xv * q
+        d[d == 0.0] = m * two_eps
+        q = xv / d
+        u = q * ((m % 2 == 0) + u)
+        if m <= n_max:
+            out[m] = q
+    out[0] = 1.0 / (1.0 + 2.0 * u)
+    np.cumprod(out, axis=0, out=out)
+    return out if xs.ndim else out[:, 0]
 
 
 def bessel_j(order: int, z: float) -> float:
     """Bessel function of the first kind J_order(z) on the supported envelope."""
-    if not isinstance(order, int) or order < 0:
-        raise ValidationError(f"order must be a nonnegative integer, got {order!r}")
-    if order > MAX_BESSEL_ORDER:
-        raise ValidationError(f"order {order} outside supported envelope (<= {MAX_BESSEL_ORDER})")
-    if not math.isfinite(z) or z < 0.0 or z > MAX_BESSEL_ARG:
-        raise ValidationError(f"argument {z!r} outside supported envelope [0, {MAX_BESSEL_ARG:g}]")
     return float(bessel_jn_array(order, z)[order])
 
 
@@ -129,13 +116,18 @@ def _tail_orders(k: int, z: float) -> int:
     return max(2 * k, int(math.ceil(z + 18.0 * max(z, 1.0) ** (1.0 / 3.0)))) + 40
 
 
+#: Orders x times of one Bessel sweep in lr_critical_grid; bounds its memory.
+SWEEP_BLOCK = 2**20
+
+
 def lr_critical_grid(ks, ss) -> np.ndarray:
     """C_k(s) at J' = 1 for qubit list `ks` and times `ss`, shape (len(ks), len(ss)).
 
-    One Bessel sweep per time serves every k: the tails sum_{m >= 2k} (m J_m)^2
-    are read off one reversed cumulative sum, added smallest terms first.  A
-    grid whose largest sweep leaves the envelope of `bessel_j` is refused
-    before any sweep (times s = 0 need none).
+    One Bessel sweep per block of times serves every k, with blocks of at most
+    SWEEP_BLOCK orders x times: the tails sum_{m >= 2k} (m J_m)^2 are read off
+    one reversed cumulative sum, added smallest terms first.  A grid whose
+    largest sweep leaves the envelope of `bessel_j` is refused before any
+    sweep; times s = 0, where C = 0, need none.
     """
     ks = [validate_qubit_index(None, k) for k in ks]
     ss = validate_times(ss)
@@ -147,14 +139,13 @@ def lr_critical_grid(ks, ss) -> np.ndarray:
             f"supported envelope (orders <= {MAX_BESSEL_ORDER}, arguments <= {MAX_BESSEL_ARG:g})")
     out = np.zeros((len(ks), len(ss)))
     orders = 2 * np.array(ks, dtype=int)
-    for j, s in enumerate(ss.tolist()):
-        if s == 0.0:
-            continue
-        z = 4.0 * math.pi * s
-        top = _tail_orders(max(ks, default=1), z)
-        terms = (np.arange(top + 1, dtype=float) * bessel_jn_array(top, z)) ** 2
-        tails = np.cumsum(terms[::-1])[::-1]
-        out[:, j] = 4.0 * np.sqrt(tails[orders]) / z
+    live = np.flatnonzero(ss)
+    step = max(1, SWEEP_BLOCK // (top + 1))
+    m = np.arange(top + 1, dtype=float)[:, None]
+    for cols in (live[i:i + step] for i in range(0, live.size, step)):
+        z = 4.0 * math.pi * ss[cols]
+        tails = np.cumsum(((m * bessel_jn_array(top, z)) ** 2)[::-1], axis=0)[::-1]
+        out[:, cols] = 4.0 * np.sqrt(tails[orders]) / z
     return out
 
 
@@ -169,10 +160,8 @@ def critical_radicand_difference(k: int, z: float) -> float:
     Mathematically identical to the tail sum lr_critical uses; kept for
     testing that the subtracted form stays nonnegative up to round-off.
     """
-    if k < 1:
-        raise ValidationError("qubit index must be >= 1")
-    j = bessel_jn_array(2 * k - 1, z)
-    m = np.arange(1, 2 * k, dtype=float)
+    j = bessel_jn_array(2 * validate_qubit_index(None, k) - 1, z)
+    m = np.arange(1, j.size, dtype=float)
     # (z/2)^2 rounds once; z*z/4 rounds twice once z^2 is subnormal
     return (0.5 * z) ** 2 - float(np.sum((m * j[1:]) ** 2))
 
@@ -182,10 +171,5 @@ def bessel_sum_check(z: float, m_trunc: int) -> float:
 
     Independent consistency probe for the identities behind the closed form.
     """
-    if m_trunc < 0:
-        raise ValidationError("truncation must be >= 0")
-    if m_trunc == 0:
-        return 0.0
-    j = bessel_jn_array(2 * m_trunc, z)
-    m = np.arange(1, m_trunc + 1, dtype=float)
-    return float(np.sum(m * m * j[2::2]))
+    m = np.arange(1, _order("truncation", m_trunc) + 1, dtype=float)
+    return float(np.sum(m * m * bessel_jn_array(2 * m.size, z)[2::2]))

@@ -173,9 +173,7 @@ class TimeGrid:
 
     @classmethod
     def linspace(cls, s_max: float, n: int, s_min: float = 0.0) -> "TimeGrid":
-        if n < 1:
-            raise ValidationError("time grid needs at least one point")
-        if n == 1:
+        if validate_count("time grid size", n) == 1:
             return cls((s_min,))
         step = (s_max - s_min) / (n - 1)
         return cls(tuple(s_min + i * step for i in range(n)))

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from isinglr import (
@@ -18,11 +20,12 @@ from isinglr import (
     lr_critical,
     lr_critical_grid,
     lr_walk_grid,
+    reflection_safe_horizon,
     signed_walk_sum,
 )
 from isinglr import critical
 from isinglr.cli import main
-from isinglr.critical import critical_radicand_difference
+from isinglr.critical import MAX_BESSEL_ARG, MAX_BESSEL_ORDER, critical_radicand_difference
 
 
 @lru_cache(maxsize=None)
@@ -134,6 +137,67 @@ class TestBesselJ:
         with pytest.raises(ValidationError):
             bessel_j(1, -1.0)
 
+    @pytest.mark.parametrize("call", [
+        lambda: bessel_jn_array(3.5, 1.0),
+        lambda: bessel_jn_array(True, 1.0),
+        lambda: bessel_jn_array(-1, 1.0),
+        lambda: bessel_jn_array(MAX_BESSEL_ORDER + 1, 1.0),
+        lambda: bessel_jn_array(5, np.nextafter(MAX_BESSEL_ARG, np.inf)),
+        lambda: bessel_jn_array(5, [1.0, np.nan]),
+        lambda: bessel_jn_array(5, [[1.0]]),
+        lambda: bessel_sum_check(10.0, 2.5),
+        lambda: bessel_sum_check(1.0, MAX_BESSEL_ORDER // 2 + 1),
+        lambda: critical_radicand_difference(2.5, 3.0),
+        lambda: critical_radicand_difference(MAX_BESSEL_ORDER // 2 + 1, 1.0),
+    ], ids=["float-order", "bool-order", "negative-order", "order-past-envelope",
+            "argument-past-envelope", "nan-argument", "2d-argument", "float-truncation",
+            "truncation-past-envelope", "float-qubit", "qubit-past-envelope"])
+    def test_every_entry_checks_orders_and_the_envelope(self, call):
+        # non-integer orders are ValidationError, not numpy's TypeError, and a
+        # sweep just past the envelope is refused before it starts
+        with pytest.raises(ValidationError):
+            call()
+
+    def test_numpy_integer_orders_accepted(self):
+        assert bessel_j(np.int64(3), 1.0) == bessel_j(3, 1.0)
+        assert bessel_sum_check(10.0, np.int32(40)) == bessel_sum_check(10.0, 40)
+
+    def test_one_sweep_covers_every_regime(self):
+        # zero, subnormal, tiny, a zero of J_0 and a large argument in one call;
+        # each column matches its own call and 30-digit mpmath
+        xs = [0.0, 5e-324, 1e-200, 1e-13, 2.404825557695773, 251.3]
+        arr = bessel_jn_array(300, xs)
+        assert arr.shape == (301, len(xs))
+        mp.mp.dps = 30
+        for j, x in enumerate(xs):
+            own = bessel_jn_array(300, x)
+            assert np.array_equal(arr[:, j] == 0.0, own == 0.0)
+            assert np.allclose(arr[:, j], own, rtol=1e-14, atol=0.0)
+            ref = np.array([float(mp.besselj(m, mp.mpf(x))) for m in range(301)])
+            # relative past the turning point m = x, absolute where J_m oscillates
+            tol = np.where(np.arange(301) > x, 1e-14 * np.abs(ref) + 1e-300, 2e-16)
+            assert np.all(np.abs(arr[:, j] - ref) <= tol), x
+
+    def test_zero_denominators_stay_finite(self):
+        # arguments within 3 ulps of the first 60 zeros of J_0..J_39, where
+        # 2m - x q_{m+1} can round to exactly zero.  scipy's jv is slow past
+        # order 20, so it is evaluated at the zeros only and carried to their
+        # neighbours by the Taylor term J_m' = (J_{m-1} - J_{m+1}) / 2
+        zeros = np.concatenate([scipy.special.jn_zeros(m, 60) for m in range(40)])
+        steps = [zeros]
+        for direction in (-np.inf, np.inf):
+            x = zeros
+            for _ in range(3):
+                x = np.nextafter(x, direction)
+                steps.append(x)
+        xs = np.concatenate(steps)
+        arr = bessel_jn_array(39, xs)
+        assert xs.size == 16_800 and np.all(np.isfinite(arr))
+        at_zeros = scipy.special.jv(np.arange(-1, 41)[:, None], zeros)    # J_-1 .. J_40
+        slope = np.tile(at_zeros[:-2] - at_zeros[2:], 7) / 2.0
+        ref = np.tile(at_zeros[1:-1], 7) + (xs - np.tile(zeros, 7)) * slope
+        assert np.max(np.abs(arr - ref)) <= 1e-14
+
 
 class TestBesselSumCheck:
     def test_zero_argument(self):
@@ -203,6 +267,63 @@ class TestLrCritical:
         argv = ["correlate", "--nq", "10", "--jp", "1", "--method", "critical", "--s", "1"]
         assert main(argv + ["--k", "300000"]) == 2
         assert lr_critical_grid([4981], [0.0])[0, 0] == 0.0        # no sweep at s = 0
+
+    def test_one_sweep_per_block_of_times(self, monkeypatch):
+        sweep, calls = critical.bessel_jn_array, []
+
+        def spy(n_max, x):
+            calls.append(np.size(x))
+            return sweep(n_max, x)
+
+        monkeypatch.setattr(critical, "bessel_jn_array", spy)
+        ks, ss = [1, 2, 5, 10, 20, 40, 60, 80], np.linspace(0.0, 20.0, 401)
+        whole = lr_critical_grid(ks, ss)
+        assert calls == [400]                                  # s = 0 needs no sweep
+        calls.clear()
+        assert lr_critical_grid([1, 4981], [0.0, 0.0]).tolist() == [[0.0, 0.0]] * 2
+        assert calls == []
+        monkeypatch.setattr(critical, "SWEEP_BLOCK", 4000)     # 9 times per block
+        blocked = lr_critical_grid(ks, ss)
+        assert calls == [9] * 44 + [4]
+        np.testing.assert_allclose(blocked, whole, rtol=1e-14, atol=0.0)
+
+    def test_long_grid_memory_bounded_by_blocks(self):
+        # one unblocked sweep over these 200,000 times would peak near 300 MB
+        tracemalloc.start()
+        try:
+            grid = lr_critical_grid([1, 3], np.linspace(0.0, 1.0, 200_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert grid[0, -1] == lr_critical(1, 1.0)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_walk_matches_closed_form_inside_half_the_horizon(self, data):
+        # cells inside half the reflection-safe horizon of an N-qubit chain,
+        # walked on a 4N-qubit chain: at s <= h/2 its end lies past the
+        # light-cone bound of walk._light_cone_qubits, so the walk is the
+        # semi-infinite chain to round-off.  The N-qubit chain's own last
+        # qubits already feel its open end there (see the next test)
+        n = data.draw(st.integers(min_value=20, max_value=300), label="N")
+        ks = data.draw(st.lists(st.integers(min_value=1, max_value=n), min_size=8, max_size=8),
+                       label="ks")
+        horizon = min(reflection_safe_horizon(ChainParams(n, 1.0), k) for k in ks)
+        ss = data.draw(st.lists(st.floats(min_value=0.0, max_value=horizon / 2), min_size=12,
+                                max_size=12), label="ss")
+        walk = lr_walk_grid(ChainParams(4 * n, 1.0), ks, ss)
+        assert np.max(np.abs(walk - lr_critical_grid(ks, ss))) <= 1e-12
+
+    def test_open_end_moves_the_last_qubit_inside_half_the_horizon(self):
+        # the finite chain's horizon does not hold for its last qubit: at half
+        # of it C_20 on 20 qubits is 2.7 % above the semi-infinite value,
+        # which the 80-qubit walk and the closed form agree on
+        p = ChainParams(20, 1.0)
+        s = reflection_safe_horizon(p, 20) / 2
+        crit = lr_critical(20, s)
+        assert lr_walk_grid(ChainParams(80, 1.0), [20], [s])[0, 0] == pytest.approx(crit, rel=1e-9)
+        assert lr_walk_grid(p, [20], [s])[0, 0] > 1.02 * crit
 
     def test_monotone_nesting_in_k(self):
         for s in (0.5, 3.0, 11.0):

@@ -99,6 +99,15 @@ class TestTimeGrid:
         g = TimeGrid.linspace(3.0, 4)
         assert g.values == (0.0, 1.0, 2.0, 3.0)
 
+    @pytest.mark.parametrize("n", [True, 2.5, 0, -3, "4"])
+    def test_linspace_count_must_be_an_integer(self, n):
+        with pytest.raises(ValidationError):
+            TimeGrid.linspace(3.0, n)
+
+    def test_linspace_numpy_count(self):
+        assert TimeGrid.linspace(3.0, np.int64(4)).values == (0.0, 1.0, 2.0, 3.0)
+        assert TimeGrid.linspace(3.0, 1, s_min=0.5).values == (0.5,)
+
 
 class TestCorrelationSeries:
     def test_bound_enforced_for_exact_methods(self):
