@@ -18,8 +18,10 @@ are the open chain's exact modes (Lieb, Schultz & Mattis 1961; Pfeuty 1970),
 written down in O(N^2) with no dense factorization (see `_eig_factor`).
 Up to time s the row is nonzero in double precision only inside the light
 cone, the first ~2 pi s (1 + J') nodes, so only that prefix of the chain is
-factorized and the cost at short times does not grow with N.  At s = 0 the
-row is written as the exact unit row, so C_k(0) = 0 comes from the row itself.
+factorized and the cost at short times does not grow with N.  A grid builds
+rows on that prefix a block of times at a time and keeps only the tail sums
+asked for, so it holds one block plus its answer, whatever N and the times.
+At s = 0 the row is the exact unit row, so C_k(0) = 0 comes from the row itself.
 
 A second route evaluates the row in arbitrary precision for the deep tail,
 where values fall below anything representable in doubles.  It runs in
@@ -65,14 +67,17 @@ from .params import (
 )
 from .oracle import PauliString
 
-#: Largest double-precision walk grid, in float entries, that is allocated:
+#: Largest double-precision walk grid, in float entries, that is admitted:
 #: (2q)^2 for the factor of the light-cone prefix plus one (n_s, 2N) row
-#: array (several such arrays are live at once).  The factor, the open q-qubit
+#: array.  The budget still counts that array, though rows are built one
+#: `_GRID_BLOCK` at a time over the prefix alone.  The factor, the open q-qubit
 #: chain's exact modes built in O(q^2), is two q x q halves: the (2q)^2 term
 #: over-counts it by 2x, so the budget refuses the grids that a full tridiagonal
 #: eigendecomposition would.  The largest benchmark grid, N = 1000 out to
 #: s = 101 on 201 times, needs 1.7e6.
 MAX_GRID_ENTRIES = 2 ** 24
+#: Row entries (times x 2q light-cone nodes) built at once by `lr_walk_grid`.
+_GRID_BLOCK = 2 ** 17
 #: Largest arbitrary-precision row work that is started: Taylor steps x 2N
 #: nodes x max(1, digits/120)^2, as a node step costs about digits^2.4; the
 #: deep N = 200, J' = 2, s = 30 light cone at 120 digits needs 61 x 400.
@@ -218,9 +223,16 @@ def _eig_factor(p: ChainParams):
     """
     q, jp = p.n_qubits, p.j_coupling
     psi, t, n = _bulk_phases(q, jp), _edge_root(q, jp), np.arange(q + 1)
-    y = np.multiply.outer(np.arange(q + 1, 2 * q), n) % (2 * q) * (math.pi / q)
-    y -= np.multiply.outer(psi, n / q)
-    even, odd = np.sin(y[:, :-1] + psi[:, None]), np.sin(y[:, 1:])   # (-1)^n u_n, -(-1)^n v_n
+    halves = np.empty((2, q, q))                   # bulk modes j = 1..q-1, then mode q
+    even, odd = halves[0, :-1], halves[1, :-1]     # (-1)^n u_n, -(-1)^n v_n
+    np.multiply.outer(psi, n[:-1] / q, out=odd)    # scratch until the sines overwrite it
+    np.multiply.outer(np.arange(q + 1, 2 * q, dtype=float), n[:-1], out=even)
+    even %= 2 * q                                  # phases m (k + pi) at n = 0..q-1 from
+    even *= math.pi / q                            # integers, exact in doubles
+    even -= odd
+    np.sin(even[:, 1:], out=odd[:, :-1])
+    odd[:, -1] = np.sin(np.arange(q + 1, 2 * q) * q % (2 * q) * (math.pi / q) - psi)
+    np.sin(np.add(even, psi[:, None], out=even), out=even)
     norm_u, norm_v = np.einsum("jn,jn->j", even, even), np.einsum("jn,jn->j", odd, odd)
     even *= (np.sin(psi) / norm_u)[:, None]
     odd *= (np.sin(psi) / np.sqrt(norm_u * norm_v))[:, None]
@@ -233,28 +245,40 @@ def _eig_factor(p: ChainParams):
     else:
         edge = n[1:] * np.sinc(r * n[1:] / math.pi)
     edge *= edge[-1] / np.dot(edge, edge)
-    return sigma, np.vstack([even, edge[::-1]]), np.vstack([odd, -edge])
+    halves[0, -1], halves[1, -1] = edge[::-1], -edge
+    return sigma, halves[0], halves[1]
 
 
-def _rows_eig(p: ChainParams, ss: np.ndarray) -> np.ndarray:
-    """exp(-2 pi s A') first rows for each s, shape (n_s, 2N).
-
-    Only the light-cone prefix of the chain is factorized; entries past it
-    are zero.  The row at s = 0 is the exact unit row (node 0 only), free of
-    the factor's round-off.
-    """
+def _grid_factor(p: ChainParams, ss: np.ndarray) -> tuple:
+    """The cached factor of the light-cone prefix for times `ss`, once the grid
+    budget admits (2q)^2 factor entries plus an (n_s, 2N) row array."""
     q = _light_cone_qubits(p, float(np.max(ss, initial=0.0)))
     entries = (2 * q) ** 2 + len(ss) * p.n_nodes
     if entries > MAX_GRID_ENTRIES:
         raise GuardError(
             f"a walk grid of {len(ss)} times x {p.n_nodes} nodes on a {q}-qubit light "
             f"cone needs {entries} entries, above the budget {MAX_GRID_ENTRIES}")
-    sigma, even, odd = _eig_factor(ChainParams(q, p.j_coupling))
+    return _eig_factor(ChainParams(q, p.j_coupling))
+
+
+def _cone_rows(factor: tuple, ss: np.ndarray) -> np.ndarray:
+    """exp(-2 pi s A') first rows on the factor's 2q-node prefix, shape (n_s, 2q);
+    the row at s = 0 is the exact unit row, free of the factor's round-off."""
+    sigma, even, odd = factor
     theta = np.multiply.outer(2.0 * np.pi * ss, sigma)
+    rows = np.empty((len(ss), 2 * len(sigma)))
+    rows[:, 0::2] = np.cos(theta) @ even
+    rows[:, 1::2] = np.sin(theta, out=theta) @ odd
+    rows[ss == 0.0] = np.eye(1, rows.shape[1])     # exp(0) = I: the exact unit row
+    return rows
+
+
+def _rows_eig(p: ChainParams, ss: np.ndarray) -> np.ndarray:
+    """exp(-2 pi s A') first rows for each s, shape (n_s, 2N): the light-cone
+    prefix's rows of `_cone_rows`, zero past it."""
+    factor = _grid_factor(p, ss)
     rows = np.zeros((len(ss), p.n_nodes))
-    rows[:, 0:2 * q:2] = np.cos(theta) @ even
-    rows[:, 1:2 * q:2] = np.sin(theta) @ odd
-    rows[ss == 0.0] = np.eye(1, p.n_nodes)          # exp(0) = I: the exact unit row
+    rows[:, :2 * len(factor[0])] = _cone_rows(factor, ss)
     return rows
 
 
@@ -265,18 +289,29 @@ def exp_first_row(p: ChainParams, s: float) -> np.ndarray:
 
 
 def _tail_correlations(rows: np.ndarray) -> np.ndarray:
-    """C values for every k from exponential rows: 2 sqrt(tail sums of r^2)."""
-    tail = np.cumsum((rows ** 2)[:, ::-1], axis=1)[:, ::-1]
-    return 2.0 * np.sqrt(tail)
+    """C values for every k from exponential rows, in place: 2 sqrt(tail sums of r^2)."""
+    np.cumsum(np.square(rows, out=rows)[:, ::-1], axis=1, out=rows[:, ::-1])
+    return np.multiply(np.sqrt(rows, out=rows), 2.0, out=rows)
 
 
 def lr_walk_grid(p: ChainParams, ks, ss) -> np.ndarray:
-    """C_k(s) for qubit list `ks` and time array `ss`, shape (len(ks), len(ss))."""
+    """C_k(s) for qubit list `ks` and time array `ss`, shape (len(ks), len(ss)).
+
+    Rows are built over the light-cone prefix of q qubits, `_GRID_BLOCK // 2q`
+    times at a time, and each block keeps only the tail columns of `ks`; a k
+    past the prefix reads exactly 0, as its rows are exactly zero there.
+    """
     validate_params(p)
-    ks = [validate_qubit_index(p, k) for k in ks]
+    nodes = np.array([2 * validate_qubit_index(p, k) - 1 for k in ks], dtype=int)
     ss = validate_times(ss)
-    c_all = _tail_correlations(_rows_eig(p, ss))   # (n_s, 2N), column m = tail from m
-    return c_all[:, [2 * k - 1 for k in ks]].T
+    factor = _grid_factor(p, ss)
+    inside = nodes < 2 * len(factor[0])
+    out = np.zeros((len(nodes), len(ss)))
+    step = max(1, _GRID_BLOCK // (2 * len(factor[0])))
+    for i in range(0, len(ss), step):
+        tails = _tail_correlations(_cone_rows(factor, ss[i:i + step]))
+        out[inside, i:i + step] = tails[:, nodes[inside]].T
+    return out
 
 
 def lr_walk(p: ChainParams, k: int, s: float) -> float:

@@ -113,13 +113,13 @@ class TestFrontVelocity:
 
     def test_bisects_every_k_together(self, monkeypatch):
         batches = []
-        real = walk._rows_eig
+        real = walk._cone_rows
 
-        def counted(p, ss):
+        def counted(factor, ss):
             batches.append(len(ss))
-            return real(p, ss)
+            return real(factor, ss)
 
-        monkeypatch.setattr(walk, "_rows_eig", counted)
+        monkeypatch.setattr(walk, "_cone_rows", counted)
         p = ChainParams(60, 0.5)
         est = front_velocity(p, threshold=0.1, fit_range=(10, 30))
         assert len(batches) <= 25

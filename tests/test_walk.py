@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -288,6 +289,18 @@ class TestExactModes:
         sigma, even, odd = walk._eig_factor(ChainParams(300, 1.5))
         assert sigma.shape == (300,) and even.shape == odd.shape == (300, 300)
 
+    def test_factor_built_in_place(self):
+        # the two q x q halves are written into one array, with no stacked copy
+        # and no q x q temporary beside them
+        walk._eig_factor.cache_clear()
+        tracemalloc.start()
+        try:
+            sigma, even, odd = walk._eig_factor(ChainParams(1024, 1.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * (sigma.nbytes + even.nbytes + odd.nbytes)
+
 
 class TestLrWalk:
     def test_zero_at_time_zero(self):
@@ -357,6 +370,64 @@ class TestLrWalk:
         p, ss = ChainParams(1000, 0.5), np.linspace(0.0, 101.0, 201)
         q = walk._light_cone_qubits(p, 101.0)
         assert 8 * ((2 * q) ** 2 + len(ss) * p.n_nodes) < walk.MAX_GRID_ENTRIES
+
+    def _blocks(self, monkeypatch, p, ks, ss, block):
+        """The grid at `block` row entries per block, and the rows and factors
+        of its blocks."""
+        real, calls = walk._cone_rows, []
+
+        def recorded(factor, times):
+            rows = real(factor, times)
+            calls.append((factor, rows.copy()))
+            return rows
+
+        with monkeypatch.context() as mp:
+            mp.setattr(walk, "_cone_rows", recorded)
+            mp.setattr(walk, "_GRID_BLOCK", block)
+            grid = lr_walk_grid(p, ks, ss)
+        return grid, calls
+
+    @pytest.mark.parametrize("nq, jp, ks, ss, blocks, zeros", [
+        # k = 900 lies past 2q = 1152 at every time, and the other k at s = 0
+        (1000, 0.5, [1, 100, 500, 900], np.linspace(0.0, 100.0, 201), 2, 201 + 3),
+        (40, 2.0, range(1, 41), [0.0, 0.7, 0.0, 1.3, 0.0, 0.0, 2.1], 1, 4 * 40),
+    ])
+    def test_blocked_grid_is_exact(self, monkeypatch, nq, jp, ks, ss, blocks, zeros):
+        # at the default blocks and at one time per block, the grid is bit for
+        # bit the full-width tail sums of its own rows, all blocks share one
+        # factor, and s = 0 cells and k past the 2q-node prefix are exactly 0.
+        # BLAS rounds a row's product differently with the number of rows in
+        # the call (one row is a matrix-vector product), so the two block sizes
+        # may differ there by an ulp
+        p, ss = ChainParams(nq, jp), np.asarray(ss)
+        cols = np.array([2 * k - 1 for k in ks])
+        q = walk._light_cone_qubits(p, float(ss.max()))
+        zero = (cols[:, None] >= 2 * q) | (ss == 0.0)
+        assert zero.sum() == zeros
+        default = lr_walk_grid(p, ks, ss)
+        for block, count in ((walk._GRID_BLOCK, blocks), (1, len(ss))):
+            grid, calls = self._blocks(monkeypatch, p, ks, ss, block)
+            assert len(calls) == count and len({id(factor) for factor, _ in calls}) == 1
+            rows = np.zeros((len(ss), p.n_nodes))
+            rows[:, :2 * q] = np.concatenate([r for _, r in calls])
+            full = 2.0 * np.sqrt(np.cumsum((rows ** 2)[:, ::-1], axis=1)[:, ::-1])
+            assert np.array_equal(grid, full[:, cols].T)
+            assert np.array_equal(grid[zero], np.zeros(zero.sum()))
+            assert np.max(np.abs(grid - default)) < 1e-14
+
+    def test_long_grid_memory_bounded_by_blocks(self):
+        # one (n_s, 2N) row array and its tail sums for these 20,000 times
+        # would peak near 180 MB
+        p = ChainParams(200, 0.5)
+        walk._eig_factor.cache_clear()
+        tracemalloc.start()
+        try:
+            grid = lr_walk_grid(p, [1, 100], np.linspace(0.0, 30.0, 20_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert grid[0, -1] == pytest.approx(lr_walk(p, 1, 30.0), abs=1e-13)
 
     def test_grid_matches_single_point(self):
         p = ChainParams(140, 1.7)
