@@ -18,6 +18,7 @@ import numpy as np
 from .params import (
     ChainParams,
     HorizonError,
+    ThresholdNotReachedError,
     ValidationError,
     double_trusted,
     validate_count,
@@ -84,10 +85,10 @@ def _expected_arrival(p: ChainParams, k: int) -> float:
 
 def crossing_time(p: ChainParams, k: int, threshold: float,
                   coarse_step: float = 0.02, s_max: float = None) -> float:
-    """First time C_k reaches `threshold`: coarse bracket, then bisection to 1e-8.
+    """First time C_k reaches `threshold`: a coarse bracket, then solved to 1e-8.
 
     Later re-crossings from quantum oscillations are ignored; front arrival
-    is the first-passage event.
+    is the first-passage event.  See `_first_crossings`.
     """
     validate_params(p)
     validate_qubit_index(p, k)
@@ -102,30 +103,45 @@ def crossing_time(p: ChainParams, k: int, threshold: float,
         raise HorizonError(f"search window {s_max} exceeds reflection horizon {horizon:.4g}")
 
     grid = np.arange(0.0, s_max + coarse_step, coarse_step)
-    values = walk.lr_walk_grid(p, [k], grid)
-    return float(_first_crossings(p, [k], threshold, grid, values, s_max)[0])
+    return float(_first_crossings(p, [k], threshold, grid, s_max)[0])
 
 
 def _first_crossings(p: ChainParams, ks, threshold: float, grid: np.ndarray,
-                     values: np.ndarray, s_end: float) -> np.ndarray:
-    """First upward crossing of `threshold` for every k, bisected to 1e-8.
+                     s_end: float) -> np.ndarray:
+    """First upward crossing of `threshold` for every k: the midpoint of a
+    sign-change bracket at most 1e-8 wide.
 
-    Each k is bracketed in the coarse sweep `values`, shape
-    (len(ks), len(grid)); then all k are bisected together, one walk grid
-    with one time per k per step.
+    The coarse sweep over `grid` stops after the first block of times in which
+    every k has crossed.  The ITP method (Oliveira & Takahashi, ACM TOMS 47
+    (2020), art. 5; eps = 5e-9, n0 = 1) then solves all first brackets together
+    from the sweep's values at their ends, in at most one step more than
+    bisection, each step one walk grid over the open brackets, of which it keeps
+    the diagonal C_{k_i}(s_i).
     """
-    up = (values[:, :-1] < threshold) & (values[:, 1:] >= threshold)
+    for stop, values in walk.lr_walk_blocks(p, ks, grid):
+        up = (values[:, :stop - 1] < threshold) & (values[:, 1:stop] >= threshold)
+        if up.any(axis=1).all():
+            break
     missed = ~up.any(axis=1)
     if missed.any():
         raise ThresholdNotReachedError(
             f"C_{ks[np.argmax(missed)]} never reaches {threshold} before s = {s_end:.4g}")
-    first = np.argmax(up, axis=1)
+    ks, first = np.asarray(ks), np.argmax(up, axis=1)
     lo, hi = grid[first], grid[first + 1]
-    while np.any(wide := hi - lo > 1e-8):
-        mid = 0.5 * (lo + hi)
-        below = np.diagonal(walk.lr_walk_grid(p, ks, mid)) < threshold
-        lo = np.where(wide & below, mid, lo)
-        hi = np.where(wide & ~below, mid, hi)
+    f_lo, f_hi = (values[np.arange(len(ks)), first + d] - threshold for d in (0, 1))
+    eps, step, kappa1 = 5e-9, 0, 0.2 / (hi - lo)
+    n_max = np.ceil(np.log2((hi - lo) / (2.0 * eps))) + 1.0       # bisection's steps + n0
+    while (i := np.flatnonzero(hi - lo > 2.0 * eps)).size:
+        a, b, fa, fb = lo[i], hi[i], f_lo[i], f_hi[i]
+        mid, radius = 0.5 * (a + b), eps * 2.0 ** (n_max[i] - step) - 0.5 * (b - a)
+        falsi = (b * fa - a * fb) / (fa - fb)
+        toward, delta = np.sign(mid - falsi), kappa1[i] * (b - a) ** 2
+        x = np.where(delta <= np.abs(mid - falsi), falsi + toward * delta, mid)
+        x = np.where(np.abs(x - mid) <= radius, x, mid - toward * radius)
+        f = np.diagonal(walk.lr_walk_grid(p, ks[i], x)) - threshold
+        below, step = f < 0.0, step + 1
+        lo[i[below]], f_lo[i[below]] = x[below], f[below]
+        hi[i[~below]], f_hi[i[~below]] = x[~below], f[~below]
     return 0.5 * (lo + hi)
 
 
@@ -161,7 +177,7 @@ def front_velocity(p: ChainParams, threshold: float = 0.1,
                 1.5 * _expected_arrival(p, k_max) + 15.0)
     coarse = 0.02
     grid = np.arange(0.0, s_top + coarse, coarse)
-    times = _first_crossings(p, ks, threshold, grid, walk.lr_walk_grid(p, ks, grid), s_top)
+    times = _first_crossings(p, ks, threshold, grid, s_top)
 
     design = np.column_stack([np.ones_like(ks, dtype=float), ks.astype(float),
                               ks.astype(float) ** (1.0 / 3.0)])

@@ -155,8 +155,8 @@ def _light_cone_qubits(p: ChainParams, s_max: float) -> int:
     K = A'/(1 + J') and ||P_j(K)|| <= 1, and row 1 of P_j(K) involves only
     the first j + 1 nodes.  The Bessel coefficients fall below double
     precision past order y + 14 y^(1/3) + 40, so a chain cut after that many
-    nodes gives the same row.  Rounding up to 32 qubits lets nearby grids and
-    bisection steps share one cached factorization.
+    nodes gives the same row.  Rounding up to 32 qubits lets nearby grids share
+    one cached factorization.
     """
     y = 2.0 * math.pi * s_max * (1.0 + p.j_coupling)
     nodes = y + 14.0 * max(y, 1.0) ** (1.0 / 3.0) + 40.0
@@ -294,13 +294,9 @@ def _tail_correlations(rows: np.ndarray) -> np.ndarray:
     return np.multiply(np.sqrt(rows, out=rows), 2.0, out=rows)
 
 
-def lr_walk_grid(p: ChainParams, ks, ss) -> np.ndarray:
-    """C_k(s) for qubit list `ks` and time array `ss`, shape (len(ks), len(ss)).
-
-    Rows are built over the light-cone prefix of q qubits, `_GRID_BLOCK // 2q`
-    times at a time, and each block keeps only the tail columns of `ks`; a k
-    past the prefix reads exactly 0, as its rows are exactly zero there.
-    """
+def lr_walk_blocks(p: ChainParams, ks, ss):
+    """`lr_walk_grid` a block of times at a time: yields (stop, out) after each
+    block, `out` its one answer, final up to column `stop`, so a sweep may stop."""
     validate_params(p)
     nodes = np.array([2 * validate_qubit_index(p, k) - 1 for k in ks], dtype=int)
     ss = validate_times(ss)
@@ -308,9 +304,21 @@ def lr_walk_grid(p: ChainParams, ks, ss) -> np.ndarray:
     inside = nodes < 2 * len(factor[0])
     out = np.zeros((len(nodes), len(ss)))
     step = max(1, _GRID_BLOCK // (2 * len(factor[0])))
-    for i in range(0, len(ss), step):
+    for i in range(0, len(ss) or 1, step):
         tails = _tail_correlations(_cone_rows(factor, ss[i:i + step]))
         out[inside, i:i + step] = tails[:, nodes[inside]].T
+        yield min(i + step, len(ss)), out
+
+
+def lr_walk_grid(p: ChainParams, ks, ss) -> np.ndarray:
+    """C_k(s) for qubit list `ks` and time array `ss`, shape (len(ks), len(ss)).
+
+    Rows are built over the light-cone prefix of q qubits, `_GRID_BLOCK // 2q`
+    times at a time, and each block keeps only the tail columns of `ks`; a k
+    past the prefix reads exactly 0, as its rows are exactly zero there.
+    """
+    for _, out in lr_walk_blocks(p, ks, ss):
+        pass
     return out
 
 

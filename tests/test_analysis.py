@@ -151,6 +151,89 @@ class TestFrontVelocity:
             FrontEstimate(0.1, ((1, 0.4), (2, 0.5)), -1.0, (1, 2))
 
 
+def _bisected_crossings(p, ks, threshold):
+    """Plain bisection: the first coarse bracket at step 0.02, halved to 1e-8."""
+    grid = np.arange(0.0, reflection_safe_horizon(p, max(ks)), 0.02)
+    values = walk.lr_walk_grid(p, ks, grid)
+    first = np.argmax((values[:, :-1] < threshold) & (values[:, 1:] >= threshold), axis=1)
+    lo, hi = grid[first], grid[first + 1]
+    while np.any(hi - lo > 1e-8):
+        mid = 0.5 * (lo + hi)
+        below = np.diagonal(walk.lr_walk_grid(p, ks, mid)) < threshold
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+class TestCrossingSolve:
+    @staticmethod
+    def _steps(monkeypatch):
+        """Per-k step counts of the crossing solve, filled as it runs; the
+        coarse sweep goes through `lr_walk_blocks`, so every grid is a step."""
+        real, steps = walk.lr_walk_grid, {}
+
+        def counted(p, ks, ss):
+            for k in ks.tolist():
+                steps[k] = steps.get(k, 0) + 1
+            return real(p, ks, ss)
+
+        monkeypatch.setattr(walk, "lr_walk_grid", counted)
+        return steps
+
+    @staticmethod
+    def _sweeps(monkeypatch):
+        """(grid, times built) of every `lr_walk_blocks` run, filled as it runs."""
+        real, sweeps = walk.lr_walk_blocks, []
+
+        def recorded(p, ks, ss):
+            sweeps.append([np.asarray(ss), 0])
+            for stop, out in real(p, ks, ss):
+                sweeps[-1][1] = stop
+                yield stop, out
+
+        monkeypatch.setattr(walk, "lr_walk_blocks", recorded)
+        return sweeps
+
+    @pytest.mark.parametrize("threshold", [0.1, 1e-5])
+    @pytest.mark.parametrize("nq, jp", [(120, 0.5), (120, 2.0), (200, 0.25), (200, 1.0),
+                                        (200, 4.0)])
+    def test_matches_plain_bisection(self, monkeypatch, nq, jp, threshold):
+        p = ChainParams(nq, jp)
+        steps = self._steps(monkeypatch)
+        est = front_velocity(p, threshold)
+        monkeypatch.undo()
+        ks = [k for k, _ in est.crossing_times]
+        times = np.array([s for _, s in est.crossing_times])
+        assert np.max(np.abs(times - _bisected_crossings(p, ks, threshold))) <= 1e-8
+        # ITP with n0 = 1 takes at most one step more than the 21 of bisection
+        assert sorted(steps) == ks and max(steps.values()) <= 22
+
+    @pytest.mark.parametrize("jp", [0.5, 2.0])
+    def test_scan_fronts_solve_in_few_steps(self, monkeypatch, jp):
+        steps = self._steps(monkeypatch)
+        front_velocity(ChainParams(120, jp), fit_range=(10, 84))
+        assert len(steps) == 75 and max(steps.values()) <= 14
+
+    def test_sweep_stops_after_the_last_first_crossing(self, monkeypatch):
+        p = ChainParams(120, 2.0)
+        sweeps = self._sweeps(monkeypatch)
+        est = front_velocity(p, fit_range=(10, 84))
+        monkeypatch.undo()
+        (grid, built), *_ = sweeps       # then one run per solve step
+        assert grid[1] == 0.02 and built < len(grid)
+        values = walk.lr_walk_grid(p, range(10, 85), grid)
+        first = np.argmax((values[:, :-1] < 0.1) & (values[:, 1:] >= 0.1), axis=1)
+        for (k, s), j in zip(est.crossing_times, first):
+            assert grid[j] < s < grid[j + 1]
+
+    def test_unreached_threshold_sweeps_to_the_end_then_refuses(self, monkeypatch):
+        sweeps = self._sweeps(monkeypatch)
+        with pytest.raises(ThresholdNotReachedError, match="C_30 never reaches"):
+            crossing_time(ChainParams(60, 1.0), 30, 0.1, s_max=1.0)
+        with pytest.raises(ThresholdNotReachedError):
+            front_velocity(ChainParams(30, 0.5), 1.9999, fit_range=(3, 6))
+        assert len(sweeps) == 2 and all(built == len(grid) for grid, built in sweeps)
+
+
 class TestFrontVelocityAcrossCouplings:
     """Heavier sweeps of the full 200-qubit front extraction."""
 

@@ -446,6 +446,12 @@ class TestFrontCommand:
         data = json.loads(run_ok(["front", "--nq", "60", "--jp", "1.0", "--kmax", "24"]))
         assert data["fit_range"] == [10, 24]
 
+    def test_unreached_threshold_is_a_guard_refusal(self, capsys):
+        # C_4 at J' = 0.5 stays below 1.9999 < C_sat = 2 up to its search window
+        assert main(["front", "--nq", "30", "--jp", "0.5", "--threshold", "1.9999",
+                     "--kmin", "3", "--kmax", "6"]) == 2
+        assert "numeric guard: C_4 never reaches 1.9999" in capsys.readouterr().err
+
     @pytest.mark.parametrize("args", [
         ["front", "--nq", "60", "--jp", "1.0", "--threshold", "nan"],
         ["front", "--nq", "60", "--jp", "1.0", "--threshold", "-0.1"],
