@@ -135,7 +135,9 @@ def _first_crossings(p: ChainParams, ks, threshold: float, grid: np.ndarray,
         a, b, fa, fb = lo[i], hi[i], f_lo[i], f_hi[i]
         mid, radius = 0.5 * (a + b), eps * 2.0 ** (n_max[i] - step) - 0.5 * (b - a)
         falsi = (b * fa - a * fb) / (fa - fb)
-        toward, delta = np.sign(mid - falsi), kappa1[i] * (b - a) ** 2
+        # a truncation below a few ulps of s would round back onto the same point
+        toward = np.sign(mid - falsi)
+        delta = np.maximum(kappa1[i] * (b - a) ** 2, 4.0 * np.spacing(mid))
         x = np.where(delta <= np.abs(mid - falsi), falsi + toward * delta, mid)
         x = np.where(np.abs(x - mid) <= radius, x, mid - toward * radius)
         f = np.diagonal(walk.lr_walk_grid(p, ks[i], x)) - threshold

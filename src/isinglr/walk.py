@@ -22,6 +22,11 @@ factorized and the cost at short times does not grow with N.  A grid builds
 rows on that prefix a block of times at a time and keeps only the tail sums
 asked for, so it holds one block plus its answer, whatever N and the times.
 At s = 0 the row is the exact unit row, so C_k(0) = 0 comes from the row itself.
+A row is q-term cosine and sine sums of the phases 2 pi s sigma_j; in a block
+of evenly spaced times each phase is an anchor's plus an offset's, from two
+tables of about sqrt(n_s) rows joined by angle addition.  That and the BLAS
+blocking of the row products round with the grid, so a double cell may differ
+in its last bits with the grid it is computed in.
 
 A second route evaluates the row in arbitrary precision for the deep tail,
 where values fall below anything representable in doubles.  It runs in
@@ -200,6 +205,17 @@ def _edge_root(q: int, jp: float) -> float:
     return (lo + hi) / 2
 
 
+def _angle_sums(coarse: np.ndarray, fine: np.ndarray) -> tuple:
+    """cos and sin of coarse + fine, broadcast, by angle addition from the
+    cosines and sines of the two tables alone (Tang, ACM TOMS 15 (1989) 144):
+    tables of A and B angles give all A B sums for A + B sines and cosines."""
+    cos_a, sin_a, cos_b, sin_b = np.cos(coarse), np.sin(coarse), np.cos(fine), np.sin(fine)
+    cos, sin = cos_a * cos_b, sin_a * cos_b
+    cos -= sin_a * sin_b
+    sin += cos_a * sin_b
+    return cos, sin
+
+
 @functools.lru_cache(maxsize=1)
 def _eig_factor(p: ChainParams):
     """Spectral factorization of i A' from the exact modes of the open chain.
@@ -215,7 +231,10 @@ def _eig_factor(p: ChainParams):
     Mattis 1961; Pfeuty 1970), built in O(q^2): u_n = sin(k n + psi),
     v_n = sin(k (n + 1)), sigma = |1 + J' e^{ik}|, psi = arg(J' + e^{ik}) and
     k = (pi j - psi)/q, j = 1..q.  Phases m (k + pi) = pi ((j + q) m mod 2q)/q
-    - psi m/q are reduced in exact integers, so no entry loses q ulps.  Mode
+    - psi m/q are reduced in exact integers, so no entry loses q ulps, at the
+    nodes m = a B and m = b < B, B = isqrt(q) + 1; `_angle_sums` joins them into
+    every node's sin and cos, B modes at a time, from about 4 q^1.5 sines in all,
+    and sin(k n + psi) is one more angle addition with cos psi and sin psi.  Mode
     q, nearest k = pi, is (-1)^n (S(q - n), S(n + 1)) in the variable t of
     `_edge_root`, continuous where it meets k = pi at J' = 1 + 1/q and turns
     into the edge mode, whose sigma is 1/prod(other sigma) as |det B| = 1.
@@ -225,17 +244,19 @@ def _eig_factor(p: ChainParams):
     psi, t, n = _bulk_phases(q, jp), _edge_root(q, jp), np.arange(q + 1)
     halves = np.empty((2, q, q))                   # bulk modes j = 1..q-1, then mode q
     even, odd = halves[0, :-1], halves[1, :-1]     # (-1)^n u_n, -(-1)^n v_n
-    np.multiply.outer(psi, n[:-1] / q, out=odd)    # scratch until the sines overwrite it
-    np.multiply.outer(np.arange(q + 1, 2 * q, dtype=float), n[:-1], out=even)
-    even %= 2 * q                                  # phases m (k + pi) at n = 0..q-1 from
-    even *= math.pi / q                            # integers, exact in doubles
-    even -= odd
-    np.sin(even[:, 1:], out=odd[:, :-1])
-    odd[:, -1] = np.sin(np.arange(q + 1, 2 * q) * q % (2 * q) * (math.pi / q) - psi)
-    np.sin(np.add(even, psi[:, None], out=even), out=even)
+    width = math.isqrt(q) + 1                      # nodes a width + b cover n = 0..q
+    coarse, fine = (np.multiply.outer(np.arange(q + 1, 2 * q), m) % (2 * q) * (math.pi / q)
+                    - np.multiply.outer(psi, m / q) for m in (n[::width], n[:width]))
+    cos_psi, sin_psi = np.cos(psi)[:, None], np.sin(psi)[:, None]
+    for j in range(0, q - 1, width):               # a block of modes at a time
+        cos, sin = (x.reshape(len(x), -1) for x in
+                    _angle_sums(coarse[j:j + width, :, None], fine[j:j + width, None, :]))
+        odd[j:j + width] = sin[:, 1:q + 1]
+        np.multiply(sin[:, :q], cos_psi[j:j + width], out=even[j:j + width])
+        even[j:j + width] += cos[:, :q] * sin_psi[j:j + width]
     norm_u, norm_v = np.einsum("jn,jn->j", even, even), np.einsum("jn,jn->j", odd, odd)
-    even *= (np.sin(psi) / norm_u)[:, None]
-    odd *= (np.sin(psi) / np.sqrt(norm_u * norm_v))[:, None]
+    even *= sin_psi / norm_u[:, None]
+    odd *= sin_psi / np.sqrt(norm_u * norm_v)[:, None]
     r = math.sqrt(abs(t))
     eps = np.append((math.pi * (q - n[1:-1]) + psi) / q, r)
     sigma = np.hypot(1.0 - jp, 2.0 * math.sqrt(jp) * np.sin(eps / 2))
@@ -261,14 +282,34 @@ def _grid_factor(p: ChainParams, ss: np.ndarray) -> tuple:
     return _eig_factor(ChainParams(q, p.j_coupling))
 
 
-def _cone_rows(factor: tuple, ss: np.ndarray) -> np.ndarray:
-    """exp(-2 pi s A') first rows on the factor's 2q-node prefix, shape (n_s, 2q);
-    the row at s = 0 is the exact unit row, free of the factor's round-off."""
-    sigma, even, odd = factor
+def _time_phases(ss: np.ndarray, sigma: np.ndarray) -> tuple:
+    """cos and sin of 2 pi s sigma, each of shape (n_s, q).  At 32 or more times,
+    each within 4 ulps of an anchor plus b steps, with an anchor every B ~ sqrt(n_s)
+    times and b < B, they come from the anchors' and the offsets' tables by
+    `_angle_sums`; linspace, arange and the CLI's decimal progressions qualify.
+    Any other time list keeps the direct formula, bit for bit."""
+    n = len(ss)
+    if n >= 32:
+        width = math.isqrt(n - 1) + 1
+        offsets = np.arange(width) * ((ss[-1] - ss[0]) / (n - 1))
+        grid = np.add.outer(ss[::width], offsets).ravel()[:n]
+        if np.all(np.abs(ss - grid) <= 4.0 * np.spacing(ss)):
+            return tuple(x.reshape(-1, len(sigma))[:n] for x in _angle_sums(
+                np.multiply.outer(2.0 * np.pi * ss[::width], sigma)[:, None],
+                np.multiply.outer(2.0 * np.pi * offsets, sigma)))
     theta = np.multiply.outer(2.0 * np.pi * ss, sigma)
+    return np.cos(theta), np.sin(theta, out=theta)
+
+
+def _cone_rows(factor: tuple, ss: np.ndarray) -> np.ndarray:
+    """exp(-2 pi s A') first rows on the factor's 2q-node prefix, shape (n_s, 2q),
+    the factor's sums over the cosines and sines of `_time_phases`; the row at
+    s = 0 is the exact unit row, free of the factor's round-off."""
+    sigma, even, odd = factor
+    cos, sin = _time_phases(ss, sigma)
     rows = np.empty((len(ss), 2 * len(sigma)))
-    rows[:, 0::2] = np.cos(theta) @ even
-    rows[:, 1::2] = np.sin(theta, out=theta) @ odd
+    rows[:, 0::2] = cos @ even
+    rows[:, 1::2] = sin @ odd
     rows[ss == 0.0] = np.eye(1, rows.shape[1])     # exp(0) = I: the exact unit row
     return rows
 

@@ -213,6 +213,22 @@ class TestCrossingSolve:
         front_velocity(ChainParams(120, jp), fit_range=(10, 84))
         assert len(steps) == 75 and max(steps.values()) <= 14
 
+    @pytest.mark.parametrize("nq, jp, fit_range, most", [
+        (200, 0.25, None, 10), (120, 0.5, (10, 84), 7), (120, 2.0, (10, 84), 13)])
+    def test_truncation_floor_keeps_every_point_moving(self, monkeypatch, nq, jp,
+                                                       fit_range, most):
+        # at N = 200, J' = 0.25, k = 139 comes within 2e-11 of its root while its
+        # truncation falls under half an ulp of s = 84.76: unfloored, its point
+        # rounded back onto the bracket end until the projection forced the midpoint
+        p = ChainParams(nq, jp)
+        steps = self._steps(monkeypatch)
+        est = front_velocity(p, fit_range=fit_range)
+        monkeypatch.undo()
+        ks = [k for k, _ in est.crossing_times]
+        times = np.array([s for _, s in est.crossing_times])
+        assert max(steps.values()) <= most
+        assert np.max(np.abs(times - _bisected_crossings(p, ks, 0.1))) <= 1e-8
+
     def test_sweep_stops_after_the_last_first_crossing(self, monkeypatch):
         p = ChainParams(120, 2.0)
         sweeps = self._sweeps(monkeypatch)

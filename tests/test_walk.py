@@ -23,7 +23,7 @@ from isinglr import (
     relevant_strings,
     walk_coefficients,
 )
-from isinglr import walk
+from isinglr import cli, walk
 from isinglr.params import cast_trusted
 from isinglr.walk import _light_cone_qubits, _rows_eig
 
@@ -300,6 +300,77 @@ class TestExactModes:
         finally:
             tracemalloc.stop()
         assert peak < 1.75 * (sigma.nbytes + even.nbytes + odd.nbytes)
+
+
+def _direct_sine_factor(p):
+    """`_eig_factor` with one sine per entry: each phase m (k + pi) reduced in
+    exact integers and taken through np.sin directly, the reference of the tables."""
+    q, jp = p.n_qubits, p.j_coupling
+    psi, n = walk._bulk_phases(q, jp), np.arange(q + 1)
+    phase = (np.multiply.outer(np.arange(q + 1, 2 * q, dtype=float), n) % (2 * q)
+             * (math.pi / q) - np.multiply.outer(psi, n / q))
+    even, odd = np.sin(phase[:, :-1] + psi[:, None]), np.sin(phase[:, 1:])
+    norm_u, norm_v = np.einsum("jn,jn->j", even, even), np.einsum("jn,jn->j", odd, odd)
+    return (even * (np.sin(psi) / norm_u)[:, None],
+            odd * (np.sin(psi) / np.sqrt(norm_u * norm_v))[:, None])
+
+
+def _counted_trig(monkeypatch):
+    """Entries passed to np.sin and np.cos, counted as they run."""
+    count = [0]
+    for name in ("sin", "cos"):
+        def spy(x, *args, _real=getattr(np, name), **kwargs):
+            count[0] += np.size(x)
+            return _real(x, *args, **kwargs)
+        monkeypatch.setattr(np, name, spy)
+    return count
+
+
+class TestPhaseTables:
+    SIGMA = np.linspace(0.013, 3.0, 120)      # the frequency span of J' = 2
+
+    @pytest.mark.parametrize("ss", [
+        np.linspace(0.0, 40.0, 401), np.arange(0.0, 55.02, 0.02),
+        np.linspace(3.3, 17.1, 250), np.arange(0.013, 30.0, 0.07),
+        np.array(cli.parse_float_list("0.5,0.55,...,30")),
+        np.linspace(1.5, 20.0, 32), np.linspace(1.5, 20.0, 33), np.linspace(1.5, 20.0, 327)],
+        ids=["linspace", "arange", "shifted", "arange-shifted", "cli", "n32", "n33", "n327"])
+    def test_evenly_spaced_times_from_tables(self, monkeypatch, ss):
+        theta = np.multiply.outer(2.0 * np.pi * ss, self.SIGMA)
+        count = _counted_trig(monkeypatch)
+        cos, sin = walk._time_phases(ss, self.SIGMA)
+        monkeypatch.undo()
+        assert count[0] < theta.size                  # the tables were taken
+        bound = 16 * np.finfo(float).eps * theta.max()
+        assert np.max(np.abs(cos - np.cos(theta))) < bound
+        assert np.max(np.abs(sin - np.sin(theta))) < bound
+
+    @pytest.mark.parametrize("ss", [
+        np.linspace(1.5, 20.0, 31),
+        np.sort(np.random.default_rng(5).uniform(0.0, 40.0, 200)),
+        np.linspace(0.0, 40.0, 401) + np.where(np.arange(401) == 250, 1e-9, 0.0)],
+        ids=["n31", "random", "one-moved"])
+    def test_other_times_keep_the_direct_formula(self, ss):
+        theta = np.multiply.outer(2.0 * np.pi * ss, self.SIGMA)
+        cos, sin = walk._time_phases(ss, self.SIGMA)
+        assert np.array_equal(cos, np.cos(theta)) and np.array_equal(sin, np.sin(theta))
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 31, 120, 577, 2048])
+    def test_factor_matches_direct_sines(self, q):
+        for jp in (0.5, 1.0, 1.0 + 1.0 / q, 2.0):
+            walk._eig_factor.cache_clear()
+            _, even, odd = walk._eig_factor(ChainParams(q, jp))
+            ref_even, ref_odd = _direct_sine_factor(ChainParams(q, jp))
+            assert np.max(np.abs(even[:-1] - ref_even), initial=0.0) < 1e-15
+            assert np.max(np.abs(odd[:-1] - ref_odd), initial=0.0) < 1e-15
+
+    def test_grid_evaluates_a_fraction_of_its_phases(self, monkeypatch):
+        p, ss = ChainParams(200, 0.5), np.linspace(0.0, 40.0, 401)
+        assert walk._light_cone_qubits(p, 40.0) == 200
+        lr_walk_grid(p, [1, 100], ss)                 # the factor, cached
+        count = _counted_trig(monkeypatch)
+        lr_walk_grid(p, [1, 100], ss)
+        assert count[0] < 0.25 * 2 * len(ss) * 200
 
 
 class TestLrWalk:
