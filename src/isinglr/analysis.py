@@ -17,6 +17,7 @@ import numpy as np
 
 from .params import (
     ChainParams,
+    GuardError,
     HorizonError,
     ThresholdNotReachedError,
     ValidationError,
@@ -79,8 +80,12 @@ def reflection_safe_horizon(p: ChainParams, k: int) -> float:
 
 
 def _expected_arrival(p: ChainParams, k: int) -> float:
+    """k / v_front, which sets the default time windows; J' = 0 has none."""
     v = v_group_max(p.j_coupling)
-    return k / v if v > 0.0 else math.inf
+    if v == 0.0:
+        raise GuardError(f"J' = 0 decouples the chain: no front travels, so qubit {k} "
+                         "has no default time window")
+    return k / v
 
 
 def crossing_time(p: ChainParams, k: int, threshold: float,

@@ -7,12 +7,13 @@ literal -inf and a NaN as nan.  JSON tables carry float cells as the same
 17-digit strings, so -inf and nan survive JSON.  `correlate`, `snapshot` and
 `lightcone` rows carry a `trusted` column: the AND of the trust mask of each
 value column the row prints.  `route_grid` is the one place where a route's
-grid is paired with its rule in `params`: eig walk and dense values are
-trusted at or above the 1e-13 noise floor; `--digits` walk values, each
-rounded once to a double from its integer tail sum, where that double keeps
-them (an exact zero or a normal double); closed-form
-values while their tail sum (C pi s)^2 stays a normal double.  `lightcone`
-trusts every `--digits` cell (`analysis.lightcone`), a log10 rounded likewise.
+grid is checked against the [0, 2] bound and C(0) = 0 and paired with its
+trust rule in `params`: eig walk and dense values are trusted at or above
+the 1e-13 noise floor; `--digits` walk values, each rounded once to a double
+from its integer tail sum, where that double keeps them (an exact zero or a
+normal double); closed-form values while their tail sum (C pi s)^2 stays a
+normal double.  `lightcone` trusts every `--digits` cell
+(`analysis.lightcone`), a log10 rounded likewise.
 Snapshot rows also drop past the reflection-safe horizon of their qubit.
 
 Exit codes: 0 success, 1 usage error, 2 numeric-guard refusal.
@@ -21,7 +22,6 @@ Exit codes: 0 success, 1 usage error, 2 numeric-guard refusal.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import math
 import sys
@@ -32,14 +32,14 @@ import numpy as np
 
 from .params import (
     ChainParams,
-    CorrelationSeries,
     GuardError,
     Method,
-    TimeGrid,
     ValidationError,
     cast_trusted,
     critical_trusted,
     double_trusted,
+    validate_correlations,
+    validate_times,
 )
 from . import analysis, asymptotics, bench, critical, oracle, walk
 
@@ -66,18 +66,32 @@ class Tiled:
     times: int = 1
 
 
-def _cells(col, text: bool) -> list:
-    """One column's cells, in one pass with one formatter per dtype: floats as
-    17-significant-digit strings; ints and bools as strings when `text`, as
-    themselves otherwise (JSON)."""
+def _cells(col, text: bool):
+    """One column's cells, `_BLOCK_ROWS` at a time as lists, with one formatter per
+    dtype: floats as 17-significant-digit strings; ints and bools as strings when
+    `text`, as themselves otherwise (JSON).  A `Tiled` column formats its distinct
+    values once and indexes each block of cells from them."""
     if isinstance(col, Tiled):
-        cells = _cells(col.values, text)
-        return [c for c in cells for _ in range(col.each)] * col.times
+        distinct = np.array([c for block in _cells(col.values, text) for c in block],
+                            dtype=object)
+        rows = len(distinct) * col.each * col.times
+        for i in range(0, rows, _BLOCK_ROWS):
+            yield distinct[np.arange(i, min(i + _BLOCK_ROWS, rows)) // col.each
+                           % len(distinct)].tolist()
+        return
     values = np.asarray(col)
-    cells = values.tolist()
-    if values.dtype.kind == "f":
-        return list(map("{:.17g}".format, cells))
-    return list(map(str, cells)) if text else cells
+    for i in range(0, len(values), _BLOCK_ROWS):
+        cells = values[i:i + _BLOCK_ROWS].tolist()
+        if values.dtype.kind == "f":
+            yield list(map("{:.17g}".format, cells))
+        else:
+            yield list(map(str, cells)) if text else cells
+
+
+def _rows(columns, text: bool):
+    """Row tuples of equal-length `columns`, one `_BLOCK_ROWS` block at a time."""
+    for block in zip(*(_cells(col, text) for col in columns)):
+        yield zip(*block)
 
 
 class Output:
@@ -95,13 +109,12 @@ class Output:
                 yield stream
 
     def csv(self, meta: dict, header, columns):
-        lines = map(",".join, zip(*(_cells(col, text=True) for col in columns)))
         with self._stream() as stream:
             for key, val in meta.items():
                 stream.write(f"# {key}={fmt(val)}\n")
             stream.write(",".join(header) + "\n")
-            while block := list(itertools.islice(lines, _BLOCK_ROWS)):
-                stream.write("\n".join(block) + "\n")
+            for rows in _rows(columns, text=True):
+                stream.write("\n".join(map(",".join, rows)) + "\n")
 
     def json(self, payload: dict):
         with self._stream() as stream:
@@ -115,7 +128,7 @@ class Output:
             self.json({"meta": {k: fmt(v) if isinstance(v, float) else v
                                 for k, v in meta.items()},
                        "columns": list(header),
-                       "rows": list(zip(*(_cells(col, text=False) for col in columns)))})
+                       "rows": [row for rows in _rows(columns, text=False) for row in rows]})
         else:
             self.csv(meta, header, columns)
 
@@ -204,22 +217,25 @@ def time_grid(s_values, s_max, n_s):
         first[1:] = ss[1:] != ss[:-1]
         return ss[first]
     _check_length(n_s, "--ns")
-    return np.linspace(0.0, s_max, n_s)
+    ss = validate_times(np.linspace(0.0, s_max, n_s))
+    if np.any(ss[1:] <= ss[:-1]):
+        raise ValidationError("time grid must be strictly increasing")
+    return ss
 
 
 def route_grid(method: Method, p: ChainParams, ks, ss, digits=None):
-    """One route's grid as doubles, and the trust mask from its rule in `params`:
-    the eig walk, the walk with `digits` (each cell rounded once from its
-    integer tail sum), the dense oracle or the J' = 1 closed form.  The other
-    routes ignore `digits`."""
+    """One route's grid as doubles, checked against the [0, 2] bound and C(0) = 0,
+    and the trust mask from its rule in `params`: the eig walk, the walk with
+    `digits` (each cell rounded once from its integer tail sum), the dense oracle
+    or the J' = 1 closed form.  The other routes ignore `digits`."""
     if method is Method.CRITICAL:
-        grid = critical.lr_critical_grid(ks, ss)
+        grid = validate_correlations(critical.lr_critical_grid(ks, ss), ss)
         return grid, critical_trusted(grid, ss)
     if method is Method.WALK and digits is not None:
         grid, tails = walk.lr_walk_grid_doubles(p, ks, ss, digits)
-        return grid, cast_trusted(tails, grid)
+        return validate_correlations(grid, ss), cast_trusted(tails, grid)
     grid = (oracle.lr_direct_grid if method is Method.DIRECT else walk.lr_walk_grid)(p, ks, ss)
-    return grid, double_trusted(grid, ss)
+    return validate_correlations(grid, ss), double_trusted(grid, ss)
 
 
 def route_grids(routes, p: ChainParams, ks, ss, digits=None):
@@ -275,13 +291,8 @@ def correlate(nq, jp, out, fmt_name, k_spec, s_values, smax, ns, method, digits)
     ss = time_grid(s_values, smax, ns)
     routes = [Method.WALK, Method.DIRECT] if method == "both" else [Method(method)]
     grids, trust = route_grids(routes, p, ks, ss, digits)
-    tg = TimeGrid(ss)               # a Python tuple of the times: after the grid budgets
-    columns = {}
-    for which, grid in zip(routes, grids):
-        for k, col in zip(ks, grid):
-            # bound/zero validation on every emitted series
-            CorrelationSeries(k, tg, tuple(float(v) for v in col), which)
-            columns[f"C{k}_{which.value}"] = col
+    columns = {f"C{k}_{which.value}": col
+               for which, grid in zip(routes, grids) for k, col in zip(ks, grid)}
     if method == "both":
         for k in ks:
             columns[f"absdiff{k}"] = np.abs(columns[f"C{k}_walk"] - columns[f"C{k}_direct"])

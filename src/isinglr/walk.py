@@ -72,14 +72,12 @@ from .params import (
 )
 from .oracle import PauliString
 
-#: Largest double-precision walk grid, in float entries, that is admitted:
-#: (2q)^2 for the factor of the light-cone prefix plus one (n_s, 2N) row
-#: array.  The budget still counts that array, though rows are built one
-#: `_GRID_BLOCK` at a time over the prefix alone.  The factor, the open q-qubit
-#: chain's exact modes built in O(q^2), is two q x q halves: the (2q)^2 term
-#: over-counts it by 2x, so the budget refuses the grids that a full tridiagonal
-#: eigendecomposition would.  The largest benchmark grid, N = 1000 out to
-#: s = 101 on 201 times, needs 1.7e6.
+#: Largest double-precision walk grid, in float entries, that is admitted: the
+#: (2q)^2 entries of the light-cone factor plus the answer its caller holds,
+#: len(ks) x times for a grid; rows are built a `_GRID_BLOCK` at a time.  The
+#: factor's two q x q halves are half that term, so the budget refuses the light
+#: cones a full tridiagonal eigendecomposition would.  The largest benchmark
+#: grid, N = 1000 out to s = 101 on 201 times, needs 1.3e6.
 MAX_GRID_ENTRIES = 2 ** 24
 #: Row entries (times x 2q light-cone nodes) built at once by `lr_walk_grid`.
 _GRID_BLOCK = 2 ** 17
@@ -270,15 +268,14 @@ def _eig_factor(p: ChainParams):
     return sigma, halves[0], halves[1]
 
 
-def _grid_factor(p: ChainParams, ss: np.ndarray) -> tuple:
+def _grid_factor(p: ChainParams, ss: np.ndarray, held: int) -> tuple:
     """The cached factor of the light-cone prefix for times `ss`, once the grid
-    budget admits (2q)^2 factor entries plus an (n_s, 2N) row array."""
+    budget admits (2q)^2 factor entries plus the caller's `held` answer entries."""
     q = _light_cone_qubits(p, float(np.max(ss, initial=0.0)))
-    entries = (2 * q) ** 2 + len(ss) * p.n_nodes
+    entries = (2 * q) ** 2 + held
     if entries > MAX_GRID_ENTRIES:
-        raise GuardError(
-            f"a walk grid of {len(ss)} times x {p.n_nodes} nodes on a {q}-qubit light "
-            f"cone needs {entries} entries, above the budget {MAX_GRID_ENTRIES}")
+        raise GuardError(f"a walk grid of {len(ss)} times on a {q}-qubit light cone needs "
+                         f"{entries} entries, above the budget {MAX_GRID_ENTRIES}")
     return _eig_factor(ChainParams(q, p.j_coupling))
 
 
@@ -314,19 +311,12 @@ def _cone_rows(factor: tuple, ss: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _rows_eig(p: ChainParams, ss: np.ndarray) -> np.ndarray:
-    """exp(-2 pi s A') first rows for each s, shape (n_s, 2N): the light-cone
-    prefix's rows of `_cone_rows`, zero past it."""
-    factor = _grid_factor(p, ss)
-    rows = np.zeros((len(ss), p.n_nodes))
-    rows[:, :2 * len(factor[0])] = _cone_rows(factor, ss)
-    return rows
-
-
 def exp_first_row(p: ChainParams, s: float) -> np.ndarray:
-    """Row 1 of exp(-2 pi s A'); a unit vector since the matrix is orthogonal."""
+    """Row 1 of exp(-2 pi s A'), a unit vector: the light-cone prefix's row, zero past it."""
     validate_params(p)
-    return _rows_eig(p, validate_times([s]))[0]
+    ss = validate_times([s])
+    row = _cone_rows(_grid_factor(p, ss, p.n_nodes), ss)[0]
+    return np.pad(row, (0, p.n_nodes - len(row)))
 
 
 def _tail_correlations(rows: np.ndarray) -> np.ndarray:
@@ -341,7 +331,7 @@ def lr_walk_blocks(p: ChainParams, ks, ss):
     validate_params(p)
     nodes = np.array([2 * validate_qubit_index(p, k) - 1 for k in ks], dtype=int)
     ss = validate_times(ss)
-    factor = _grid_factor(p, ss)
+    factor = _grid_factor(p, ss, len(nodes) * len(ss))
     inside = nodes < 2 * len(factor[0])
     out = np.zeros((len(nodes), len(ss)))
     step = max(1, _GRID_BLOCK // (2 * len(factor[0])))

@@ -6,6 +6,7 @@ import pytest
 from isinglr import (
     ChainParams,
     FrontEstimate,
+    GuardError,
     HorizonError,
     ThresholdNotReachedError,
     ValidationError,
@@ -39,6 +40,26 @@ class TestReflectionHorizon:
 
     def test_decoupled_chain_never_reflects(self):
         assert reflection_safe_horizon(ChainParams(5, 0.0), 2) == math.inf
+
+
+class TestDecoupledChain:
+    """At J' = 0 no front travels, so there is no default time window: a guard
+    refusal, not an infinite grid.  An explicit window still works."""
+
+    P = ChainParams(20, 0.0)
+
+    def test_default_windows_refused(self):
+        with pytest.raises(GuardError, match="J' = 0 decouples the chain"):
+            crossing_time(self.P, 1, 0.1)
+        with pytest.raises(GuardError, match="J' = 0 decouples the chain"):
+            front_velocity(self.P)
+        with pytest.raises(GuardError, match="J' = 0 decouples the chain"):
+            saturation_window(self.P, 1)
+
+    def test_explicit_window_crosses(self):
+        # C_1 = 2 |sin(2 pi s)| on the decoupled chain
+        s1 = crossing_time(self.P, 1, 0.1, s_max=1.0)
+        assert s1 == pytest.approx(math.asin(0.05) / (2 * math.pi), abs=1e-8)
 
 
 class TestCrossingTime:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import click
 import numpy as np
@@ -260,15 +261,45 @@ class TestCorrelate:
             raise AssertionError("an oversized grid reached the factorization")
 
         monkeypatch.setattr(cli_module.walk, "_eig_factor", no_factor)
-        assert main(["correlate", "--nq", "200000", "--jp", "0.5", "--ns", "200000"]) == 2
+        # an answer of 10 qubits x 2,000,000 times, on a 64-qubit light cone
+        assert main(["correlate", "--nq", "200000", "--jp", "0.5", "--ns", "2000000"]) == 2
 
     def test_time_tuple_built_after_the_walk_budget(self, monkeypatch):
-        def no_tuple(*_args):
-            raise AssertionError("a TimeGrid was built before the walk budget refused")
+        def no_factor(p):
+            raise AssertionError("an oversized grid reached the factorization")
 
-        monkeypatch.setattr(walk, "MAX_GRID_ENTRIES", 1000)
-        monkeypatch.setattr(cli_module, "TimeGrid", no_tuple)
-        assert main(["correlate", "--nq", "4", "--jp", "0.5", "--ns", "200"]) == 2
+        monkeypatch.setattr(walk, "MAX_GRID_ENTRIES", 2 ** 20)
+        monkeypatch.setattr(walk, "_eig_factor", no_factor)
+        # (2q)^2 + 4 qubits x 300,000 times = 1,200,064 entries on the 4-qubit chain.
+        # The times are 2.3 MiB as an array; as a list or tuple of Python floats
+        # they would take 9.2 MiB more before the refusal.
+        tracemalloc.start()
+        try:
+            assert main(["correlate", "--nq", "4", "--jp", "0.5", "--ns", "300000"]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
+
+    @pytest.mark.parametrize("smax", ["0", "1e-322"])
+    def test_linspace_grid_must_increase(self, smax, capsys):
+        # 61 times from 0 to 0, or to 20 subnormal steps, repeat a time
+        assert main(["correlate", "--nq", "4", "--jp", "0.5", "--smax", smax]) == 1
+        assert capsys.readouterr() == ("", "error: time grid must be strictly increasing\n")
+
+    def test_long_table_streams_from_its_arrays(self, tmp_path):
+        # 50,000 rows of 6 cells: the arrays are 2.4 MB and the CSV 4.9 MB; cells
+        # are formatted a block of rows at a time, never a whole column at once
+        out = tmp_path / "long.csv"
+        args = ["correlate", "--nq", "4", "--jp", "0.5", "--ns", "50000", "--out", str(out)]
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+        assert out.read_text().count("\n") == 4 + 1 + 50000
 
     def test_highprec_work_budget_exit_code(self):
         assert main(["correlate", "--nq", "2", "--jp", "0.5", "--k", "1",
@@ -374,6 +405,44 @@ class TestRouteGrid:
             cli_module.route_grids([Method.DIRECT], p, [1], [0.5], digits=30)
 
 
+class TestBoundRule:
+    """Every correlate and snapshot grid is checked once against the [0, 2] bound
+    and C(0) = 0, whichever route computed it."""
+
+    K_S = ["--k", "1,2", "--s", "0,0.5"]
+
+    @pytest.mark.parametrize("args, module, name", [
+        (["correlate", "--nq", "6", "--jp", "0.5"], walk, "lr_walk_grid"),
+        (["correlate", "--nq", "6", "--jp", "0.5", "--method", "both"], oracle, "lr_direct_grid"),
+        (["correlate", "--nq", "6", "--jp", "1", "--method", "critical"], critical,
+         "lr_critical_grid"),
+        (["correlate", "--nq", "6", "--jp", "0.5", "--digits", "20"], walk,
+         "lr_walk_grid_doubles"),
+        (["snapshot", "--nq", "6", "--jp", "0.5"], walk, "lr_walk_grid"),
+        (["snapshot", "--nq", "6", "--jp", "1", "--critical"], critical, "lr_critical_grid"),
+        (["snapshot", "--nq", "6", "--jp", "0.5", "--digits", "20"], walk,
+         "lr_walk_grid_doubles"),
+    ], ids=["correlate", "correlate-direct", "correlate-critical", "correlate-digits",
+            "snapshot", "snapshot-critical", "snapshot-digits"])
+    @pytest.mark.parametrize("time, value, message", [
+        (1, 2.5, "C(0.5) = 2.5 outside the [0, 2] bound"),
+        (1, math.nan, "C(0.5) = nan outside the [0, 2] bound"),
+        (0, 0.25, "C(0) must vanish, got 0.25"),
+    ], ids=["above", "nan", "nonzero-at-zero"])
+    def test_bad_cell_is_a_usage_error(self, args, module, name, time, value, message,
+                                       monkeypatch, capsys):
+        real = getattr(module, name)
+
+        def bad(*route_args):
+            out = real(*route_args)
+            (out[0] if isinstance(out, tuple) else out)[-1, time] = value
+            return out
+
+        monkeypatch.setattr(module, name, bad)
+        assert main(args + self.K_S) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 class TestSnapshot:
     def test_rows_per_qubit_with_trust(self):
         out = run_ok(["snapshot", "--nq", "30", "--jp", "0.5", "--s", "1,3,...,7"])
@@ -463,6 +532,16 @@ class TestFrontCommand:
 
 
 class TestScanCommands:
+    @pytest.mark.parametrize("args", [
+        ["front", "--nq", "20", "--jp", "0"],
+        ["velocities", "--nq", "20", "--jp", "0,0.5"],
+        ["saturation", "--nq", "20", "--jp", "0"],
+    ], ids=["front", "velocities", "saturation"])
+    def test_decoupled_chain_is_a_guard_refusal(self, args, capsys):
+        # at J' = 0 no front travels, so there is no default time window
+        assert main(args) == 2
+        assert "J' = 0 decouples the chain" in capsys.readouterr().err
+
     def test_saturation_table(self):
         out = run_ok(["saturation", "--jp", "0.5,2", "--nq", "80", "--k", "6"])
         _, header, rows = parse_csv(out)
@@ -521,6 +600,17 @@ class TestBenchCommand:
         assert data["scaling"]["precision"] == "double"
         assert len(data["scaling"]["timings"]) == 2
         assert data["comparison"]["speedup"] > 0
+
+    def test_rows_record_their_light_cone(self):
+        # at s_max = 3 every chain past 64 qubits walks the same 64-qubit cone;
+        # at the README's --smax 70 the cone covers every chain of its example
+        for s_max, lengths, cones in [(3.0, (50, 100, 200), [50, 64, 64]),
+                                      (70.0, (50, 100, 200, 400), [50, 100, 200, 400])]:
+            report = cli_module.bench.scaling_report(lengths, s_max=s_max, n_times=2,
+                                                     k_count=1, repeats=1)
+            assert [r["light_cone_qubits"] for r in report["timings"]] == cones
+            assert [r["n_qubits"] for r in report["timings"]] == list(lengths)
+            assert report["fit_against"] == "n_qubits"
 
     def test_dense_guard_exit_code(self):
         assert main(["bench", "--nq", "20,40", "--compare-nq", "20",
@@ -653,7 +743,12 @@ class TestGoldenBytes:
         [np.zeros(0), np.zeros(0, dtype=bool)],
         [],
         [np.arange(2 * cli_module._BLOCK_ROWS + 3) * 0.1],
-    ], ids=["special", "tiled", "no-rows", "no-columns", "blocks"])
+        # 3 x 2049 rows for the default block: every Tiled column spans blocks
+        [Tiled([1, 2, 3], each=cli_module._BLOCK_ROWS // 2 + 1),
+         Tiled([0.25, -0.0, math.nan], times=cli_module._BLOCK_ROWS // 2 + 1),
+         Tiled(np.array([True, False, True]), each=(cli_module._BLOCK_ROWS // 2 + 1) // 3,
+               times=3)],
+    ], ids=["special", "tiled", "no-rows", "no-columns", "blocks", "tiled-blocks"])
     def test_cells(self, capsys, columns, format):
         header = [f"c{i}" for i in range(len(columns))]
         meta = {"nq": 4, "jp": -0.0, "precision": "double", "x": math.nan}

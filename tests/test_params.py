@@ -18,6 +18,7 @@ from isinglr import (
     lr_walk_grid_highprec,
     validate_params,
 )
+from isinglr.params import validate_correlations
 from isinglr.params import (
     DOUBLE_TRUST_FLOOR,
     cast_trusted,
@@ -126,6 +127,33 @@ class TestCorrelationSeries:
     def test_good_series(self):
         s = CorrelationSeries(3, TimeGrid((0.0, 0.5)), (0.0, 1.2), "walk")
         assert s.method is Method.WALK
+
+
+class TestValidateCorrelations:
+    SS = np.array([0.0, 0.5, 1.0])
+
+    def test_good_grid_returned_as_array(self):
+        grid = [[0.0, 1.2, 2.0 + 1e-12], [0.0, -1e-12, 0.3]]
+        out = validate_correlations(grid, self.SS)
+        assert isinstance(out, np.ndarray) and out.tolist() == grid
+
+    @pytest.mark.parametrize("cell, value, message", [
+        ((1, 2), 2.5, r"C\(1.0\) = 2.5 outside the \[0, 2\] bound"),
+        ((0, 1), math.nan, r"C\(0.5\) = nan outside the \[0, 2\] bound"),
+        ((1, 0), -1e-300, r"C\(0\) must vanish, got -1e-300"),
+    ])
+    def test_bad_cell_named(self, cell, value, message):
+        grid = np.zeros((2, 3))
+        grid[cell] = value
+        with pytest.raises(ValidationError, match=message):
+            validate_correlations(grid, self.SS)
+
+    def test_first_bad_cell_in_row_order_names_the_error(self):
+        grid = np.array([[0.0, 3.0, 0.0], [0.5, 0.0, 0.0]])
+        with pytest.raises(ValidationError, match=r"C\(0.5\) = 3.0"):
+            validate_correlations(grid, self.SS)
+        with pytest.raises(ValidationError, match="C\\(0\\) must vanish"):
+            validate_correlations(grid[::-1], self.SS)
 
 
 TINY = np.finfo(float).tiny

@@ -1,4 +1,5 @@
 import math
+import timeit
 import tracemalloc
 
 import numpy as np
@@ -25,7 +26,7 @@ from isinglr import (
 )
 from isinglr import cli, walk
 from isinglr.params import cast_trusted
-from isinglr.walk import _light_cone_qubits, _rows_eig
+from isinglr.walk import _cone_rows, _grid_factor, _light_cone_qubits
 
 
 class TestRelevantStrings:
@@ -131,8 +132,9 @@ class TestExpFirstRow:
     def test_time_zero_row_is_exact_beside_other_times(self, nq, jp, s):
         # the factor's round-off (about 2e-16) must not reach the s = 0 row
         p = ChainParams(nq, jp)
-        rows = _rows_eig(p, np.array([0.0, s, 0.0]))
-        unit = [1.0] + [0.0] * (p.n_nodes - 1)
+        ss = np.array([0.0, s, 0.0])
+        rows = _cone_rows(_grid_factor(p, ss, 0), ss)
+        unit = [1.0] + [0.0] * (rows.shape[1] - 1)
         assert rows[0].tolist() == unit and rows[2].tolist() == unit
         assert lr_walk_grid(p, range(1, nq + 1), [0.0, s])[:, 0].tolist() == [0.0] * nq
 
@@ -163,7 +165,8 @@ class TestExpFirstRow:
             ss = np.asarray(ss)
             a = build_adjacency(p)
             direct = np.array([scipy.linalg.expm(-2 * math.pi * s * a)[0] for s in ss])
-            assert np.max(np.abs(_rows_eig(p, ss) - direct)) < 1e-12
+            rows = np.array([exp_first_row(p, s) for s in ss])
+            assert np.max(np.abs(rows - direct)) < 1e-12
             truncated += _light_cone_qubits(p, float(ss.max())) < nq
         assert truncated >= 2
 
@@ -267,12 +270,10 @@ class TestExactModes:
         p = ChainParams(q, jp)
         # phases 2 pi s sigma up to 8 pi; all q modes enter, not just a light cone
         ss = np.array([0.05, 0.5, 4.0]) / (1.0 + jp)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(walk, "_light_cone_qubits", lambda p, s_max: p.n_qubits)
-            rows = _rows_eig(p, ss)
+        walk._eig_factor.cache_clear()
+        rows = _cone_rows(walk._eig_factor(p), ss)
         assert np.max(np.abs(rows - _expm_rows(p, ss))) < 1e-13
 
-        walk._eig_factor.cache_clear()
         sigma = np.sort(walk._eig_factor(p)[0])
         expect = np.sort(_svd_factor(p)[0])
         edge = int(jp > 1.0 + 1.0 / q)   # the edge mode's sigma, the smallest, falls as J'^-q
@@ -432,15 +433,28 @@ class TestLrWalk:
 
         monkeypatch.setattr(walk, "_eig_factor", no_factor)
         p = ChainParams(200000, 0.5)
-        with pytest.raises(GuardError):      # 200,000 times x 400,000 nodes
-            lr_walk_grid(p, [1], np.linspace(0.0, 3.0, 200000))
+        with pytest.raises(GuardError):      # an answer of 100 qubits x 200,000 times
+            lr_walk_grid(p, range(1, 101), np.linspace(0.0, 3.0, 200000))
         with pytest.raises(GuardError):      # one time, a 200,000-qubit light cone
             lr_walk(p, 1, 1e5)
         # the largest benchmark grid, N = 1000 out to s = 101 on 201 times,
         # stays inside an eighth of the budget
-        p, ss = ChainParams(1000, 0.5), np.linspace(0.0, 101.0, 201)
+        p, ks, ss = ChainParams(1000, 0.5), [1, 100, 500, 900], np.linspace(0.0, 101.0, 201)
         q = walk._light_cone_qubits(p, 101.0)
-        assert 8 * ((2 * q) ** 2 + len(ss) * p.n_nodes) < walk.MAX_GRID_ENTRIES
+        assert 8 * ((2 * q) ** 2 + len(ks) * len(ss)) < walk.MAX_GRID_ENTRIES
+
+    def test_long_chain_costs_its_light_cone(self, monkeypatch):
+        # the budget counts the factor and the answer, not 2N nodes per time:
+        # a million-qubit chain factors and walks the same 64-qubit cone as N = 1000
+        ks, ss, p = [1, 5], np.linspace(0.0, 2.0, 9), ChainParams(10 ** 6, 1.0)
+        real, factored = walk._eig_factor, []
+        monkeypatch.setattr(walk, "_eig_factor", lambda cone: factored.append(cone) or real(cone))
+        grid = lr_walk_grid(p, ks, ss)
+        assert factored == [ChainParams(64, 1.0)] and _light_cone_qubits(p, 2.0) == 64
+        assert np.array_equal(grid, lr_walk_grid(ChainParams(1000, 1.0), ks, ss))
+        assert np.max(np.abs(grid - lr_critical_grid(ks, ss))) < 1e-12
+        row = exp_first_row(p, 2.0)
+        assert len(row) == p.n_nodes and not row[128:].any()
 
     def _blocks(self, monkeypatch, p, ks, ss, block):
         """The grid at `block` row entries per block, and the rows and factors
