@@ -248,7 +248,7 @@ def lightcone(p: ChainParams, k_range: tuple, s_range: tuple,
     ks = tuple(range(k_lo, k_hi + 1))
     resolution = validate_count("resolution", resolution, walk.MAX_GRID_ENTRIES)
     s_lo, s_hi = float(s_range[0]), float(s_range[1])
-    if not (0.0 <= s_lo <= s_hi):
+    if not (0.0 <= s_lo <= s_hi < math.inf):
         raise ValidationError(f"bad time range {s_range}")
     ss = np.linspace(s_lo, s_hi, resolution)
 

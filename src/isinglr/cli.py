@@ -4,17 +4,21 @@ Output conventions: CSV files open with `#`-prefixed key=value metadata
 lines, then one header row, then data; floats carry 17 significant digits so
 files round-trip doubles exactly; log10 of an exact zero is emitted as the
 literal -inf and a NaN as nan.  JSON tables carry float cells as the same
-17-digit strings, so -inf and nan survive JSON.  `correlate`, `snapshot` and
-`lightcone` rows carry a `trusted` column: the AND of the trust mask of each
-value column the row prints.  `route_grid` is the one place where a route's
-grid is checked against the [0, 2] bound and C(0) = 0 and paired with its
-trust rule in `params`: eig walk and dense values are trusted at or above
-the 1e-13 noise floor; `--digits` walk values, each rounded once to a double
-from its integer tail sum, where that double keeps them (an exact zero or a
-normal double); closed-form values while their tail sum (C pi s)^2 stays a
-normal double.  `lightcone` trusts every `--digits` cell
-(`analysis.lightcone`), a log10 rounded likewise.
-Snapshot rows also drop past the reflection-safe horizon of their qubit.
+17-digit strings, so -inf and nan survive JSON.  Both formats stream from
+one block writer, `_write_rows`, whose float cells come from a vectorised
+kernel, `_decimal17`, equal to `format(x, ".17g")` byte for byte; a cell
+falls back to `format` itself outside 1e-270 <= |x| <= 1e270 or near a
+rounding tie.  `correlate`, `snapshot` and `lightcone` rows carry a
+`trusted` column: the AND of the trust mask of each value column the row
+prints.  `route_grid` is the one place where a route's grid is checked
+against the [0, 2] bound and C(0) = 0 and paired with its trust rule in
+`params`: eig walk and dense values are trusted at or above the 1e-13 noise
+floor; `--digits` walk values, each rounded once to a double from its
+integer tail sum, where that double keeps them (an exact zero or a normal
+double); closed-form values while their tail sum (C pi s)^2 stays a normal
+double.  `lightcone` trusts every `--digits` cell (`analysis.lightcone`), a
+log10 rounded likewise.  Snapshot rows also drop past the reflection-safe
+horizon of their qubit.
 
 Exit codes: 0 success, 1 usage error, 2 numeric-guard refusal.
 """
@@ -66,32 +70,159 @@ class Tiled:
     times: int = 1
 
 
-def _cells(col, text: bool):
-    """One column's cells, `_BLOCK_ROWS` at a time as lists, with one formatter per
-    dtype: floats as 17-significant-digit strings; ints and bools as strings when
-    `text`, as themselves otherwise (JSON).  A `Tiled` column formats its distinct
-    values once and indexes each block of cells from them."""
-    if isinstance(col, Tiled):
-        distinct = np.array([c for block in _cells(col.values, text) for c in block],
-                            dtype=object)
-        rows = len(distinct) * col.each * col.times
-        for i in range(0, rows, _BLOCK_ROWS):
-            yield distinct[np.arange(i, min(i + _BLOCK_ROWS, rows)) // col.each
-                           % len(distinct)].tolist()
-        return
-    values = np.asarray(col)
-    for i in range(0, len(values), _BLOCK_ROWS):
-        cells = values[i:i + _BLOCK_ROWS].tolist()
-        if values.dtype.kind == "f":
-            yield list(map("{:.17g}".format, cells))
-        else:
-            yield list(map(str, cells)) if text else cells
+def _byte_rows(strings, width: int = 0) -> np.ndarray:
+    """The strings as the rows of a NUL-padded uint8 matrix (`width` wide if given)."""
+    rows = np.array([s.encode() for s in strings], dtype=f"S{width or ''}")
+    return rows.view(np.uint8).reshape(len(rows), rows.itemsize)
 
 
-def _rows(columns, text: bool):
-    """Row tuples of equal-length `columns`, one `_BLOCK_ROWS` block at a time."""
-    for block in zip(*(_cells(col, text) for col in columns)):
-        yield zip(*block)
+# Tables of `_decimal17`: 10^F as a double-double (column F + 260, filled on first
+# use); as 8-byte words, each 4-digit group with a free byte after each digit, the
+# masks that keep digits 1..j, a sign and "0.000" lead, an exponent (the last one
+# empty) and the cells of +-0, +-inf and nan; the trailing zeros of each group.
+_POW10 = np.full((2, 551), np.nan)
+_GROUPS = np.zeros((10000, 8), np.uint8)
+_GROUPS[:, ::2] = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + 48   # digits of 0..9999
+_GROUPS = _GROUPS.view(np.uint64).ravel()
+_MASKS = np.frombuffer(b"".join(b"\xff\0" * j + b"\0\0" * (16 - j) for j in range(17)),
+                       np.uint64).reshape(17, 4)
+_TRAILING = np.bincount(np.concatenate([np.arange(0, 10000, 10 ** z) for z in (1, 2, 3, 4)]),
+                        minlength=10000)         # how many of 10, 100, 1000, 10^4 divide each
+_LEAD, _EXPONENT, _SPECIAL = (_byte_rows(words, 8).view(np.uint64).ravel() for words in (
+    [sign + lead for sign in ("", "-") for lead in ("", "0.", "0.0", "0.00", "0.000")],
+    [*(f"e{e:+03d}" for e in range(-330, 331)), ""], ["0", "-0", "inf", "-inf", "nan", "nan"]))
+
+
+def _split(a):
+    """Veltkamp's split: two halves of at most 26 bits, hi + lo == a exactly."""
+    t = 134217729.0 * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _scaled(a, f):
+    """a 10^f as s + t with |t| <= ulp(s) / 2, within 2^-103 a 10^f: Dekker's exact
+    product of `a` and the hi part of 10^f, plus `a` times its lo part (three
+    roundings of at most 2^-105 a 10^f each: lo's own, that product's and its sum)."""
+    for g in set(f[np.isnan(_POW10[0, f + 260])].tolist()):
+        num, den = 10 ** max(g, 0), 10 ** max(-g, 0)
+        m, d = (num / den).as_integer_ratio()
+        _POW10[:, g + 260] = num / den, (num * d - m * den) / (den * d)
+    hi, lo = np.take(_POW10, f + 260, axis=1)
+    (ah, al), (bh, bl) = _split(a), _split(hi)
+    p = a * hi
+    t = ((ah * bh - p) + ah * bl + al * bh) + al * bl + a * lo
+    s = p + t
+    return s, t - (s - p)
+
+
+def _decimal17(x) -> np.ndarray:
+    """`format(v, ".17g")` of each double `v` in `x`, byte for byte, as the rows of a
+    uint8 matrix whose NULs, between characters too, are to be dropped.
+
+    Where 1e-270 <= |v| <= 1e270 the digits D = round(|v| 10^(16-E)) come from
+    `_scaled`, whose sum is within 1e-14 of |v| 10^(16-E) < 10^17.  E starts as
+    floor(log10 |v|), off by at most one, and is corrected by the unrounded product;
+    a round up to 10^17 moves E up.  Then Python's `g` layout: fixed point for
+    -4 <= E < 17, else scientific with a signed exponent of at least two digits;
+    trailing zeros and a bare point dropped.  +-0, +-inf and nan are constant cells.
+    A cell falls back to `format` where |v| is outside that range, or where the
+    product lies within 1e-9 of a rounding tie, which the error bound cannot decide.
+    Under 128 values every cell takes `format`, cheaper than the fixed cost here.
+    """
+    if len(x) < 128:
+        return _byte_rows(format(v, ".17g") for v in x.tolist())
+    a = np.abs(x)
+    in_range = (a >= 1e-270) & (a <= 1e270)
+    fast = np.flatnonzero(in_range)
+    a = a[fast]
+    e = np.floor(np.log10(a)).astype(np.int64)
+    s, t = _scaled(a, 16 - e)
+    shift = ((s > 1e17) | (s == 1e17) & (t >= 0)).astype(np.int64) - (
+        (s < 1e16) | (s == 1e16) & (t < 0))
+    if shift.any():
+        e += shift
+        s, t = _scaled(a, 16 - e)
+    whole = np.floor(t)
+    d = s.astype(np.int64) + whole.astype(np.int64) + (t - whole > 0.5)
+    carry = d == 10 ** 17
+    d, e = np.where(carry, 10 ** 16, d), e + carry
+    groups = np.empty((len(d), 4), np.int64)   # digits 1-4, 5-8, 9-12, 13-16
+    zeros = np.zeros(len(d), np.int64)         # trailing zero digits, group by group
+    for g in (3, 2, 1, 0):                     # `//` by a constant is fast, `%` is not
+        q = d // 10 ** 4
+        d, groups[:, g] = q, d - 10 ** 4 * q
+        zeros += (zeros == 12 - 4 * g) * np.take(_TRAILING, groups[:, g])
+    sci = (e < -4) | (e > 16)
+    point = np.where(sci, 0, e)                # the digit the point follows; < 0: in the lead
+    keep = np.where(sci, 16 - zeros, np.maximum(16 - zeros, e))
+    # sign and lead in bytes 0-5, digit j in 6 + 2j, a point after it in 7 + 2j,
+    # the exponent in 40-44
+    cells = np.empty((len(a), 6), np.uint64)
+    cells[:, 0] = np.take(_LEAD, 5 * (x[fast] < 0) + np.maximum(-point, 0))
+    cells[:, 1:5] = np.take(_GROUPS, groups) & np.take(_MASKS, keep, axis=0)
+    cells[:, 5] = np.take(_EXPONENT, np.where(sci, e + 330, -1))
+    cells = cells.view(np.uint8)
+    cells[:, 6] = d + 48                       # the first digit
+    cells[np.arange(len(a)), 7 + 2 * np.maximum(point, 0)] = 46 * ((point >= 0) & (keep > point))
+    out = np.zeros((len(x), 48), np.uint8)
+    out[fast] = cells
+    const = np.flatnonzero(~np.isfinite(x) | (x == 0))
+    v = x[const]
+    out.view(np.uint64)[const, 0] = _SPECIAL[4 * np.isnan(v) + 2 * np.isinf(v) + np.signbit(v)]
+    slow = np.concatenate([fast[np.abs(t - whole - 0.5) < 1e-9],
+                           np.flatnonzero(np.isfinite(x) & (x != 0) & ~in_range)])
+    if len(slow):
+        text = _byte_rows(format(v, ".17g") for v in x[slow].tolist())
+        out[slow] = 0
+        out[slow, :text.shape[1]] = text
+    return out
+
+
+def _cells(values, as_json: bool) -> np.ndarray:
+    """Cell matrix of a 1-D array: floats from `_decimal17`, bools from a two-row
+    table, other cells by `str` (by `json.dumps` in JSON)."""
+    spell = json.dumps if as_json else str
+    if values.dtype.kind == "f":
+        return _decimal17(values.astype(float))
+    if values.dtype.kind == "b":
+        return np.take(_byte_rows([spell(False), spell(True)]), values.astype(np.intp), axis=0)
+    return _byte_rows(map(spell, values.tolist()))
+
+
+def _write_rows(stream, columns, as_json: bool) -> bool:
+    """Write the rows of equal-length `columns`, one string per block of at most
+    `_BLOCK_ROWS` rows, and say whether there were any.  A block's plain float cells,
+    from every column, take one `_decimal17` call, and a `Tiled` column indexes the
+    cells of its distinct values; the cell matrices are joined by separator columns
+    and the NULs dropped.  JSON rows take the layout of `json.dump(indent=2)`, with
+    float cells as strings."""
+    if not columns:
+        return False
+    arrays = [np.asarray(col.values if isinstance(col, Tiled) else col) for col in columns]
+    tiles = [_cells(a, as_json) if isinstance(col, Tiled) else None
+             for col, a in zip(columns, arrays)]
+    plain = [a.dtype.kind == "f" and tile is None for a, tile in zip(arrays, tiles)]
+    q = ['"' if as_json and a.dtype.kind == "f" else "" for a in arrays]
+    lead, mid, end = (",\n    [\n      ", ",\n      ", "\n    ]") if as_json else ("", ",", "\n")
+    rows = len(arrays[0]) if tiles[0] is None else \
+        len(arrays[0]) * columns[0].each * columns[0].times
+    m = min(rows, _BLOCK_ROWS)                 # separator columns, built once for every block
+    seps = [np.frombuffer(s.encode() * m, np.uint8).reshape(m, len(s)) for s in [lead + q[0],
+            *(a + mid + b for a, b in zip(q, q[1:])), q[-1] + end]]
+    for i in range(0, rows, _BLOCK_ROWS):
+        n = min(_BLOCK_ROWS, rows - i)
+        floats = [a[i:i + n] for a, f in zip(arrays, plain) if f]
+        floats = iter(_decimal17(np.concatenate(floats, dtype=float)).reshape(len(floats), n, -1)
+                      if floats else ())
+        parts = [seps[0][:n]]
+        for col, a, tile, f, sep in zip(columns, arrays, tiles, plain, seps[1:]):
+            parts += [next(floats) if f else _cells(a[i:i + n], as_json) if tile is None
+                      else np.take(tile, np.arange(i, i + n) // col.each % len(tile), axis=0),
+                      sep[:n]]
+        text = np.concatenate(parts, axis=1).tobytes().translate(None, b"\0").decode()
+        stream.write(text[1:] if as_json and i == 0 else text)     # no comma before row 1
+    return rows > 0
 
 
 class Output:
@@ -108,29 +239,24 @@ class Output:
             with open(self.path, "w", encoding="utf-8") as stream:
                 yield stream
 
-    def csv(self, meta: dict, header, columns):
-        with self._stream() as stream:
-            for key, val in meta.items():
-                stream.write(f"# {key}={fmt(val)}\n")
-            stream.write(",".join(header) + "\n")
-            for rows in _rows(columns, text=True):
-                stream.write("\n".join(map(",".join, rows)) + "\n")
-
     def json(self, payload: dict):
         with self._stream() as stream:
             json.dump(payload, stream, indent=2)
             stream.write("\n")
 
     def table(self, meta: dict, header, columns, format: str):
-        """Write equal-length `columns` (1-D arrays, sequences or `Tiled`)
-        under `header`."""
-        if format == "json":
-            self.json({"meta": {k: fmt(v) if isinstance(v, float) else v
-                                for k, v in meta.items()},
-                       "columns": list(header),
-                       "rows": [row for rows in _rows(columns, text=False) for row in rows]})
-        else:
-            self.csv(meta, header, columns)
+        """Write equal-length `columns` (1-D arrays, sequences or `Tiled`) under
+        `header`, a block of rows at a time in either format (`_write_rows`)."""
+        with self._stream() as stream:
+            if format == "json":
+                meta = {k: fmt(v) if isinstance(v, float) else v for k, v in meta.items()}
+                head = json.dumps({"meta": meta, "columns": list(header), "rows": []}, indent=2)
+                stream.write(head[:-len("]\n}")])           # through `"rows": [`
+                stream.write("\n  ]\n}\n" if _write_rows(stream, columns, True) else "]\n}\n")
+            else:
+                stream.write("".join(f"# {key}={fmt(val)}\n" for key, val in meta.items())
+                             + ",".join(header) + "\n")
+                _write_rows(stream, columns, False)
 
 
 def _number(kind, item: str, text: str):
@@ -217,7 +343,7 @@ def time_grid(s_values, s_max, n_s):
         first[1:] = ss[1:] != ss[:-1]
         return ss[first]
     _check_length(n_s, "--ns")
-    ss = validate_times(np.linspace(0.0, s_max, n_s))
+    ss = np.linspace(0.0, validate_times([s_max])[0], n_s)    # --smax checked before the spread
     if np.any(ss[1:] <= ss[:-1]):
         raise ValidationError("time grid must be strictly increasing")
     return ss
@@ -288,6 +414,8 @@ def correlate(nq, jp, out, fmt_name, k_spec, s_values, smax, ns, method, digits)
     """Time series of C_k(t/tau) for selected qubits."""
     p = ChainParams(nq, jp)
     ks = parse_int_list(k_spec) if k_spec else list(range(1, min(nq, 10) + 1))
+    if len(set(ks)) != len(ks):
+        raise click.UsageError(f"--k {k_spec!r} repeats a qubit")
     ss = time_grid(s_values, smax, ns)
     routes = [Method.WALK, Method.DIRECT] if method == "both" else [Method(method)]
     grids, trust = route_grids(routes, p, ks, ss, digits)

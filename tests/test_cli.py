@@ -256,6 +256,28 @@ class TestCorrelate:
                      "--s", "nan", "--digits", "20"]) == 1
         assert main(["correlate", "--nq", "6", "--jp", "0.5", "--k", "2", "--s", "inf"]) == 1
 
+    def test_repeated_qubit_is_a_usage_error(self, capsys):
+        # name-keyed columns would otherwise drop the second C1 column
+        assert main(["correlate", "--nq", "4", "--jp", "0.5", "--k", "1,1", "--ns", "3",
+                     "--method", "both"]) == 1
+        assert capsys.readouterr() == ("", "error: --k '1,1' repeats a qubit\n")
+
+    def test_infinite_smax_refused_before_the_grid(self):
+        # np.linspace(0, inf) would warn "invalid value encountered in multiply" first
+        code = (
+            "import sys, isinglr.cli\n"
+            "for command in ('correlate', 'lightcone'):\n"
+            "    assert isinglr.cli.main([command, '--nq', '6', '--jp', '0.5',\n"
+            "                             '--smax', 'inf']) == 1\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+        done = subprocess.run([sys.executable, "-W", "default", "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stderr == ("error: times must all be finite and >= 0\n"
+                               "error: bad time range (0.0, inf)\n")
+        assert done.stdout == ""
+
     def test_walk_grid_budget_exit_code(self, monkeypatch):
         def no_factor(p):
             raise AssertionError("an oversized grid reached the factorization")
@@ -300,6 +322,20 @@ class TestCorrelate:
             tracemalloc.stop()
         assert peak < 12 * 2**20
         assert out.read_text().count("\n") == 4 + 1 + 50000
+
+    def test_long_json_table_streams_from_its_arrays(self, tmp_path):
+        # the same 50,000 rows as JSON: the rows list is never built whole
+        out = tmp_path / "long.json"
+        args = ["correlate", "--nq", "4", "--jp", "0.5", "--ns", "50000", "--format", "json",
+                "--out", str(out)]
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+        assert len(json.loads(out.read_text())["rows"]) == 50000
 
     def test_highprec_work_budget_exit_code(self):
         assert main(["correlate", "--nq", "2", "--jp", "0.5", "--k", "1",
@@ -724,6 +760,15 @@ def reference_rows(columns):
 SPECIAL_FLOATS = [math.nan, -math.nan, -math.inf, math.inf, -0.0, 0.0, 5e-324,
                   2.2250738585072014e-308, 1.0 / 3.0, 1e300, -2.5]
 
+# Where a 17-digit formatter can go wrong: carries to the next power of ten, exact
+# ties at the 18th digit, the edges of the kernel's range, E read off by one from
+# log10 near powers of ten, subnormals and NaN payloads.
+HARD_FLOATS = [9.9999999999999999e-5, 99999999999999999.0, 9.9999999999999996e-270, 1e-270,
+               1e270, 1.0000000000000001e270, 26215 / 2**18, -(2 * 10**15 + 1) / 4, 0.5,
+               100.0, 1e16, 1e17, 123456789012345678.0, 1e-5, 0.0001, 9.999999999999999e22,
+               1e23, float.fromhex("0x1.fffffffffffffp-1022"), -5e-324,
+               np.frombuffer(np.uint64(0x7FF0000000000123).tobytes(), np.float64)[0]]
+
 
 class TestGoldenBytes:
     """The column writer against the former row writer, byte for byte."""
@@ -748,7 +793,9 @@ class TestGoldenBytes:
          Tiled([0.25, -0.0, math.nan], times=cli_module._BLOCK_ROWS // 2 + 1),
          Tiled(np.array([True, False, True]), each=(cli_module._BLOCK_ROWS // 2 + 1) // 3,
                times=3)],
-    ], ids=["special", "tiled", "no-rows", "no-columns", "blocks", "tiled-blocks"])
+        [np.array(HARD_FLOATS * 16)],      # long enough for the vectorised kernel
+    ], ids=["special", "tiled", "no-rows", "no-columns", "blocks", "tiled-blocks",
+            "hard-cases"])
     def test_cells(self, capsys, columns, format):
         header = [f"c{i}" for i in range(len(columns))]
         meta = {"nq": 4, "jp": -0.0, "precision": "double", "x": math.nan}
@@ -789,3 +836,51 @@ class TestGoldenBytes:
         (meta, header, columns, fmt_name), = calls
         assert fmt_name == format
         assert out == reference_table(meta, header, reference_rows(columns), format)
+
+    def test_json_rows_written_a_block_at_a_time(self, monkeypatch):
+        rows = 3 * cli_module._BLOCK_ROWS + 1
+        columns = [np.full(rows, 0.25), np.full(rows, 7), np.ones(rows, dtype=bool)]
+        writes = []
+        monkeypatch.setattr(sys, "stdout", type("Recorder", (), {"write": writes.append})())
+        Output(None).table({"nq": 4}, ["a", "b", "c"], columns, "json")
+        expected = reference_table({"nq": 4}, ["a", "b", "c"], reference_rows(columns), "json")
+        assert "".join(writes) == expected
+        row = len(',\n    [\n      "0.25",\n      7,\n      true\n    ]')
+        assert len(writes) > 1
+        assert max(map(len, writes)) <= cli_module._BLOCK_ROWS * row
+
+
+def decimal17_strings(x):
+    """The cells of `cli._decimal17(x)` as strings."""
+    cells = cli_module._decimal17(np.asarray(x, dtype=float))
+    lines = np.concatenate([cells, np.full((len(cells), 1), ord("\n"), np.uint8)], axis=1)
+    return lines.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
+
+
+class TestDecimalKernel:
+    """`cli._decimal17` against `format(x, ".17g")`, on about 200,000 doubles."""
+
+    def test_matches_format_byte_for_byte(self):
+        rng = np.random.default_rng(20261019)
+        bits = rng.integers(0, 2**64, 80_000, dtype=np.uint64, endpoint=False)
+        mantissa = bits & np.uint64(2**52 - 1)
+        sign = bits & np.uint64(2**63)
+        subnormal = sign[:5000] | mantissa[:5000]
+        payload = sign[:2000] | np.uint64(0x7FF << 52) | (mantissa[:2000] | np.uint64(1))
+        powers = np.array([10.0 ** k for k in range(-323, 309)])
+        # (2q + 1) / 2^j with 18 significant digits: an exact tie at the 17th
+        j = rng.integers(3, 25, 20_000)
+        lo = 10.0 ** (17 - j)
+        odd = np.floor((lo + rng.random(len(j)) * 8 * lo) * 2.0 ** j / 2) * 2 + 1
+        ties = odd / 2.0 ** j
+        ties = ties[(ties >= lo) & (ties < 10 * lo)]
+        short = [float(f"{m}e{k}") for m, k in zip(rng.integers(1, 10**6, 40_000).tolist(),
+                                                     rng.integers(-40, 40, 40_000).tolist())]
+        scaled = rng.standard_normal(40_000) * 10.0 ** rng.integers(-300, 300, 40_000)
+        x = np.concatenate([
+            np.concatenate([bits, subnormal, payload]).view(np.float64),
+            powers, np.nextafter(powers, np.inf), np.nextafter(powers, 0.0), ties, -ties,
+            short, scaled, HARD_FLOATS, [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan]])
+        assert len(x) > 190_000 and len(ties) > 10_000
+        assert decimal17_strings(x) == [format(v, ".17g") for v in x.tolist()]
+
