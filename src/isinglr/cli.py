@@ -5,20 +5,19 @@ lines, then one header row, then data; floats carry 17 significant digits so
 files round-trip doubles exactly; log10 of an exact zero is emitted as the
 literal -inf and a NaN as nan.  JSON tables carry float cells as the same
 17-digit strings, so -inf and nan survive JSON.  Both formats stream from
-one block writer, `_write_rows`, whose float cells come from a vectorised
-kernel, `_decimal17`, equal to `format(x, ".17g")` byte for byte; a cell
-falls back to `format` itself outside 1e-270 <= |x| <= 1e270 or near a
-rounding tie.  `correlate`, `snapshot` and `lightcone` rows carry a
-`trusted` column: the AND of the trust mask of each value column the row
-prints.  `route_grid` is the one place where a route's grid is checked
-against the [0, 2] bound and C(0) = 0 and paired with its trust rule in
-`params`: eig walk and dense values are trusted at or above the 1e-13 noise
-floor; `--digits` walk values, each rounded once to a double from its
-integer tail sum, where that double keeps them (an exact zero or a normal
-double); closed-form values while their tail sum (C pi s)^2 stays a normal
-double.  `lightcone` trusts every `--digits` cell (`analysis.lightcone`), a
-log10 rounded likewise.  Snapshot rows also drop past the reflection-safe
-horizon of their qubit.
+one block writer, `_write_rows`, whose float cells come from `_decimal17`, a
+vectorised `format(x, ".17g")` equal to it byte for byte, which calls
+`format` itself outside 1e-270 <= |x| <= 1e270 or near a rounding tie.
+`correlate`, `snapshot` and `lightcone` rows carry a `trusted` column: the
+AND of the trust mask of each value column the row prints.  `route_grid` is
+the one place where a route's grid is checked against the [0, 2] bound and
+C(0) = 0 and paired with its trust rule in `params`: eig walk and dense
+values are trusted at or above the 1e-13 noise floor; `--digits` walk
+values, each rounded once to a double from its integer tail sum, where that
+double keeps them (an exact zero or a normal double); closed-form values
+while their tail sum (C pi s)^2 stays a normal double.  `lightcone` trusts
+every `--digits` cell (`analysis.lightcone`), a log10 rounded likewise.
+Snapshot rows also drop past the reflection-safe horizon of their qubit.
 
 Exit codes: 0 success, 1 usage error, 2 numeric-guard refusal.
 """
@@ -71,47 +70,40 @@ class Tiled:
 
 
 def _byte_rows(strings, width: int = 0) -> np.ndarray:
-    """The strings as the rows of a NUL-padded uint8 matrix (`width` wide if given)."""
-    rows = np.array([s.encode() for s in strings], dtype=f"S{width or ''}")
+    """The (ASCII) strings as the rows of a NUL-padded uint8 matrix (`width` wide if given)."""
+    rows = np.array(list(strings), dtype=f"S{width or ''}")
     return rows.view(np.uint8).reshape(len(rows), rows.itemsize)
 
 
-# Tables of `_decimal17`: 10^F as a double-double (column F + 260, filled on first
-# use); as 8-byte words, each 4-digit group with a free byte after each digit, the
-# masks that keep digits 1..j, a sign and "0.000" lead, an exponent (the last one
-# empty) and the cells of +-0, +-inf and nan; the trailing zeros of each group.
+# `_decimal17`'s tables: 10^F as a double-double (column F + 260, filled on first use);
+# the trailing zeros of each 4-digit group; as 8-byte words, each group with a free
+# byte after each digit, the masks that keep digits 1..j, a sign and "0.000" lead, an
+# exponent (the last one empty) and the cells of +-0, +-inf and nan.
 _POW10 = np.full((2, 551), np.nan)
+_TRAILING = sum(np.arange(10**4) % 10**z == 0 for z in range(1, 5))
 _GROUPS = np.zeros((10000, 8), np.uint8)
 _GROUPS[:, ::2] = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + 48   # digits of 0..9999
 _GROUPS = _GROUPS.view(np.uint64).ravel()
 _MASKS = np.frombuffer(b"".join(b"\xff\0" * j + b"\0\0" * (16 - j) for j in range(17)),
                        np.uint64).reshape(17, 4)
-_TRAILING = np.bincount(np.concatenate([np.arange(0, 10000, 10 ** z) for z in (1, 2, 3, 4)]),
-                        minlength=10000)         # how many of 10, 100, 1000, 10^4 divide each
-_LEAD, _EXPONENT, _SPECIAL = (_byte_rows(words, 8).view(np.uint64).ravel() for words in (
+_LEAD, _EXPONENT = (np.array(words, "S8").view(np.uint64) for words in (
     [sign + lead for sign in ("", "-") for lead in ("", "0.", "0.0", "0.00", "0.000")],
-    [*(f"e{e:+03d}" for e in range(-330, 331)), ""], ["0", "-0", "inf", "-inf", "nan", "nan"]))
-
-
-def _split(a):
-    """Veltkamp's split: two halves of at most 26 bits, hi + lo == a exactly."""
-    t = 134217729.0 * a
-    hi = t - (t - a)
-    return hi, a - hi
+    [*(f"e{e:+03d}" for e in range(-330, 331)), ""]))
+_SPECIAL = _byte_rows(["0", "-0", "inf", "-inf", "nan", "nan"], 48)
 
 
 def _scaled(a, f):
-    """a 10^f as s + t with |t| <= ulp(s) / 2, within 2^-103 a 10^f: Dekker's exact
-    product of `a` and the hi part of 10^f, plus `a` times its lo part (three
-    roundings of at most 2^-105 a 10^f each: lo's own, that product's and its sum)."""
+    """a 10^f as s + t with |t| <= ulp(s) / 2, within 2^-103 a 10^f: Dekker's exact product
+    of `a` and the hi part of 10^f (Veltkamp's 26-bit splits), plus `a` times its lo part
+    (three roundings of at most 2^-105 a 10^f each: lo's own, that product's and its sum)."""
     for g in set(f[np.isnan(_POW10[0, f + 260])].tolist()):
         num, den = 10 ** max(g, 0), 10 ** max(-g, 0)
         m, d = (num / den).as_integer_ratio()
         _POW10[:, g + 260] = num / den, (num * d - m * den) / (den * d)
     hi, lo = np.take(_POW10, f + 260, axis=1)
-    (ah, al), (bh, bl) = _split(a), _split(hi)
+    ah, bh = (v * 134217729.0 - (v * 134217729.0 - v) for v in (a, hi))
     p = a * hi
-    t = ((ah * bh - p) + ah * bl + al * bh) + al * bl + a * lo
+    t = ((ah * bh - p) + ah * (hi - bh) + (a - ah) * bh) + (a - ah) * (hi - bh) + a * lo
     s = p + t
     return s, t - (s - p)
 
@@ -120,31 +112,24 @@ def _decimal17(x) -> np.ndarray:
     """`format(v, ".17g")` of each double `v` in `x`, byte for byte, as the rows of a
     uint8 matrix whose NULs, between characters too, are to be dropped.
 
-    Where 1e-270 <= |v| <= 1e270 the digits D = round(|v| 10^(16-E)) come from
-    `_scaled`, whose sum is within 1e-14 of |v| 10^(16-E) < 10^17.  E starts as
-    floor(log10 |v|), off by at most one, and is corrected by the unrounded product;
-    a round up to 10^17 moves E up.  Then Python's `g` layout: fixed point for
-    -4 <= E < 17, else scientific with a signed exponent of at least two digits;
-    trailing zeros and a bare point dropped.  +-0, +-inf and nan are constant cells.
-    A cell falls back to `format` where |v| is outside that range, or where the
-    product lies within 1e-9 of a rounding tie, which the error bound cannot decide.
-    Under 128 values every cell takes `format`, cheaper than the fixed cost here.
-    """
-    if len(x) < 128:
-        return _byte_rows(format(v, ".17g") for v in x.tolist())
+    The digits D = round(|v| 10^(16-E)) come from `_scaled`, within 1e-14 of
+    |v| 10^(16-E) < 10^17; E = floor(log10 |v|) is corrected by that unrounded product
+    and moved up by a round to 10^17.  Then Python's `g` layout: fixed point for
+    -4 <= E < 17, else a signed exponent of at least two digits; trailing zeros and a
+    bare point dropped.  +-0, +-inf and nan are constant cells.  A cell falls back to
+    `format` where |v| is outside [1e-270, 1e270] or the product lies within 1e-9 of a
+    rounding tie, which the error bound cannot decide."""
     a = np.abs(x)
-    in_range = (a >= 1e-270) & (a <= 1e270)
-    fast = np.flatnonzero(in_range)
-    a = a[fast]
+    fast = (a >= 1e-270) & (a <= 1e270)
+    a = np.where(fast, a, 1.0)                 # the other cells are laid out as 1, then replaced
     e = np.floor(np.log10(a)).astype(np.int64)
     s, t = _scaled(a, 16 - e)
-    shift = ((s > 1e17) | (s == 1e17) & (t >= 0)).astype(np.int64) - (
-        (s < 1e16) | (s == 1e16) & (t < 0))
+    # s - 10^n is exact near 10^n, so each sum has the sign of the unrounded s + t - 10^n
+    shift = ((s - 1e17) + t >= 0).astype(np.int64) - ((s - 1e16) + t < 0)
     if shift.any():
         e += shift
         s, t = _scaled(a, 16 - e)
-    whole = np.floor(t)
-    d = s.astype(np.int64) + whole.astype(np.int64) + (t - whole > 0.5)
+    d = s.astype(np.int64) + np.rint(t).astype(np.int64)   # a tie takes `format` below
     carry = d == 10 ** 17
     d, e = np.where(carry, 10 ** 16, d), e + carry
     groups = np.empty((len(d), 4), np.int64)   # digits 1-4, 5-8, 9-12, 13-16
@@ -156,32 +141,24 @@ def _decimal17(x) -> np.ndarray:
     sci = (e < -4) | (e > 16)
     point = np.where(sci, 0, e)                # the digit the point follows; < 0: in the lead
     keep = np.where(sci, 16 - zeros, np.maximum(16 - zeros, e))
-    # sign and lead in bytes 0-5, digit j in 6 + 2j, a point after it in 7 + 2j,
-    # the exponent in 40-44
+    # bytes: sign and lead 0-5, digit j 6 + 2j, a point after it 7 + 2j, exponent 40-44
     cells = np.empty((len(a), 6), np.uint64)
-    cells[:, 0] = np.take(_LEAD, 5 * (x[fast] < 0) + np.maximum(-point, 0))
+    cells[:, 0] = np.take(_LEAD, 5 * (x < 0) + np.maximum(-point, 0))
     cells[:, 1:5] = np.take(_GROUPS, groups) & np.take(_MASKS, keep, axis=0)
     cells[:, 5] = np.take(_EXPONENT, np.where(sci, e + 330, -1))
     cells = cells.view(np.uint8)
     cells[:, 6] = d + 48                       # the first digit
     cells[np.arange(len(a)), 7 + 2 * np.maximum(point, 0)] = 46 * ((point >= 0) & (keep > point))
-    out = np.zeros((len(x), 48), np.uint8)
-    out[fast] = cells
-    const = np.flatnonzero(~np.isfinite(x) | (x == 0))
-    v = x[const]
-    out.view(np.uint64)[const, 0] = _SPECIAL[4 * np.isnan(v) + 2 * np.isinf(v) + np.signbit(v)]
-    slow = np.concatenate([fast[np.abs(t - whole - 0.5) < 1e-9],
-                           np.flatnonzero(np.isfinite(x) & (x != 0) & ~in_range)])
-    if len(slow):
-        text = _byte_rows(format(v, ".17g") for v in x[slow].tolist())
-        out[slow] = 0
-        out[slow, :text.shape[1]] = text
-    return out
+    const = ~np.isfinite(x) | (x == 0)
+    cells[const] = _SPECIAL[(4 * np.isnan(x) + 2 * np.isinf(x) + np.signbit(x))[const]]
+    slow = np.flatnonzero(~fast & ~const | (np.abs(np.abs(t - np.rint(t)) - 0.5) < 1e-9))
+    cells[slow] = _byte_rows((format(v, ".17g") for v in x[slow].tolist()), 48)
+    return cells
 
 
 def _cells(values, as_json: bool) -> np.ndarray:
-    """Cell matrix of a 1-D array: floats from `_decimal17`, bools from a two-row
-    table, other cells by `str` (by `json.dumps` in JSON)."""
+    """Cell matrix of a 1-D array: floats by `_decimal17`, bools from a table, others by
+    `str` (`json.dumps` in JSON)."""
     spell = json.dumps if as_json else str
     if values.dtype.kind == "f":
         return _decimal17(values.astype(float))
@@ -193,23 +170,19 @@ def _cells(values, as_json: bool) -> np.ndarray:
 def _write_rows(stream, columns, as_json: bool) -> bool:
     """Write the rows of equal-length `columns`, one string per block of at most
     `_BLOCK_ROWS` rows, and say whether there were any.  A block's plain float cells,
-    from every column, take one `_decimal17` call, and a `Tiled` column indexes the
-    cells of its distinct values; the cell matrices are joined by separator columns
-    and the NULs dropped.  JSON rows take the layout of `json.dump(indent=2)`, with
-    float cells as strings."""
-    if not columns:
-        return False
+    from every column, take one `_decimal17` call, a `Tiled` column indexes the cells
+    of its distinct values, and the cell matrices are joined by separator columns with
+    the NULs dropped.  JSON rows take the `json.dump(indent=2)` layout, floats quoted."""
     arrays = [np.asarray(col.values if isinstance(col, Tiled) else col) for col in columns]
     tiles = [_cells(a, as_json) if isinstance(col, Tiled) else None
              for col, a in zip(columns, arrays)]
     plain = [a.dtype.kind == "f" and tile is None for a, tile in zip(arrays, tiles)]
-    q = ['"' if as_json and a.dtype.kind == "f" else "" for a in arrays]
-    lead, mid, end = (",\n    [\n      ", ",\n      ", "\n    ]") if as_json else ("", ",", "\n")
-    rows = len(arrays[0]) if tiles[0] is None else \
-        len(arrays[0]) * columns[0].each * columns[0].times
-    m = min(rows, _BLOCK_ROWS)                 # separator columns, built once for every block
-    seps = [np.frombuffer(s.encode() * m, np.uint8).reshape(m, len(s)) for s in [lead + q[0],
-            *(a + mid + b for a, b in zip(q, q[1:])), q[-1] + end]]
+    row = (",\n      " if as_json else ",").join(
+        '"\0"' if as_json and a.dtype.kind == "f" else "\0" for a in arrays)
+    seps = [_byte_rows([s]).repeat(_BLOCK_ROWS, axis=0)       # built once for every block
+            for s in ((",\n    [\n      %s\n    ]" if as_json else "%s\n") % row).split("\0")]
+    rows = max((len(a) * getattr(col, "each", 1) * getattr(col, "times", 1)
+                for col, a in zip(columns, arrays)), default=0)
     for i in range(0, rows, _BLOCK_ROWS):
         n = min(_BLOCK_ROWS, rows - i)
         floats = [a[i:i + n] for a, f in zip(arrays, plain) if f]
@@ -245,8 +218,7 @@ class Output:
             stream.write("\n")
 
     def table(self, meta: dict, header, columns, format: str):
-        """Write equal-length `columns` (1-D arrays, sequences or `Tiled`) under
-        `header`, a block of rows at a time in either format (`_write_rows`)."""
+        """Stream equal-length `columns` (1-D arrays, sequences or `Tiled`) under `header`."""
         with self._stream() as stream:
             if format == "json":
                 meta = {k: fmt(v) if isinstance(v, float) else v for k, v in meta.items()}

@@ -793,7 +793,7 @@ class TestGoldenBytes:
          Tiled([0.25, -0.0, math.nan], times=cli_module._BLOCK_ROWS // 2 + 1),
          Tiled(np.array([True, False, True]), each=(cli_module._BLOCK_ROWS // 2 + 1) // 3,
                times=3)],
-        [np.array(HARD_FLOATS * 16)],      # long enough for the vectorised kernel
+        [np.array(HARD_FLOATS)],
     ], ids=["special", "tiled", "no-rows", "no-columns", "blocks", "tiled-blocks",
             "hard-cases"])
     def test_cells(self, capsys, columns, format):
@@ -883,4 +883,28 @@ class TestDecimalKernel:
             short, scaled, HARD_FLOATS, [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan]])
         assert len(x) > 190_000 and len(ties) > 10_000
         assert decimal17_strings(x) == [format(v, ".17g") for v in x.tolist()]
+
+    @pytest.mark.parametrize("off", [-0.5, 0.5])
+    def test_exponent_one_off_from_log10_is_corrected(self, monkeypatch, off):
+        # E starts as floor(log10 |x|); a log10 moved by half a decade reads it one too
+        # low or one too high for most values, which the unrounded product must correct
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + off)
+        rng = np.random.default_rng(5)
+        x = np.concatenate([HARD_FLOATS,
+                            rng.standard_normal(1000) * 10.0 ** np.arange(-200, 200, 0.4)])
+        assert decimal17_strings(x) == [format(v, ".17g") for v in x.tolist()]
+
+    def test_format_takes_only_cells_out_of_range_or_near_a_tie(self, monkeypatch):
+        seen = []
+
+        def spy(v, spec):
+            seen.append(v)
+            return format(v, spec)
+
+        monkeypatch.setattr(cli_module, "format", spy, raising=False)
+        tie = 26215 / 2**18        # 0.100002288818359375: 18 digits, a tie at the 17th
+        x = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.0 / 3.0, tie, 1e-300, -1e300, 5e-324]
+        assert decimal17_strings(x) == [format(v, ".17g") for v in x]
+        assert seen == [tie, 1e-300, -1e300, 5e-324]
 
