@@ -7,20 +7,25 @@ Ground truth for short chains; the walk engines are tested against it.
 
 `lr_direct_grid` works in the X basis (a Hadamard on every qubit), where
 H'' = -sum Z_k - J' sum X_k X_{k+1} is real and conserves the parity prod Z_k,
-and Z_k becomes the bit flip X_k.  Cached per ChainParams: a real eigh per
-parity sector, (lam_e, V_e) and (lam_o, V_o), and W = V_e^T X_1^{eo} V_o.
+and Z_k becomes the bit flip X_k.  A sector state's slot is its top N-1 bits,
+so flipping qubit k < N XORs slot bit N-k-1 and flipping qubit N keeps the slot.
+Cached per ChainParams: a real eigh per parity sector, (lam_e, V_e) and
+(lam_o, V_o), W = V_e^T X_1^{eo} V_o, then a Walsh-Hadamard butterfly over the
+slot bits of V_e and V_o, which turns every slot XOR into a +-1 sign pattern.
 Z_1(s) is block-off-diagonal with block A = V_e (W o e^{i Phi}) V_o^T,
 Phi_ij = pi s (lam_e,i - lam_o,j): four real half-size products per time.
-[X_k, Z_1(s)] is block-diagonal with two blocks of equal norm, so
-C_k^2 = (2/dim) ||B_k^H - B_k||_F^2 with B_k = A[:, perm_k], perm_k mapping
-even state c to the odd-sector slot of c ^ bit_k.  The difference is formed
-entrywise: 2 - (4/dim) Re tr(B_k^2) cancels catastrophically for small C.
+[X_k, Z_1(s)] has two blocks of equal norm, C_k^2 = (2/dim) ||B_k^H - B_k||_F^2,
+B_k = A X_k.  In the Walsh basis its entry is A^H - A where i and j agree in bit
+N-k-1 and A^H + A where they differ, so with same = |A^H - A|^2 and
+diff = |A^H + A|^2 taken entrywise and u0, u1 marking the bit clear and set,
+C_k^2 = (2/dim)(u0 same u0 + u1 same u1 + u0 diff u1 + u1 diff u0) for every k
+at once.  Every term is non-negative; 2 - (4/dim) Re tr(B_k^2) would cancel
+catastrophically for small C.
 
 Against the full-space route (`_z1_evolved`, then `commutator_with_z`) the
-grid agrees to 4.2e-14 absolute at N <= 8, J' <= 2.5.  Counted from the
-array shapes, peak memory is seven (dim/2)^2 float64 arrays (three cached
-factors, at most four per time), 14 * 4^N bytes: 15 MB at N = 10, 235 MB at
-N = 12, 3.8 GB at N = 14.
+grid agrees to 4.2e-14 absolute at N <= 8, J' <= 2.5.  Peak memory is seven
+(dim/2)^2 float64 arrays (three cached factors, four per-time buffers),
+14 * 4^N bytes: 15 MB at N = 10, 235 MB at N = 12, 3.8 GB at N = 14.
 """
 
 from __future__ import annotations
@@ -134,22 +139,25 @@ def operator_norm(op: np.ndarray) -> float:
 
 @functools.lru_cache(maxsize=1)
 def _sector_factors(p: ChainParams):
-    """Real eigh of H'' in the even and odd sectors, W, and perm_k per site."""
+    """Real eigh of H'' in the even and odd sectors, Walsh-folded in place, and W."""
     nq, half = p.n_qubits, 2 ** (p.n_qubits - 1)
-    idx = np.arange(2 * half)
+    idx, slot = np.arange(2 * half), np.arange(half)
     pop = sum((idx >> b) & 1 for b in range(nq))
-    even, odd = idx[pop % 2 == 0], idx[pop % 2 == 1]
-    slot = np.empty_like(idx)
-    slot[even] = slot[odd] = np.arange(half)
     sectors = []
-    for states in (even, odd):
+    for states in (idx[pop % 2 == 0], idx[pop % 2 == 1]):
         h = np.diag(2.0 * pop[states] - nq)
         for k in range(1, nq):
-            h[np.arange(half), slot[states ^ (3 << (nq - k - 1))]] -= p.j_coupling
+            h[slot, (states ^ (3 << (nq - k - 1))) >> 1] -= p.j_coupling
         sectors.append(np.linalg.eigh(h))
+        del h
     (lam_e, v_e), (lam_o, v_o) = sectors
-    perms = [slot[even ^ (1 << (nq - k))] for k in range(1, nq + 1)]
-    return lam_e, v_e, lam_o, v_o, v_e.T @ v_o[perms[0]], perms
+    w = v_e.T @ v_o[slot ^ ((1 << nq - 1) >> 1)]
+    for v in (v_e, v_o):  # orthonormal Walsh-Hadamard butterfly over the slot bits
+        for i in range(nq - 1):
+            x, y = np.moveaxis(v.reshape(-1, 2, 2 ** i, half), 1, 0)
+            x[...], y[...] = x + y, x - y
+        v *= half ** -0.5
+    return lam_e, v_e, lam_o, v_o, w
 
 
 def _z1_evolved(p: ChainParams, s: float) -> np.ndarray:
@@ -170,25 +178,37 @@ def lr_direct(p: ChainParams, k: int, s: float) -> float:
 
 
 def lr_direct_grid(p: ChainParams, ks, ss) -> np.ndarray:
-    """C_k(s) on a (k, s) grid; four real half-size products per time."""
+    """C_k(s) on a (k, s) grid; per time, four real half-size products and one reduction."""
     _check_dense(p)
     ks = [validate_qubit_index(p, k) for k in ks]
     ss = validate_times(ss)
-    sq = np.zeros((len(ks), len(ss)))
-    for j in np.flatnonzero(ss) if ks else ():
-        lam_e, v_e, lam_o, v_o, w, perms = _sector_factors(p)
-        phase = math.pi * ss[j]
-        ce, se, co, so = (f(phase * lam) for lam in (lam_e, lam_o) for f in (np.cos, np.sin))
-        # Re A, Im A from cos Phi, sin Phi; B^H - B = Re B^T - Re B - i (Im B^T + Im B)
-        for (x, y), combine in (((ce, se), np.subtract), ((se, -ce), np.add)):
-            part = v_e @ (w * (np.outer(x, co) + np.outer(y, so))) @ v_o.T
-            part_t = part.T.copy()
-            for i, k in enumerate(ks):
-                d = part_t.take(perms[k - 1], axis=0)
-                d = combine(d, part.take(perms[k - 1], axis=1), out=d)
-                sq[i, j] += np.vdot(d, d)
-            del part, part_t, d
-    return np.sqrt(sq * (2.0 / 2 ** p.n_qubits))
+    nq, half, nk = p.n_qubits, 2 ** (p.n_qubits - 1), len(ks)
+    sq = np.zeros((nk, len(ss)))
+    times = np.flatnonzero(ss) if ks else ()
+    if len(times):
+        lam_e, v_e, lam_o, v_o, w = _sector_factors(p)
+        # u1: slot bit N-k-1 set, per k (k = N flips no slot bit); u0: clear
+        u1 = ((np.arange(half)[:, None] & ((1 << nq - np.array(ks)) >> 1)) != 0) * 1.0
+        u0 = 1.0 - u1
+        a, b, re, im = (np.empty((half, half)) for _ in range(4))
+    for j in times:
+        e, o = (np.array([np.cos(math.pi * ss[j] * lam), np.sin(math.pi * ss[j] * lam)])
+                for lam in (lam_e, lam_o))
+        # e = (ce, se), o = (co, so): cos Phi = ce co + se so, sin Phi = se co - ce so
+        for x, part in ((e, re), (e[::-1] * [[1.0], [-1.0]], im)):
+            np.matmul(x.T, o, out=a)
+            a *= w
+            np.matmul(v_e, a, out=b)
+            np.matmul(b, v_o.T, out=part)
+        del e, o, x  # not held through the passes below
+        # entrywise, a = same = |A^H - A|^2 (pairs on one side of slot bit N-k-1)
+        # and b = diff = |A^H + A|^2 (pairs across it)
+        for out, tmp, f, g in ((a, b, np.subtract, np.add), (b, re, np.add, np.subtract)):
+            np.square(f(re.T, re, out=out), out=out)
+            out += np.square(g(im.T, im, out=tmp), out=tmp)
+        sq[:, j] = sum(np.einsum("ik,ik->k", l, m @ r)
+                       for m, l, r in ((a, u0, u0), (a, u1, u1), (b, u0, u1), (b, u1, u0)))
+    return np.sqrt(sq * (2.0 / 2 ** nq))
 
 
 # Off-diagonal magnitudes of Q Q^dag above this fraction of the largest

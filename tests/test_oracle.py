@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -288,6 +289,83 @@ class TestSectorOracle:
            times=st.lists(st.floats(0.0, 10.0, allow_nan=False), min_size=1, max_size=4))
     @settings(max_examples=150, deadline=None)
     def test_properties_against_walk(self, nq, jp, times):
+        p = ChainParams(nq, jp)
+        ks = list(range(1, nq + 1))
+        ss = np.array([0.0] + times)
+        direct = lr_direct_grid(p, ks, ss)
+        walk = lr_walk_grid(p, ks, ss)
+        assert np.max(np.abs(direct - walk)) <= 1e-12
+        assert np.all((direct >= -1e-12) & (direct <= 2.0 + 1e-12))
+        assert np.all(direct[:, 0] == 0.0) and np.all(walk[:, 0] == 0.0)
+        assert np.all(np.diff(walk, axis=0) <= 0.0)
+        assert np.all(np.diff(direct, axis=0) <= 1e-13)
+
+
+def sector_slots(nq):
+    """Each state's position within its parity sector, by plain enumeration."""
+    sectors = ([], [])
+    for state in range(2 ** nq):
+        sectors[bin(state).count("1") % 2].append(state)
+    return {state: i for sector in sectors for i, state in enumerate(sector)}
+
+
+class TestWalshReduction:
+    """The slot fact the Walsh-basis grid rests on, its memory and its reach."""
+
+    HALF_BYTES_N10 = 8 * 4 ** 9  # one (dim/2)^2 float64 array at N = 10
+
+    @pytest.mark.parametrize("nq", range(1, 11))
+    def test_qubit_flip_xors_one_slot_bit(self, nq):
+        slot = sector_slots(nq)
+        for k in range(1, nq + 1):
+            mask = 1 << (nq - k - 1) if k < nq else 0
+            for state, c in slot.items():
+                assert slot[state ^ (1 << (nq - k))] == c ^ mask
+
+    @pytest.mark.parametrize("nq,jp", [(1, 0.5), (2, 1.0), (5, 0.0), (8, 2.5), (10, 0.7)])
+    def test_walsh_folded_factors_stay_orthogonal(self, nq, jp):
+        lam_e, v_e, lam_o, v_o, w = oracle._sector_factors(ChainParams(nq, jp))
+        half = len(v_e)
+        for v in (v_e, v_o):
+            assert np.max(np.abs(v.T @ v - np.eye(half))) <= 1e-13
+        # flipping qubit 1 is the sign pattern of slot bit N-2 in the Walsh basis
+        sign = 1.0 - 2.0 * ((np.arange(half) & ((1 << nq - 1) >> 1)) != 0)
+        assert np.max(np.abs(v_e.T @ (sign[:, None] * v_o) - w)) <= 1e-13
+
+    def test_peak_memory_counts_half_size_arrays(self):
+        p = ChainParams(10, 0.5)
+        oracle._sector_factors.cache_clear()
+        tracemalloc.start()
+        try:
+            oracle._sector_factors(p)
+            build = tracemalloc.get_traced_memory()[1] / self.HALF_BYTES_N10
+            tracemalloc.reset_peak()
+            lr_direct_grid(p, range(1, 11), np.linspace(0.0, 3.0, 13))
+            grid = tracemalloc.get_traced_memory()[1] / self.HALF_BYTES_N10
+        finally:
+            tracemalloc.stop()
+        assert build <= 5.1  # two sector factors, W and the eigh input
+        assert grid <= 7.1  # three cached factors and four per-time buffers
+
+    @pytest.mark.parametrize("ks,ss", [([], [0.5, 1.0]), ([1, 10], [0.0, 0.0]), ([1], [])])
+    def test_empty_grid_builds_nothing(self, ks, ss):
+        oracle._sector_factors.cache_clear()
+        tracemalloc.start()
+        try:
+            grid = lr_direct_grid(ChainParams(10, 0.5), ks, ss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.shape == (len(ks), len(ss)) and not grid.any()
+        info = oracle._sector_factors.cache_info()
+        assert info.hits == info.misses == 0
+        assert peak < self.HALF_BYTES_N10 / 100
+
+    @given(nq=st.integers(9, 10),
+           jp=st.floats(0.0, 5.0, allow_nan=False),
+           times=st.lists(st.floats(0.0, 10.0, allow_nan=False), min_size=1, max_size=3))
+    @settings(max_examples=12, deadline=None)
+    def test_properties_against_walk_n9_n10(self, nq, jp, times):
         p = ChainParams(nq, jp)
         ks = list(range(1, nq + 1))
         ss = np.array([0.0] + times)
