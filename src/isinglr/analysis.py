@@ -1,11 +1,12 @@
-"""Experiment drivers: front extraction, saturation, light-cone grids.
+"""Experiment drivers: the route table, front extraction, saturation, light-cone grids.
 
-These turn pointwise C_k(s) evaluations into the headline numbers: the
-front velocity recovered from threshold-crossing times, the long-time
-saturation level, and log-scale light-cone maps.  All of them respect the
-reflection horizon: on a finite chain, excitations bounce off the far end
-and travel back, so data past the round-trip time no longer represents an
-infinite chain.
+`route_grid` is the one place where a route's grid is checked against the
+[0, 2] bound and C(0) = 0 and paired with its trust rule in `params`.  The
+drivers turn such grids into the headline numbers: the front velocity from
+threshold-crossing times, the long-time saturation level, and log-scale
+light-cone maps.  All of them respect the reflection horizon: on a finite
+chain, excitations bounce off the far end and travel back, so data past the
+round-trip time no longer represents an infinite chain.
 """
 
 from __future__ import annotations
@@ -19,17 +20,25 @@ from .params import (
     ChainParams,
     GuardError,
     HorizonError,
+    Method,
     ThresholdNotReachedError,
     ValidationError,
+    cast_trusted,
+    critical_trusted,
     double_trusted,
+    validate_correlations,
     validate_count,
+    validate_increasing,
     validate_params,
     validate_positive,
     validate_qubit_index,
     validate_threshold,
 )
 from .asymptotics import saturation_value, v_group_max
-from . import walk
+from . import critical, oracle, walk
+
+#: The fewest qubits a fit window holds: the crossing-time model has three parameters.
+MIN_FIT_QUBITS = 4
 
 
 @dataclass(frozen=True)
@@ -52,10 +61,10 @@ class FrontEstimate:
 
 @dataclass(frozen=True)
 class LightconeGrid:
-    """log10 C_k(s) on a (k, s) grid plus a per-cell trust mask."""
+    """log10 C_k(s) on a (k, s) grid plus a per-cell trust mask; s_values is an array."""
 
     k_values: tuple
-    s_values: tuple
+    s_values: np.ndarray
     log10_c: np.ndarray            # shape (len(k_values), len(s_values))
     trust_mask: np.ndarray         # same shape, False where untrusted
 
@@ -63,6 +72,31 @@ class LightconeGrid:
         shape = (len(self.k_values), len(self.s_values))
         if self.log10_c.shape != shape or self.trust_mask.shape != shape:
             raise ValidationError("grid arrays must be (n_k, n_s)")
+
+
+def route_grid(method: Method, p: ChainParams, ks, ss, digits=None):
+    """One route's grid as doubles, checked against the [0, 2] bound and C(0) = 0,
+    and the trust mask from its rule in `params`: the eig walk, the walk with
+    `digits` (each cell rounded once from its integer tail sum), the dense oracle
+    or the J' = 1 closed form.  The other routes ignore `digits`."""
+    if method is Method.CRITICAL:
+        grid = validate_correlations(critical.lr_critical_grid(ks, ss), ss)
+        return grid, critical_trusted(grid, ss)
+    if method is Method.WALK and digits is not None:
+        grid, tails = walk.lr_walk_grid_doubles(p, ks, ss, digits)
+        return validate_correlations(grid, ss), cast_trusted(tails, grid)
+    grid = (oracle.lr_direct_grid if method is Method.DIRECT else walk.lr_walk_grid)(p, ks, ss)
+    return validate_correlations(grid, ss), double_trusted(grid, ss)
+
+
+def route_grids(routes, p: ChainParams, ks, ss, digits=None):
+    """The grids of `routes` and their masks, two tuples in route order; every
+    route is checked to apply before the first grid is computed."""
+    if Method.CRITICAL in routes and p.j_coupling != 1.0:
+        raise ValidationError("the closed form applies at jp = 1 only")
+    if digits is not None and Method.WALK not in routes:
+        raise ValidationError("--digits applies to the walk route only")
+    return zip(*(route_grid(method, p, ks, ss, digits) for method in routes))
 
 
 def reflection_safe_horizon(p: ChainParams, k: int) -> float:
@@ -153,10 +187,15 @@ def _first_crossings(p: ChainParams, ks, threshold: float, grid: np.ndarray,
 
 
 def default_fit_range(p: ChainParams) -> tuple:
-    """Bulk window clear of the near-end transient and the reflection zone."""
+    """Bulk window clear of the near-end transient and the reflection zone; a
+    chain too short for `MIN_FIT_QUBITS` of it (N < 14) has none."""
     k_min = max(10, p.n_qubits // 10)
-    k_max = max(k_min + 4, (7 * p.n_qubits) // 10)
-    return k_min, min(k_max, p.n_qubits - 1)
+    k_max = min(max(k_min + 4, (7 * p.n_qubits) // 10), p.n_qubits - 1)
+    if k_max - k_min + 1 < MIN_FIT_QUBITS:
+        raise ValidationError(
+            f"a chain of {p.n_qubits} qubits has no default fit window: it starts at "
+            f"k = {k_min} and needs {MIN_FIT_QUBITS} qubits before the chain end")
+    return k_min, k_max
 
 
 def front_velocity(p: ChainParams, threshold: float = 0.1,
@@ -168,15 +207,19 @@ def front_velocity(p: ChainParams, threshold: float = 0.1,
     slope by several percent.  A least-squares fit of that three-parameter
     model recovers v well inside 2 percent; the raw per-step finite
     differences are reported alongside.  An open end of `fit_range` (None)
-    takes its value from `default_fit_range`.
+    takes its value from `default_fit_range`; the window must hold at least
+    `MIN_FIT_QUBITS` qubits.
     """
     validate_params(p)
     threshold = validate_threshold(threshold, saturation_value(p.j_coupling))
-    fit_range = tuple(default if k is None else k for k, default
-                      in zip(fit_range or (None, None), default_fit_range(p), strict=True))
+    fit_range = tuple(fit_range or (None, None))
+    if None in fit_range:
+        fit_range = tuple(default if k is None else k for k, default
+                          in zip(fit_range, default_fit_range(p), strict=True))
     k_min, k_max = (validate_qubit_index(p, k) for k in fit_range)
-    if not k_min < k_max:
-        raise ValidationError(f"fit range {fit_range} must increase")
+    if k_max - k_min + 1 < MIN_FIT_QUBITS:
+        raise ValidationError(f"fit range {fit_range} must hold at least {MIN_FIT_QUBITS} "
+                              "qubits for the three-parameter fit")
 
     ks = np.arange(k_min, k_max + 1)
     # crossings happen near k / v_front, so 1.5x arrival plus a pad suffices
@@ -234,11 +277,12 @@ def lightcone(p: ChainParams, k_range: tuple, s_range: tuple,
               resolution: int = 101, digits: int = None) -> LightconeGrid:
     """log10 C_k(s) over a (k, s) grid.
 
-    In double precision, cells below the 1e-13 floor are masked untrusted
-    (exact zeros at s=0 stay trusted and are reported as -inf).  Passing
-    `digits` switches to the arbitrary-precision rows, which resolve tails to
-    1e-100 and below, each log10 rounded once from its integer tail sum.  An
-    open end of `k_range` (None) is the end of the chain, 1 or N.
+    In double precision the walk grid and its mask come from `route_grid`:
+    cells below the 1e-13 floor are masked untrusted (exact zeros at s=0 stay
+    trusted and are reported as -inf).  Passing `digits` switches to the
+    arbitrary-precision rows, which resolve tails to 1e-100 and below, each
+    log10 rounded once from its integer tail sum.  An open end of `k_range`
+    (None) is the end of the chain, 1 or N; the times must strictly increase.
     """
     validate_params(p)
     k_lo, k_hi = (validate_qubit_index(p, end if k is None else k)
@@ -250,15 +294,13 @@ def lightcone(p: ChainParams, k_range: tuple, s_range: tuple,
     s_lo, s_hi = float(s_range[0]), float(s_range[1])
     if not (0.0 <= s_lo <= s_hi < math.inf):
         raise ValidationError(f"bad time range {s_range}")
-    ss = np.linspace(s_lo, s_hi, resolution)
+    ss = validate_increasing(np.linspace(s_lo, s_hi, resolution))
 
     if digits is None:
-        values = walk.lr_walk_grid(p, ks, ss)
-        trusted = double_trusted(values, ss)
+        values, trusted = route_grid(Method.WALK, p, ks, ss)
         with np.errstate(divide="ignore"):
-            logs = np.log10(np.maximum(values, 0.0))
+            logs = np.log10(values)
     else:
         logs = walk.lr_walk_grid_log10(p, ks, ss, digits)
         trusted = np.ones_like(logs, dtype=bool)
-    return LightconeGrid(k_values=ks, s_values=tuple(ss.tolist()),
-                         log10_c=logs, trust_mask=trusted)
+    return LightconeGrid(k_values=ks, s_values=ss, log10_c=logs, trust_mask=trusted)

@@ -1,22 +1,18 @@
 """Command-line front end: correlation tables as CSV/JSON.
 
-Output conventions: CSV files open with `#`-prefixed key=value metadata
-lines, then one header row, then data; floats carry 17 significant digits so
-files round-trip doubles exactly; log10 of an exact zero is emitted as the
-literal -inf and a NaN as nan.  JSON tables carry float cells as the same
-17-digit strings, so -inf and nan survive JSON.  Both formats stream from
-one block writer, `_write_rows`, whose float cells come from `_decimal17`, a
-vectorised `format(x, ".17g")` equal to it byte for byte, which calls
-`format` itself outside 1e-270 <= |x| <= 1e270 or near a rounding tie.
-`correlate`, `snapshot` and `lightcone` rows carry a `trusted` column: the
-AND of the trust mask of each value column the row prints.  `route_grid` is
-the one place where a route's grid is checked against the [0, 2] bound and
-C(0) = 0 and paired with its trust rule in `params`: eig walk and dense
-values are trusted at or above the 1e-13 noise floor; `--digits` walk
-values, each rounded once to a double from its integer tail sum, where that
-double keeps them (an exact zero or a normal double); closed-form values
-while their tail sum (C pi s)^2 stays a normal double.  `lightcone` trusts
-every `--digits` cell (`analysis.lightcone`), a log10 rounded likewise.
+Each command is layout only: its grids, checked and with their trust masks,
+come from `analysis`, where `route_grid` pairs every route with its rule in
+`params`.  CSV files open with `#`-prefixed key=value metadata lines, then one
+header row, then data; floats carry 17 significant digits so files round-trip
+doubles exactly; log10 of an exact zero is emitted as the literal -inf and a
+NaN as nan.  JSON tables carry float cells as the same 17-digit strings, so
+-inf and nan survive JSON.  Both formats stream from one block writer,
+`_write_rows`, which formats every column a block of rows at a time; its
+float cells come from `_decimal17`, a vectorised `format(x, ".17g")` equal to
+it byte for byte, which calls `format` itself outside 1e-270 <= |x| <= 1e270
+or near a rounding tie.  `correlate`, `snapshot` and `lightcone` rows carry a
+`trusted` column: the AND of the trust mask of each value column the row
+prints; `lightcone --digits` trusts every cell (`analysis.lightcone`).
 Snapshot rows also drop past the reflection-safe horizon of their qubit.
 
 Exit codes: 0 success, 1 usage error, 2 numeric-guard refusal.
@@ -33,18 +29,9 @@ from dataclasses import dataclass
 import click
 import numpy as np
 
-from .params import (
-    ChainParams,
-    GuardError,
-    Method,
-    ValidationError,
-    cast_trusted,
-    critical_trusted,
-    double_trusted,
-    validate_correlations,
-    validate_times,
-)
-from . import analysis, asymptotics, bench, critical, oracle, walk
+from .params import (ChainParams, GuardError, Method, ValidationError, validate_increasing,
+                     validate_times)
+from . import analysis, asymptotics, bench, walk
 
 USAGE_EXIT = 1
 GUARD_EXIT = 2
@@ -61,8 +48,8 @@ _BLOCK_ROWS = 4096
 @dataclass(frozen=True)
 class Tiled:
     """Column of an outer-product grid: every value repeated `each` times in a
-    row, and that sequence repeated `times` times.  Each distinct value is
-    formatted once."""
+    row, and that sequence repeated `times` times.  A block of rows formats the
+    values it indexes, not the whole column."""
 
     values: object
     each: int = 1
@@ -157,42 +144,48 @@ def _decimal17(x) -> np.ndarray:
 
 
 def _cells(values, as_json: bool) -> np.ndarray:
-    """Cell matrix of a 1-D array: floats by `_decimal17`, bools from a table, others by
-    `str` (`json.dumps` in JSON)."""
+    """Cell matrix of a 1-D array of bools, from a table, or of other values by `str`
+    (`json.dumps` in JSON)."""
     spell = json.dumps if as_json else str
-    if values.dtype.kind == "f":
-        return _decimal17(values.astype(float))
     if values.dtype.kind == "b":
         return np.take(_byte_rows([spell(False), spell(True)]), values.astype(np.intp), axis=0)
     return _byte_rows(map(spell, values.tolist()))
 
 
+def _block(col, a: np.ndarray, i: int, n: int):
+    """The values that rows i..i+n-1 of a column print, and each row's index into
+    them (None: one value per row).  A `Tiled` column gives the span of values its
+    rows index, or those rows' values where the span is wider than the block."""
+    if not isinstance(col, Tiled):
+        return a[i:i + n], None
+    at = np.arange(i, i + n) // col.each % len(a)
+    lo, hi = at.min(), at.max()
+    return (a[at], None) if hi - lo >= n else (a[lo:hi + 1], at - lo)
+
+
 def _write_rows(stream, columns, as_json: bool) -> bool:
     """Write the rows of equal-length `columns`, one string per block of at most
-    `_BLOCK_ROWS` rows, and say whether there were any.  A block's plain float cells,
-    from every column, take one `_decimal17` call, a `Tiled` column indexes the cells
-    of its distinct values, and the cell matrices are joined by separator columns with
-    the NULs dropped.  JSON rows take the `json.dump(indent=2)` layout, floats quoted."""
+    `_BLOCK_ROWS` rows, and say whether there were any.  A block's float values, from
+    every column (see `_block`), take one `_decimal17` call, rows index their column's
+    cells, and the cell matrices are joined by separator columns with the NULs
+    dropped.  JSON rows take the `json.dump(indent=2)` layout, floats quoted."""
     arrays = [np.asarray(col.values if isinstance(col, Tiled) else col) for col in columns]
-    tiles = [_cells(a, as_json) if isinstance(col, Tiled) else None
-             for col, a in zip(columns, arrays)]
-    plain = [a.dtype.kind == "f" and tile is None for a, tile in zip(arrays, tiles)]
-    row = (",\n      " if as_json else ",").join(
-        '"\0"' if as_json and a.dtype.kind == "f" else "\0" for a in arrays)
+    floats = [a.dtype.kind == "f" for a in arrays]
+    row = (",\n      " if as_json else ",").join('"\0"' if as_json and f else "\0" for f in floats)
     seps = [_byte_rows([s]).repeat(_BLOCK_ROWS, axis=0)       # built once for every block
             for s in ((",\n    [\n      %s\n    ]" if as_json else "%s\n") % row).split("\0")]
     rows = max((len(a) * getattr(col, "each", 1) * getattr(col, "times", 1)
                 for col, a in zip(columns, arrays)), default=0)
     for i in range(0, rows, _BLOCK_ROWS):
         n = min(_BLOCK_ROWS, rows - i)
-        floats = [a[i:i + n] for a, f in zip(arrays, plain) if f]
-        floats = iter(_decimal17(np.concatenate(floats, dtype=float)).reshape(len(floats), n, -1)
-                      if floats else ())
+        blocks = [_block(col, a, i, n) for col, a in zip(columns, arrays)]
+        spans = [v for (v, _), f in zip(blocks, floats) if f]
+        cells = iter(np.split(_decimal17(np.concatenate(spans, dtype=float)),
+                              np.cumsum([len(v) for v in spans])[:-1]) if spans else ())
         parts = [seps[0][:n]]
-        for col, a, tile, f, sep in zip(columns, arrays, tiles, plain, seps[1:]):
-            parts += [next(floats) if f else _cells(a[i:i + n], as_json) if tile is None
-                      else np.take(tile, np.arange(i, i + n) // col.each % len(tile), axis=0),
-                      sep[:n]]
+        for (v, at), f, sep in zip(blocks, floats, seps[1:]):
+            c = next(cells) if f else _cells(v, as_json)
+            parts += [c if at is None else np.take(c, at, axis=0), sep[:n]]
         text = np.concatenate(parts, axis=1).tobytes().translate(None, b"\0").decode()
         stream.write(text[1:] if as_json and i == 0 else text)     # no comma before row 1
     return rows > 0
@@ -315,35 +308,8 @@ def time_grid(s_values, s_max, n_s):
         first[1:] = ss[1:] != ss[:-1]
         return ss[first]
     _check_length(n_s, "--ns")
-    ss = np.linspace(0.0, validate_times([s_max])[0], n_s)    # --smax checked before the spread
-    if np.any(ss[1:] <= ss[:-1]):
-        raise ValidationError("time grid must be strictly increasing")
-    return ss
-
-
-def route_grid(method: Method, p: ChainParams, ks, ss, digits=None):
-    """One route's grid as doubles, checked against the [0, 2] bound and C(0) = 0,
-    and the trust mask from its rule in `params`: the eig walk, the walk with
-    `digits` (each cell rounded once from its integer tail sum), the dense oracle
-    or the J' = 1 closed form.  The other routes ignore `digits`."""
-    if method is Method.CRITICAL:
-        grid = validate_correlations(critical.lr_critical_grid(ks, ss), ss)
-        return grid, critical_trusted(grid, ss)
-    if method is Method.WALK and digits is not None:
-        grid, tails = walk.lr_walk_grid_doubles(p, ks, ss, digits)
-        return validate_correlations(grid, ss), cast_trusted(tails, grid)
-    grid = (oracle.lr_direct_grid if method is Method.DIRECT else walk.lr_walk_grid)(p, ks, ss)
-    return validate_correlations(grid, ss), double_trusted(grid, ss)
-
-
-def route_grids(routes, p: ChainParams, ks, ss, digits=None):
-    """The grids of `routes` and their masks, two tuples in route order; every
-    route is checked to apply before the first grid is computed."""
-    if Method.CRITICAL in routes and p.j_coupling != 1.0:
-        raise ValidationError("the closed form applies at jp = 1 only")
-    if digits is not None and Method.WALK not in routes:
-        raise ValidationError("--digits applies to the walk route only")
-    return zip(*(route_grid(method, p, ks, ss, digits) for method in routes))
+    # --smax checked before the spread
+    return validate_increasing(np.linspace(0.0, validate_times([s_max])[0], n_s))
 
 
 @click.group()
@@ -390,7 +356,7 @@ def correlate(nq, jp, out, fmt_name, k_spec, s_values, smax, ns, method, digits)
         raise click.UsageError(f"--k {k_spec!r} repeats a qubit")
     ss = time_grid(s_values, smax, ns)
     routes = [Method.WALK, Method.DIRECT] if method == "both" else [Method(method)]
-    grids, trust = route_grids(routes, p, ks, ss, digits)
+    grids, trust = analysis.route_grids(routes, p, ks, ss, digits)
     columns = {f"C{k}_{which.value}": col
                for which, grid in zip(routes, grids) for k, col in zip(ks, grid)}
     if method == "both":
@@ -419,7 +385,7 @@ def snapshot(nq, jp, out, fmt_name, s_values, k_spec, with_critical, digits):
     if len(set(ss)) != len(ss):
         raise click.UsageError(f"--s {s_values!r} repeats a time")
     routes = [Method.WALK, Method.CRITICAL] if with_critical else [Method.WALK]
-    grids, trust = route_grids(routes, p, ks, ss, digits)
+    grids, trust = analysis.route_grids(routes, p, ks, ss, digits)
     prefix = {Method.WALK: "C", Method.CRITICAL: "critical"}
     header = [f"{prefix[which]}_s{fmt(s)}" for which in routes for s in ss]
     horizon = np.array([analysis.reflection_safe_horizon(p, k) for k in ks])

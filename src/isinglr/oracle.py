@@ -18,9 +18,9 @@ Phi_ij = pi s (lam_e,i - lam_o,j): four real half-size products per time.
 B_k = A X_k.  In the Walsh basis its entry is A^H - A where i and j agree in bit
 N-k-1 and A^H + A where they differ, so with same = |A^H - A|^2 and
 diff = |A^H + A|^2 taken entrywise and u0, u1 marking the bit clear and set,
-C_k^2 = (2/dim)(u0 same u0 + u1 same u1 + u0 diff u1 + u1 diff u0) for every k
-at once.  Every term is non-negative; 2 - (4/dim) Re tr(B_k^2) would cancel
-catastrophically for small C.
+C_k^2 = (2/dim)(u0 same u0 + u1 same u1 + 2 u0 diff u1) for every k at once,
+diff being symmetric.  Every term is non-negative; 2 - (4/dim) Re tr(B_k^2)
+would cancel catastrophically for small C.
 
 Against the full-space route (`_z1_evolved`, then `commutator_with_z`) the
 grid agrees to 4.2e-14 absolute at N <= 8, J' <= 2.5.  Peak memory is seven
@@ -206,8 +206,10 @@ def lr_direct_grid(p: ChainParams, ks, ss) -> np.ndarray:
         for out, tmp, f, g in ((a, b, np.subtract, np.add), (b, re, np.add, np.subtract)):
             np.square(f(re.T, re, out=out), out=out)
             out += np.square(g(im.T, im, out=tmp), out=tmp)
-        sq[:, j] = sum(np.einsum("ik,ik->k", l, m @ r)
-                       for m, l, r in ((a, u0, u0), (a, u1, u1), (b, u0, u1), (b, u1, u0)))
+        # diff is symmetric (each entry squares a sum or a difference of the same two
+        # operands), so u1 diff u0 = u0 diff u1 and one product gives both
+        sq[:, j] = (np.einsum("ik,ik->k", u0, a @ u0) + np.einsum("ik,ik->k", u1, a @ u1)
+                    + 2.0 * np.einsum("ik,ik->k", u0, b @ u1))
     return np.sqrt(sq * (2.0 / 2 ** nq))
 
 

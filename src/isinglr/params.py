@@ -97,6 +97,14 @@ def validate_times(ss) -> np.ndarray:
     return ss
 
 
+def validate_increasing(ss) -> np.ndarray:
+    """Return `ss` as a float array once every time is above the one before it."""
+    ss = np.asarray(ss, dtype=float)
+    if np.any(ss[1:] <= ss[:-1]):
+        raise ValidationError("time grid must be strictly increasing")
+    return ss
+
+
 def validate_positive(name: str, value, allow_zero: bool = False) -> float:
     """Return `value` as a finite float > 0, or >= 0 with `allow_zero`."""
     value = float(value)
@@ -123,10 +131,11 @@ def validate_threshold(threshold, plateau: float) -> float:
     return threshold
 
 
-# Trust masks of a (k, s) grid, one rule per route's error model; a printed
-# row is trusted where every value column it prints is.  `lightcone --digits`
-# needs no rule: its log10 cells, rounded once from integer tail sums, carry the
-# route's error, relative ahead of the front, and every cell is trusted.
+# Trust masks of a (k, s) grid, one rule per route's error model, each paired
+# with its route in `analysis.route_grid`; a printed row is trusted where every
+# value column it prints is.  `lightcone --digits` needs no rule: its log10
+# cells, rounded once from integer tail sums, carry the route's error, relative
+# ahead of the front, and every cell is trusted.
 
 def double_trusted(values, ss) -> np.ndarray:
     """Eig walk and dense oracle: absolute error, the round-off of unit rows.
@@ -166,10 +175,8 @@ class TimeGrid:
     values: tuple = ()
 
     def __post_init__(self):
-        vals = tuple(validate_times(self.values).tolist())
-        if any(b <= a for a, b in zip(vals, vals[1:])):
-            raise ValidationError("time grid must be strictly increasing")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values",
+                           tuple(validate_increasing(validate_times(self.values)).tolist()))
 
     @classmethod
     def linspace(cls, s_max: float, n: int, s_min: float = 0.0) -> "TimeGrid":

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 
 from isinglr import (ChainParams, DimensionGuardError, GuardError, Method, ValidationError,
                      critical, oracle, walk)
+from isinglr import analysis
 from isinglr import cli as cli_module
 from isinglr.params import cast_trusted, critical_trusted, double_trusted
 from isinglr.cli import Output, Tiled, cli, fmt, main, parse_float_list, parse_int_list
@@ -420,30 +421,30 @@ class TestRouteGrid:
     ], ids=["eig", "direct", "critical"])
     def test_double_routes(self, method, grid_fn, rule):
         p = ChainParams(6, 1.0)
-        grid, mask = cli_module.route_grid(method, p, self.KS, self.SS)
+        grid, mask = analysis.route_grid(method, p, self.KS, self.SS)
         want = grid_fn(p, self.KS, self.SS)
         assert grid.tobytes() == want.tobytes()
         assert np.array_equal(mask, rule(want, self.SS))
 
     def test_digits_walk_route(self):
         p = ChainParams(6, 1.0)
-        grid, mask = cli_module.route_grid(Method.WALK, p, self.KS, self.SS, 30)
+        grid, mask = analysis.route_grid(Method.WALK, p, self.KS, self.SS, 30)
         exact = walk.lr_walk_grid_highprec(p, self.KS, self.SS, 30)
         assert grid.tobytes() == exact.astype(float).tobytes()
         assert np.array_equal(mask, cast_trusted(exact, grid))
 
     def test_routes_checked_before_any_grid(self, monkeypatch):
-        monkeypatch.setattr(cli_module, "route_grid", None)
+        monkeypatch.setattr(analysis, "route_grid", None)
         p = ChainParams(6, 0.5)
         with pytest.raises(ValidationError):
-            cli_module.route_grids([Method.WALK, Method.CRITICAL], p, [1], [0.5])
+            analysis.route_grids([Method.WALK, Method.CRITICAL], p, [1], [0.5])
         with pytest.raises(ValidationError):
-            cli_module.route_grids([Method.DIRECT], p, [1], [0.5], digits=30)
+            analysis.route_grids([Method.DIRECT], p, [1], [0.5], digits=30)
 
 
 class TestBoundRule:
-    """Every correlate and snapshot grid is checked once against the [0, 2] bound
-    and C(0) = 0, whichever route computed it."""
+    """Every correlate, snapshot and double lightcone grid is checked once against
+    the [0, 2] bound and C(0) = 0, whichever route computed it."""
 
     K_S = ["--k", "1,2", "--s", "0,0.5"]
 
@@ -476,6 +477,26 @@ class TestBoundRule:
 
         monkeypatch.setattr(module, name, bad)
         assert main(args + self.K_S) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("time, value, message", [
+        (1, 2.5, "C(0.5) = 2.5 outside the [0, 2] bound"),
+        (1, math.nan, "C(0.5) = nan outside the [0, 2] bound"),
+        (0, 0.25, "C(0) must vanish, got 0.25"),
+    ], ids=["above", "nan", "nonzero-at-zero"])
+    def test_bad_lightcone_cell_is_a_usage_error(self, time, value, message, monkeypatch,
+                                                 capsys):
+        real = walk.lr_walk_grid
+
+        def bad(*route_args):
+            out = real(*route_args)
+            out[-1, time] = value
+            return out
+
+        monkeypatch.setattr(walk, "lr_walk_grid", bad)
+        # qubits 1 and 2 at the times 0 and 0.5, as in the tables above
+        assert main(["lightcone", "--nq", "6", "--jp", "0.5", "--kmax", "2", "--smax", "0.5",
+                     "--ns", "2"]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
@@ -557,6 +578,29 @@ class TestFrontCommand:
                      "--kmin", "3", "--kmax", "6"]) == 2
         assert "numeric guard: C_4 never reaches 1.9999" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kmax", ["21", "22"])
+    def test_fit_window_under_four_qubits_is_a_usage_error(self, kmax, capsys):
+        # three fit parameters: 2 qubits give a minimum-norm fit, 3 an exact one
+        assert main(["front", "--nq", "200", "--jp", "0.5", "--kmin", "20", "--kmax", kmax]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: fit range (20, {kmax}) must hold at least 4 qubits for the "
+                "three-parameter fit\n")
+
+    @pytest.mark.parametrize("args, nq", [
+        (["front", "--nq", "5", "--jp", "0.5"], 5),
+        (["velocities", "--nq", "11", "--jp", "1"], 11),
+        (["front", "--nq", "13", "--jp", "1", "--kmin", "2"], 13),
+    ], ids=["front", "velocities", "one-open-end"])
+    def test_chain_too_short_for_the_default_window(self, args, nq, capsys):
+        assert main(args) == 1
+        assert capsys.readouterr() == (
+            "", f"error: a chain of {nq} qubits has no default fit window: it starts at "
+                "k = 10 and needs 4 qubits before the chain end\n")
+
+    def test_shortest_chain_with_a_default_window(self):
+        data = json.loads(run_ok(["front", "--nq", "14", "--jp", "1"]))
+        assert data["fit_range"] == [10, 13]
+
     @pytest.mark.parametrize("args", [
         ["front", "--nq", "60", "--jp", "1.0", "--threshold", "nan"],
         ["front", "--nq", "60", "--jp", "1.0", "--threshold", "-0.1"],
@@ -608,6 +652,30 @@ class TestLightconeCommand:
         assert header == ["k", "s", "log10C", "trusted"]
         zero_time = [r for r in rows if float(r[1]) == 0.0]
         assert zero_time and all(r[2] == "-inf" for r in zero_time)
+
+    def test_zero_width_time_grid_is_a_usage_error(self, capsys):
+        # three times from 0 to 0 repeat a time, as in correlate
+        assert main(["lightcone", "--nq", "3", "--jp", "0.5", "--smax", "0", "--ns", "3"]) == 1
+        assert capsys.readouterr() == ("", "error: time grid must be strictly increasing\n")
+
+    def test_one_time_at_zero(self):
+        _, _, rows = parse_csv(run_ok(["lightcone", "--nq", "3", "--jp", "0.5", "--smax", "0",
+                                       "--ns", "1"]))
+        assert rows == [[str(k), "0", "-inf", "True"] for k in (1, 2, 3)]
+
+    def test_long_time_axis_streams_from_its_arrays(self, tmp_path):
+        # 200,000 times on one qubit: the Tiled s column is formatted a block of rows
+        # at a time, like every other column, never whole
+        out = tmp_path / "cone.csv"
+        args = ["lightcone", "--nq", "1", "--jp", "0.5", "--ns", "200000", "--out", str(out)]
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+        assert out.read_text().count("\n") == 3 + 1 + 200000
 
 
 class TestEdgeCommand:
@@ -794,8 +862,11 @@ class TestGoldenBytes:
          Tiled(np.array([True, False, True]), each=(cli_module._BLOCK_ROWS // 2 + 1) // 3,
                times=3)],
         [np.array(HARD_FLOATS)],
+        # a column longer than a block, tiled twice: the second block's span wraps
+        [Tiled(np.arange(cli_module._BLOCK_ROWS + 5) * 0.1 - 3.0, times=2),
+         Tiled(np.arange(cli_module._BLOCK_ROWS + 5), times=2)],
     ], ids=["special", "tiled", "no-rows", "no-columns", "blocks", "tiled-blocks",
-            "hard-cases"])
+            "hard-cases", "tiled-wrap"])
     def test_cells(self, capsys, columns, format):
         header = [f"c{i}" for i in range(len(columns))]
         meta = {"nq": 4, "jp": -0.0, "precision": "double", "x": math.nan}
@@ -836,6 +907,16 @@ class TestGoldenBytes:
         (meta, header, columns, fmt_name), = calls
         assert fmt_name == format
         assert out == reference_table(meta, header, reference_rows(columns), format)
+
+    def test_tiled_columns_formatted_a_block_at_a_time(self, monkeypatch):
+        # a column over three blocks long, tiled twice, so that two blocks' spans wrap:
+        # no call formats more than a block of it
+        sizes = []
+        real = cli_module._decimal17
+        monkeypatch.setattr(cli_module, "_decimal17", lambda x: sizes.append(len(x)) or real(x))
+        values = np.arange(3 * cli_module._BLOCK_ROWS + 5) * 0.5
+        Output(os.devnull).table({}, ["s"], [Tiled(values, times=2)], "csv")
+        assert len(sizes) == 7 and max(sizes) <= cli_module._BLOCK_ROWS
 
     def test_json_rows_written_a_block_at_a_time(self, monkeypatch):
         rows = 3 * cli_module._BLOCK_ROWS + 1

@@ -24,6 +24,7 @@ from isinglr.params import (
     cast_trusted,
     critical_trusted,
     double_trusted,
+    validate_increasing,
     validate_qubit_index,
 )
 
@@ -95,6 +96,13 @@ class TestTimeGrid:
     def test_negative_rejected(self):
         with pytest.raises(ValidationError):
             TimeGrid((-0.1, 1.0))
+
+    def test_one_increasing_rule(self):
+        assert validate_increasing([0.0]).tolist() == [0.0]
+        assert validate_increasing([0.0, 5e-324, 1.0]).tolist() == [0.0, 5e-324, 1.0]
+        for ss in ([0.0, 0.0], [1.0, 0.5], [-0.0, 0.0]):
+            with pytest.raises(ValidationError, match="time grid must be strictly increasing"):
+                validate_increasing(ss)
 
     def test_linspace(self):
         g = TimeGrid.linspace(3.0, 4)
