@@ -59,6 +59,7 @@ from .asymptotics import (
     dispersion,
     lr_leading_exact,
     lr_leading_exponential,
+    lr_leading_grid,
     lr_leading_largek,
     saturation_value,
     v_group,

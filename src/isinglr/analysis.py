@@ -99,17 +99,21 @@ def route_grids(routes, p: ChainParams, ks, ss, digits=None):
     return zip(*(route_grid(method, p, ks, ss, digits) for method in routes))
 
 
-def reflection_safe_horizon(p: ChainParams, k: int) -> float:
-    """Latest time before end-of-chain reflections can reach qubit k.
+def reflection_safe_horizon(p: ChainParams, k):
+    """Latest time before end-of-chain reflections can reach qubit k, or an array
+    of them for a sequence of qubits, each index checked.
 
     Round trip of the fastest quasiparticle from qubit 1 to the end and back
     to qubit k: (2 N - k - 1) / v_max.  Infinite for decoupled chains.
     """
     validate_params(p)
-    validate_qubit_index(p, k)
+    if np.ndim(k):
+        k = np.array([validate_qubit_index(p, q) for q in k], dtype=float)
+    else:
+        validate_qubit_index(p, k)
     v = v_group_max(p.j_coupling)
     if v == 0.0:
-        return math.inf
+        return math.inf + 0.0 * k      # an array of inf for a sequence
     return (2.0 * p.n_qubits - k - 1.0) / v
 
 

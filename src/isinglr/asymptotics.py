@@ -21,7 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .params import ValidationError, validate_positive
+import numpy as np
+
+from .params import GuardError, ValidationError, validate_positive
+from . import walk
 
 LOG10_E = math.log10(math.e)
 
@@ -69,35 +72,80 @@ def v_lieb_robinson(jp: float) -> float:
     return math.e * math.pi * math.sqrt(jp)
 
 
+#: The leading-edge forms, each with its least qubit index and that rule's message,
+#: and whether it allows J' = 0.
+LEADING_FORMS = {"exact": (1, "qubit index must be >= 1", True),
+                 "largek": (2, "the large-k form needs k >= 2", False),
+                 "exponential": (1, "qubit index must be >= 1", False)}
+
+
+def lr_leading_grid(form: str, ks, ss, jp: float) -> np.ndarray:
+    """log10 of a leading-edge form (exact, largek or exponential; the one-cell forms
+    below) on the (k, s) grid, shape (len(ks), len(ss)); -inf marks an exact zero.
+
+    Each per-k and per-s term is taken once with `math`, and the cells join them in
+    the one-cell formula's order, so a cell is the same double in any grid.  A grid
+    above `walk.MAX_GRID_ENTRIES` cells is refused; then the inputs are checked in the
+    order the cells meet them, k-major (index, time, coupling).
+    """
+    if form not in LEADING_FORMS:
+        raise ValidationError(f"unknown leading-edge form {form!r}")
+    ks, ss = list(ks), list(ss)
+    if len(ks) * len(ss) > walk.MAX_GRID_ENTRIES:
+        raise GuardError(f"{len(ks)} qubits x {len(ss)} times is {len(ks) * len(ss)} cells, "
+                         f"above the budget {walk.MAX_GRID_ENTRIES}")
+    least, message, zero_jp = LEADING_FORMS[form]
+    if not (ks and ss):
+        return np.zeros((len(ks), len(ss)))
+    for i, k in enumerate(ks):
+        if k < least:
+            raise ValidationError(message)
+        if i == 0:
+            validate_positive("time", ss[0], allow_zero=True)
+            validate_positive("coupling", jp, allow_zero=zero_jp)
+            for s in ss[1:]:
+                validate_positive("time", s, allow_zero=True)
+    v = v_lieb_robinson(jp)
+    if form == "exponential":
+        head = [LOG10_E - 0.5 * math.log10(math.pi * jp * k) for k in ks]
+        gap = np.array([float(k) for k in ks])[:, None] - [v * s for s in ss]
+        return np.array(head)[:, None] - 2.0 * gap * LOG10_E
+    live = np.array([s != 0.0 for s in ss])
+    c = np.array([float(2 * k - 1) for k in ks])[:, None]
+    if form == "exact":
+        rows = np.array([jp != 0.0 or k < 2 for k in ks])
+        head = [2 * k * math.log10(2.0)
+                + (2 * k - 1) * math.log10(math.pi)
+                - math.lgamma(2 * k) * LOG10_E
+                + (k - 1) * (math.log10(jp) if k > 1 else 0.0) if row else 0.0
+                for k, row in zip(ks, rows)]
+        grid = np.array(head)[:, None] + c * [math.log10(s) if x else 0.0
+                                              for s, x in zip(ss, live)]
+        live = rows[:, None] & live
+    else:
+        head = [-0.5 * math.log10(math.pi * jp) - 0.5 * math.log10(k) for k in ks]
+        log_vt = [math.log10(v * s) if x else 0.0 for s, x in zip(ss, live)]
+        grid = np.array(head)[:, None] + c * (log_vt - np.array([math.log10(k - 0.5)
+                                                                for k in ks])[:, None])
+    return np.where(live, grid, -math.inf)
+
+
+def _one_cell(form: str, k: int, s: float, jp: float) -> LogValue:
+    log10 = float(lr_leading_grid(form, [k], [s], jp)[0, 0])
+    return LogValue(log10, 0 if log10 == -math.inf else 1)
+
+
 def lr_leading_exact(k: int, s: float, jp: float) -> LogValue:
-    """Leading-edge correlation monomial, exact coefficient, in log domain."""
-    if k < 1:
-        raise ValidationError("qubit index must be >= 1")
-    validate_positive("time", s, allow_zero=True)
-    validate_positive("coupling", jp, allow_zero=True)
-    if s == 0.0 or (jp == 0.0 and k >= 2):
-        return LogValue.zero()
-    log10 = (2 * k * math.log10(2.0)
-             + (2 * k - 1) * math.log10(math.pi)
-             - math.lgamma(2 * k) * LOG10_E
-             + (k - 1) * (math.log10(jp) if k > 1 else 0.0)
-             + (2 * k - 1) * math.log10(s))
-    return LogValue(log10)
+    """Leading-edge correlation monomial, exact coefficient, in log domain:
+    log10 (2^{2k} pi^{2k-1} / (2k-1)! J'^{k-1} s^{2k-1}); zero at s = 0 and at
+    J' = 0 past k = 1."""
+    return _one_cell("exact", k, s, jp)
 
 
 def lr_leading_largek(k: int, s: float, jp: float) -> LogValue:
-    """Stirling form of the leading edge; valid for k well above 1."""
-    if k < 2:
-        raise ValidationError("the large-k form needs k >= 2")
-    validate_positive("time", s, allow_zero=True)
-    validate_positive("coupling", jp)
-    if s == 0.0:
-        return LogValue.zero()
-    vt = v_lieb_robinson(jp) * s
-    log10 = (-0.5 * math.log10(math.pi * jp)
-             - 0.5 * math.log10(k)
-             + (2 * k - 1) * (math.log10(vt) - math.log10(k - 0.5)))
-    return LogValue(log10)
+    """Stirling form of the leading edge, valid for k well above 1:
+    (pi J' k)^{-1/2} (v_lr t / (k - 1/2))^{2k-1} in log domain."""
+    return _one_cell("largek", k, s, jp)
 
 
 def lr_leading_exponential(k: int, s: float, jp: float) -> LogValue:
@@ -106,15 +154,7 @@ def lr_leading_exponential(k: int, s: float, jp: float) -> LogValue:
     Describes the far leading edge where k is large and near v_lr t; no
     regime guard is applied, callers sweep whole (k, t) windows with it.
     """
-    if k < 1:
-        raise ValidationError("qubit index must be >= 1")
-    validate_positive("time", s, allow_zero=True)
-    validate_positive("coupling", jp)
-    vt = v_lieb_robinson(jp) * s
-    log10 = (LOG10_E
-             - 0.5 * math.log10(math.pi * jp * k)
-             - 2.0 * (k - vt) * LOG10_E)
-    return LogValue(log10)
+    return _one_cell("exponential", k, s, jp)
 
 
 def dispersion(q: float, jp: float) -> float:

@@ -388,7 +388,7 @@ def snapshot(nq, jp, out, fmt_name, s_values, k_spec, with_critical, digits):
     grids, trust = analysis.route_grids(routes, p, ks, ss, digits)
     prefix = {Method.WALK: "C", Method.CRITICAL: "critical"}
     header = [f"{prefix[which]}_s{fmt(s)}" for which in routes for s in ss]
-    horizon = np.array([analysis.reflection_safe_horizon(p, k) for k in ks])
+    horizon = analysis.reflection_safe_horizon(p, ks)
     trusted = np.all(trust, axis=(0, 2)) & (max(ss) <= horizon)
     meta = {"nq": nq, "jp": jp, "method": "+".join(which.value for which in routes),
             "precision": digits if digits else "double"}
@@ -493,15 +493,12 @@ def edge(jp, out, k_spec, s_values, forms, fmt_name):
     wanted = [f.strip() for f in forms.split(",")]
     if len(set(wanted)) != len(wanted):
         raise click.UsageError(f"--forms {forms!r} repeats a form")
-    evaluators = {"exact": asymptotics.lr_leading_exact, "largek": asymptotics.lr_leading_largek,
-                  "exponential": asymptotics.lr_leading_exponential}
-    unknown = [f for f in wanted if f not in evaluators]
+    unknown = [f for f in wanted if f not in asymptotics.LEADING_FORMS]
     if unknown:
         raise click.UsageError(f"unknown forms {unknown}")
     header = ["k", "s"] + [f"log10C_{f}" for f in wanted]
     columns = [Tiled(ks, each=len(ss)), Tiled(ss, times=len(ks))]
-    columns += [[evaluators[f](k, s, jp).log10_magnitude for k in ks for s in ss]
-                for f in wanted]
+    columns += [np.ravel(asymptotics.lr_leading_grid(f, ks, ss, jp)) for f in wanted]
     Output(out).table({"jp": jp, "v_lieb_robinson": asymptotics.v_lieb_robinson(jp)},
                       header, columns, fmt_name)
 

@@ -73,6 +73,24 @@ def _order(name: str, n) -> int:
     return int(n)
 
 
+_TWO_EPS = 2.0 * float(np.finfo(float).eps)
+
+
+def _ratios(start: int, n_max: int, x: float) -> list:
+    """`bessel_jn_array`'s sweep for one argument in Python floats, bit for bit:
+    J_0 = 1 / (1 + 2 u_1), then q_1 .. q_{n_max}."""
+    q = u = 0.0
+    out = [0.0] * (n_max + 1)
+    for m in range(start, 0, -1):
+        d = 2.0 * m - x * q
+        q = x / (d if d != 0.0 else m * _TWO_EPS)
+        u = q * ((m % 2 == 0) + u)
+        if m <= n_max:
+            out[m] = q
+    out[0] = 1.0 / (1.0 + 2.0 * u)
+    return out
+
+
 def bessel_jn_array(n_max: int, x) -> np.ndarray:
     """J_0(x) .. J_{n_max}(x): shape (n_max + 1,) for scalar x, (n_max + 1, len(x)) for 1-D x.
 
@@ -80,7 +98,9 @@ def bessel_jn_array(n_max: int, x) -> np.ndarray:
     and max x it carries the ratios q_m = J_m / J_{m-1} = x / (2m - x q_{m+1})
     and u_m = q_m ([m even] + u_{m+1}), so the normalization J_0 + 2 sum_m
     J_{2m} = 1 gives J_0 = 1 / (1 + 2 u_1), and J_m = J_0 q_1 ... q_m.  An
-    exact zero denominator (x on a zero of J_{m-1}) is nudged to 2m eps.
+    exact zero denominator (x on a zero of J_{m-1}) is nudged to 2m eps.  One
+    argument runs the same sweep in Python floats (`_ratios`), with the same
+    roundings and a fraction of the per-order cost.
     """
     n_max = _order("order", n_max)
     xs = np.asarray(x, dtype=float)
@@ -88,17 +108,20 @@ def bessel_jn_array(n_max: int, x) -> np.ndarray:
         raise ValidationError(f"arguments must be a scalar or 1-D in [0, {MAX_BESSEL_ARG:g}], "
                               f"got {x!r}")
     xv = np.atleast_1d(xs)
-    q = u = np.zeros_like(xv)
-    out = np.empty((n_max + 1, xv.size))
-    two_eps = 2.0 * np.finfo(float).eps
-    for m in range(_miller_start(n_max, float(np.max(xv, initial=0.0))), 0, -1):
-        d = 2.0 * m - xv * q
-        d[d == 0.0] = m * two_eps
-        q = xv / d
-        u = q * ((m % 2 == 0) + u)
-        if m <= n_max:
-            out[m] = q
-    out[0] = 1.0 / (1.0 + 2.0 * u)
+    start = _miller_start(n_max, float(np.max(xv, initial=0.0)))
+    if xv.size == 1:
+        out = np.array(_ratios(start, n_max, float(xv[0])))[:, None]
+    else:
+        q = u = np.zeros_like(xv)
+        out = np.empty((n_max + 1, xv.size))
+        for m in range(start, 0, -1):
+            d = 2.0 * m - xv * q
+            d[d == 0.0] = m * _TWO_EPS
+            q = xv / d
+            u = q * ((m % 2 == 0) + u)
+            if m <= n_max:
+                out[m] = q
+        out[0] = 1.0 / (1.0 + 2.0 * u)
     np.cumprod(out, axis=0, out=out)
     return out if xs.ndim else out[:, 0]
 

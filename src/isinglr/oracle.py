@@ -12,6 +12,11 @@ so flipping qubit k < N XORs slot bit N-k-1 and flipping qubit N keeps the slot.
 Cached per ChainParams: a real eigh per parity sector, (lam_e, V_e) and
 (lam_o, V_o), W = V_e^T X_1^{eo} V_o, then a Walsh-Hadamard butterfly over the
 slot bits of V_e and V_o, which turns every slot XOR into a +-1 sign pattern.
+At odd N one eigh serves both sectors.  C = prod_{k odd} Y_k prod_{k even} X_k
+flips every bit and anticommutes with H'' (each Z_k meets one flip, each bond
+holds one Y), and flipping all N bits changes the parity, so C maps the even
+sector onto the odd one and H'' to -H'': lam_o = -lam_e, and row half-1-i of
+V_o is row i of V_e times (-1)^(set bits of that even state on sites 1, 3, ..., N).
 Z_1(s) is block-off-diagonal with block A = V_e (W o e^{i Phi}) V_o^T,
 Phi_ij = pi s (lam_e,i - lam_o,j): four real half-size products per time.
 [X_k, Z_1(s)] has two blocks of equal norm, C_k^2 = (2/dim) ||B_k^H - B_k||_F^2,
@@ -139,17 +144,24 @@ def operator_norm(op: np.ndarray) -> float:
 
 @functools.lru_cache(maxsize=1)
 def _sector_factors(p: ChainParams):
-    """Real eigh of H'' in the even and odd sectors, Walsh-folded in place, and W."""
+    """Real eigh of H'' in the even and odd sectors (at odd N the odd one is the even
+    one's chiral image), Walsh-folded in place, and W."""
     nq, half = p.n_qubits, 2 ** (p.n_qubits - 1)
     idx, slot = np.arange(2 * half), np.arange(half)
-    pop = sum((idx >> b) & 1 for b in range(nq))
+    ones = lambda x: sum((x >> b) & 1 for b in range(nq))
+    pop = ones(idx)
     sectors = []
-    for states in (idx[pop % 2 == 0], idx[pop % 2 == 1]):
+    for states in (idx[pop % 2 == 0], idx[pop % 2 == 1])[:2 - nq % 2]:  # odd N: even only
         h = np.diag(2.0 * pop[states] - nq)
         for k in range(1, nq):
             h[slot, (states ^ (3 << (nq - k - 1))) >> 1] -= p.j_coupling
         sectors.append(np.linalg.eigh(h))
         del h
+    if nq % 2:  # the chiral image: even state x at slot i goes to ~x at odd slot half-1-i
+        lam_e, v_e = sectors[0]
+        odd_sites = sum(1 << (nq - k) for k in range(1, nq + 1, 2))
+        sign = 1.0 - 2.0 * (ones(idx[pop % 2 == 0] & odd_sites) % 2)
+        sectors.append((-lam_e, np.multiply(v_e[::-1], sign[::-1, None])))
     (lam_e, v_e), (lam_o, v_o) = sectors
     w = v_e.T @ v_o[slot ^ ((1 << nq - 1) >> 1)]
     for v in (v_e, v_o):  # orthonormal Walsh-Hadamard butterfly over the slot bits

@@ -41,6 +41,19 @@ class TestReflectionHorizon:
     def test_decoupled_chain_never_reflects(self):
         assert reflection_safe_horizon(ChainParams(5, 0.0), 2) == math.inf
 
+    def test_qubit_sequence_gives_one_array(self):
+        p, ks = ChainParams(40, 1.5), [1, 7, np.int64(40)]
+        hs = reflection_safe_horizon(p, ks)
+        assert isinstance(hs, np.ndarray)
+        assert hs.tolist() == [reflection_safe_horizon(p, int(k)) for k in ks]
+        assert reflection_safe_horizon(ChainParams(5, 0.0), [1, 5]).tolist() == [math.inf] * 2
+        assert reflection_safe_horizon(p, []).shape == (0,)
+
+    @pytest.mark.parametrize("ks", [[1, 41], [0, 2], [1, 2.0], [True]])
+    def test_each_index_in_a_sequence_checked(self, ks):
+        with pytest.raises(ValidationError):
+            reflection_safe_horizon(ChainParams(40, 1.5), ks)
+
 
 class TestDecoupledChain:
     """At J' = 0 no front travels, so there is no default time window: a guard

@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from isinglr import (
+    GuardError,
     LogValue,
     ValidationError,
     dispersion,
@@ -17,6 +19,9 @@ from isinglr import (
     v_group_max_numeric,
     v_lieb_robinson,
 )
+from isinglr import walk
+from isinglr.asymptotics import LOG10_E, lr_leading_grid
+from isinglr.params import validate_positive
 
 
 class TestLogValue:
@@ -236,3 +241,82 @@ class TestSaturation:
     @given(st.floats(min_value=0.0, max_value=50.0))
     def test_range(self, jp):
         assert 0.0 < saturation_value(jp) <= 2.0
+
+
+def reference_cell(form, k, s, jp):
+    """log10 of one leading-edge cell by its scalar formula, checks included (-inf: zero)."""
+    if k < (2 if form == "largek" else 1):
+        raise ValidationError("the large-k form needs k >= 2" if form == "largek"
+                              else "qubit index must be >= 1")
+    validate_positive("time", s, allow_zero=True)
+    validate_positive("coupling", jp, allow_zero=form == "exact")
+    vt = math.e * math.pi * math.sqrt(jp) * s
+    if form == "exact":
+        if s == 0.0 or (jp == 0.0 and k >= 2):
+            return -math.inf
+        return (2 * k * math.log10(2.0)
+                + (2 * k - 1) * math.log10(math.pi)
+                - math.lgamma(2 * k) * LOG10_E
+                + (k - 1) * (math.log10(jp) if k > 1 else 0.0)
+                + (2 * k - 1) * math.log10(s))
+    if form == "largek":
+        if s == 0.0:
+            return -math.inf
+        return (-0.5 * math.log10(math.pi * jp)
+                - 0.5 * math.log10(k)
+                + (2 * k - 1) * (math.log10(vt) - math.log10(k - 0.5)))
+    return LOG10_E - 0.5 * math.log10(math.pi * jp * k) - 2.0 * (k - vt) * LOG10_E
+
+
+def reference_grid(form, ks, ss, jp):
+    """The cells one by one, k-major; the first refusal met is raised."""
+    return np.array([[reference_cell(form, k, s, jp) for s in ss] for k in ks])
+
+
+FORMS = {"exact": lr_leading_exact, "largek": lr_leading_largek,
+         "exponential": lr_leading_exponential}
+
+
+class TestLeadingGrid:
+    """The grid, its one-cell forms and the scalar formulas agree bit for bit."""
+
+    @given(form=st.sampled_from(sorted(FORMS)),
+           ks=st.lists(st.one_of(st.integers(-1, 3), st.integers(1, 20_000)),
+                       min_size=1, max_size=5),
+           ss=st.lists(st.one_of(st.just(0.0), st.floats(-1.0, 1e4, allow_nan=False)),
+                       min_size=1, max_size=5),
+           jp=st.one_of(st.just(0.0), st.just(1.0), st.floats(-0.5, 8.0, allow_nan=False)))
+    @example(form="exact", ks=[1, 2, 3], ss=[0.0, 0.5], jp=0.0)
+    @example(form="exact", ks=[1, 40], ss=[0.0, 2.0], jp=0.5)
+    @example(form="largek", ks=[2, 3], ss=[0.0, 1.0], jp=2.0)
+    @example(form="largek", ks=[1], ss=[1.0], jp=2.0)
+    @example(form="exponential", ks=[1, 11300], ss=[0.0, 930.0], jp=2.0)
+    @settings(max_examples=300, deadline=None)
+    def test_grid_is_the_one_cell_forms(self, form, ks, ss, jp):
+        try:
+            want = reference_grid(form, ks, ss, jp)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError, match=f"^{re.escape(str(exc))}$"):
+                lr_leading_grid(form, ks, ss, jp)
+            return
+        except ValueError:      # a log of an underflowed v_lr s: the grid fails as well
+            with pytest.raises(ValueError):
+                lr_leading_grid(form, ks, ss, jp)
+            return
+        grid = lr_leading_grid(form, ks, ss, jp)
+        assert grid.shape == (len(ks), len(ss)) and np.array_equal(grid, want)
+        for i, k in enumerate(ks):
+            for j, s in enumerate(ss):
+                cell = FORMS[form](k, s, jp)
+                assert cell.log10_magnitude == grid[i, j]
+                assert cell.sign == (0 if grid[i, j] == -math.inf else 1)
+
+    def test_edge_table_shape_and_budget(self, monkeypatch):
+        assert lr_leading_grid("exact", [], [1.0], 2.0).shape == (0, 1)
+        assert lr_leading_grid("largek", [2, 3], [], 2.0).shape == (2, 0)
+        with pytest.raises(ValidationError, match="unknown leading-edge form"):
+            lr_leading_grid("stirling", [2], [1.0], 2.0)
+        monkeypatch.setattr(walk, "MAX_GRID_ENTRIES", 6)
+        assert lr_leading_grid("exact", [1, 2, 3], [1.0, 2.0], 2.0).shape == (3, 2)
+        with pytest.raises(GuardError):     # refused before the bad index is read
+            lr_leading_grid("exact", [0, 2, 3, 4], [1.0, 2.0], 2.0)

@@ -696,6 +696,24 @@ class TestEdgeCommand:
         assert capsys.readouterr().out == ""
 
 
+    def test_oversized_table_exits_2_before_any_array(self, capsys):
+        # 5,000 qubits x 5,000 times is 25,000,000 cells, above the budget of 2^24;
+        # one form's column alone would take 200 MB
+        tracemalloc.start()
+        try:
+            code = main(["edge", "--jp", "2", "--k", "1..5000", "--s", "1,2,...,5000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and peak < 2 ** 21
+        assert "above the budget" in capsys.readouterr().err
+
+    def test_budget_counts_cells_not_lists(self, monkeypatch):
+        monkeypatch.setattr(walk, "MAX_GRID_ENTRIES", 12)
+        assert main(["edge", "--jp", "2", "--k", "2..5", "--s", "1,2,3", "--out", os.devnull]) == 0
+        assert main(["edge", "--jp", "2", "--k", "2..5", "--s", "1,2,3,4"]) == 2
+
+
 class TestBenchCommand:
     def test_report_structure(self):
         out = run_ok(["bench", "--nq", "20,40", "--compare-nq", "6",

@@ -199,6 +199,26 @@ class TestBesselJ:
         assert np.max(np.abs(arr - ref)) <= 1e-14
 
 
+    # each hits an exact zero denominator 2m - x q_{m+1} = 0 in a sweep to order 39
+    # (at m = 4, 10 and 27), so the nudge runs in both loops
+    ZERO_DENOMINATORS = [9.76102312998167, 17.24122038248913, 40.90580460249226]
+
+    def test_one_argument_runs_the_array_sweep_bit_for_bit(self):
+        # the float loop for one argument against the array loop over [x, x], at zeros
+        # of J_0..J_9 and their neighbouring doubles, in every regime, and at the
+        # arguments that hit an exact zero denominator
+        zeros = np.concatenate([scipy.special.jn_zeros(m, 10) for m in range(10)])
+        xs = np.concatenate([zeros, np.nextafter(zeros, 0.0), np.nextafter(zeros, np.inf),
+                             [0.0, 5e-324, 1e-200, 1e-13, 1.0, 251.3, 9.9e3],
+                             self.ZERO_DENOMINATORS])
+        for x in xs:
+            pair = bessel_jn_array(39, [x, x])
+            assert np.array_equal(pair[:, 0], pair[:, 1])
+            assert np.array_equal(bessel_jn_array(39, x), pair[:, 0]), x
+            assert np.array_equal(bessel_jn_array(39, [x]), pair[:, :1]), x
+        assert bessel_j(7, 40.90580460249226) == bessel_jn_array(7, [40.90580460249226] * 2)[7, 0]
+
+
 class TestBesselSumCheck:
     def test_zero_argument(self):
         assert bessel_sum_check(0.0, 10) == 0.0

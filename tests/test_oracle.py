@@ -376,3 +376,63 @@ class TestWalshReduction:
         assert np.all(direct[:, 0] == 0.0) and np.all(walk[:, 0] == 0.0)
         assert np.all(np.diff(walk, axis=0) <= 0.0)
         assert np.all(np.diff(direct, axis=0) <= 1e-13)
+
+
+def ones(x):
+    """Set bits of each entry of the integer array `x`."""
+    return np.vectorize(lambda v: bin(v).count("1"))(x)
+
+
+class TestChiralImage:
+    """At odd N, C = prod_{k odd} Y_k prod_{k even} X_k flips every bit and sends
+    H'' = -sum Z_k - J' sum X_k X_{k+1} to -H'': the odd factor is the even one's image."""
+
+    def test_odd_chain_diagonalises_one_sector(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        oracle._sector_factors.cache_clear()
+        monkeypatch.setattr(oracle.np.linalg, "eigh", counting_eigh)
+        lr_direct_grid(ChainParams(7, 0.7), range(1, 8), np.linspace(0.0, 3.0, 13))
+        assert calls == [(64, 64)]
+
+    @pytest.mark.parametrize("nq,jp", [(1, 0.5), (3, 1.0), (5, 0.0), (7, 0.7), (9, 2.5)])
+    def test_odd_factor_is_the_chiral_image(self, nq, jp):
+        lam_e, v_e, lam_o, v_o, w = oracle._sector_factors(ChainParams(nq, jp))
+        half = len(v_e)
+        # H'' on the whole space from Kronecker products, restricted to the odd sector
+        h = np.zeros((2 ** nq, 2 ** nq), dtype=complex)
+        for k in range(nq):
+            h -= kron_chain(["Z" if j == k else "I" for j in range(nq)])
+        for k in range(nq - 1):
+            h -= jp * kron_chain(["X" if j in (k, k + 1) else "I" for j in range(nq)])
+        odd = np.flatnonzero(ones(np.arange(2 ** nq)) % 2)
+        h_odd = h[np.ix_(odd, odd)].real
+        slot = np.arange(half)
+        walsh = (-1.0) ** ones(slot[:, None] & slot) / math.sqrt(half)   # its own inverse
+        u_o = walsh @ v_o
+        assert np.array_equal(lam_o, -lam_e)
+        assert np.max(np.abs(h_odd @ u_o + u_o * lam_e)) <= 1e-13
+        # after the fold the image is a signed permutation: v_o[w] = (-1)^|w| v_e[w ^ b],
+        # b the even slot bits (0b1010101 at N = 9)
+        b = sum(1 << j for j in range(0, nq - 1, 2))
+        assert np.array_equal(v_o, (-1.0) ** ones(slot)[:, None] * v_e[slot ^ b])
+        # so W = V_e^T X_1 V_o is symmetric at N = 1 (mod 4), antisymmetric at N = 3 (mod 4)
+        assert np.max(np.abs(w - (-1) ** (nq // 2) * w.T)) <= 1e-14
+
+    @pytest.mark.parametrize("jp", [0.5, 2.5])
+    def test_odd_grid_matches_full_space_evolution(self, jp):
+        p = ChainParams(7, jp)
+        ss = np.linspace(0.0, 3.0, 7)
+        grid = lr_direct_grid(p, range(1, 8), ss)
+        h = build_hamiltonian(p)
+        z1 = pauli_string_matrix(PauliString.from_str("ZIIIIII"))
+        for j, s in enumerate(ss):
+            z1t = heisenberg_evolve(z1, h, float(s))
+            for k in range(1, 8):
+                full = frobenius_norm(commutator_with_z(p, k, z1t))
+                assert abs(grid[k - 1, j] - full) <= 1e-13
