@@ -11,15 +11,12 @@ the correlation is too small for any floating-point representation.
 """
 
 from .params import (
-    BOUNDED_METHODS,
     ChainParams,
-    CorrelationSeries,
     DimensionGuardError,
     GuardError,
     HorizonError,
     Method,
     ThresholdNotReachedError,
-    TimeGrid,
     ValidationError,
     validate_params,
 )
@@ -69,7 +66,7 @@ from .asymptotics import (
 )
 from .analysis import (
     FrontEstimate,
-    LightconeGrid,
+    RouteGrid,
     crossing_time,
     front_velocity,
     lightcone,

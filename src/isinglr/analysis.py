@@ -1,8 +1,9 @@
 """Experiment drivers: the route table, front extraction, saturation, light-cone grids.
 
-`route_grid` is the one place where a route's grid is checked against the
-[0, 2] bound and C(0) = 0 and paired with its trust rule in `params`.  The
-drivers turn such grids into the headline numbers: the front velocity from
+`route_grid` pairs each route with its trust rule in `params` and returns a
+`RouteGrid`, the one grid type of every route-backed table, which checks its
+shape and, for exact values, the [0, 2] bound and C(0) = 0 on construction.
+The drivers turn such grids into the headline numbers: the front velocity from
 threshold-crossing times, the long-time saturation level, and log-scale
 light-cone maps.  All of them respect the reflection horizon: on a finite
 chain, excitations bounce off the far end and travel back, so data past the
@@ -12,7 +13,7 @@ round-trip time no longer represents an infinite chain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,43 +61,53 @@ class FrontEstimate:
 
 
 @dataclass(frozen=True)
-class LightconeGrid:
-    """log10 C_k(s) on a (k, s) grid plus a per-cell trust mask; s_values is an array."""
+class RouteGrid:
+    """One route's C_k(s) on a (k, s) grid, or its log10, with a per-cell trust mask.
 
-    k_values: tuple
-    s_values: np.ndarray
-    log10_c: np.ndarray            # shape (len(k_values), len(s_values))
-    trust_mask: np.ndarray         # same shape, False where untrusted
+    `values` and `trusted` are (len(ks), len(ss)) arrays; exact values (not
+    `log10`) are checked against the [0, 2] bound and C(0) = 0 on construction.
+    """
+
+    route: Method
+    ks: tuple
+    ss: np.ndarray
+    values: np.ndarray
+    trusted: np.ndarray            # False where untrusted
+    log10: bool = False
 
     def __post_init__(self):
-        shape = (len(self.k_values), len(self.s_values))
-        if self.log10_c.shape != shape or self.trust_mask.shape != shape:
+        shape = (len(self.ks), len(self.ss))
+        if self.values.shape != shape or self.trusted.shape != shape:
             raise ValidationError("grid arrays must be (n_k, n_s)")
+        if not self.log10:
+            validate_correlations(self.values, self.ss)
 
 
-def route_grid(method: Method, p: ChainParams, ks, ss, digits=None):
-    """One route's grid as doubles, checked against the [0, 2] bound and C(0) = 0,
-    and the trust mask from its rule in `params`: the eig walk, the walk with
-    `digits` (each cell rounded once from its integer tail sum), the dense oracle
-    or the J' = 1 closed form.  The other routes ignore `digits`."""
+def route_grid(method: Method, p: ChainParams, ks, ss, digits=None) -> RouteGrid:
+    """One route's grid as doubles with the trust mask of its rule in `params`:
+    the eig walk, the walk with `digits` (each cell rounded once from its integer
+    tail sum), the dense oracle or the J' = 1 closed form.  The other routes
+    ignore `digits`."""
     if method is Method.CRITICAL:
-        grid = validate_correlations(critical.lr_critical_grid(ks, ss), ss)
-        return grid, critical_trusted(grid, ss)
-    if method is Method.WALK and digits is not None:
+        grid = critical.lr_critical_grid(ks, ss)
+        trusted = critical_trusted(grid, ss)
+    elif method is Method.WALK and digits is not None:
         grid, tails = walk.lr_walk_grid_doubles(p, ks, ss, digits)
-        return validate_correlations(grid, ss), cast_trusted(tails, grid)
-    grid = (oracle.lr_direct_grid if method is Method.DIRECT else walk.lr_walk_grid)(p, ks, ss)
-    return validate_correlations(grid, ss), double_trusted(grid, ss)
+        trusted = cast_trusted(tails, grid)
+    else:
+        grid = (oracle.lr_direct_grid if method is Method.DIRECT else walk.lr_walk_grid)(p, ks, ss)
+        trusted = double_trusted(grid, ss)
+    return RouteGrid(method, ks, ss, grid, trusted)
 
 
-def route_grids(routes, p: ChainParams, ks, ss, digits=None):
-    """The grids of `routes` and their masks, two tuples in route order; every
-    route is checked to apply before the first grid is computed."""
+def route_grids(routes, p: ChainParams, ks, ss, digits=None) -> tuple:
+    """The grids of `routes` in route order; every route is checked to apply
+    before the first grid is computed."""
     if Method.CRITICAL in routes and p.j_coupling != 1.0:
         raise ValidationError("the closed form applies at jp = 1 only")
     if digits is not None and Method.WALK not in routes:
         raise ValidationError("--digits applies to the walk route only")
-    return zip(*(route_grid(method, p, ks, ss, digits) for method in routes))
+    return tuple(route_grid(method, p, ks, ss, digits) for method in routes)
 
 
 def reflection_safe_horizon(p: ChainParams, k):
@@ -145,8 +156,18 @@ def crossing_time(p: ChainParams, k: int, threshold: float,
     if s_max > horizon:
         raise HorizonError(f"search window {s_max} exceeds reflection horizon {horizon:.4g}")
 
-    grid = np.arange(0.0, s_max + coarse_step, coarse_step)
+    grid = _sweep_times(1, s_max, coarse_step)
     return float(_first_crossings(p, [k], threshold, grid, s_max)[0])
+
+
+def _sweep_times(n_k: int, s_end: float, step: float) -> np.ndarray:
+    """The coarse sweep 0, step, ... through s_end, once n_k qubits x its length
+    (counted before any time is built) are within `walk.MAX_GRID_ENTRIES`."""
+    count = np.ceil((s_end + step) / step)         # np.arange's length, inf past the doubles
+    if n_k * count > walk.MAX_GRID_ENTRIES:
+        raise GuardError(f"a sweep of {n_k} qubits x {count:.0f} times to s = {s_end:.4g} "
+                         f"is above the grid budget {walk.MAX_GRID_ENTRIES}")
+    return np.arange(0.0, s_end + step, step)
 
 
 def _first_crossings(p: ChainParams, ks, threshold: float, grid: np.ndarray,
@@ -229,8 +250,7 @@ def front_velocity(p: ChainParams, threshold: float = 0.1,
     # crossings happen near k / v_front, so 1.5x arrival plus a pad suffices
     s_top = min(reflection_safe_horizon(p, k_max),
                 1.5 * _expected_arrival(p, k_max) + 15.0)
-    coarse = 0.02
-    grid = np.arange(0.0, s_top + coarse, coarse)
+    grid = _sweep_times(len(ks), s_top, 0.02)
     times = _first_crossings(p, ks, threshold, grid, s_top)
 
     design = np.column_stack([np.ones_like(ks, dtype=float), ks.astype(float),
@@ -278,12 +298,12 @@ def saturation_window(p: ChainParams, k: int, width: float = 15.0) -> tuple:
 
 
 def lightcone(p: ChainParams, k_range: tuple, s_range: tuple,
-              resolution: int = 101, digits: int = None) -> LightconeGrid:
-    """log10 C_k(s) over a (k, s) grid.
+              resolution: int = 101, digits: int = None) -> RouteGrid:
+    """log10 C_k(s) over a (k, s) grid, a `RouteGrid` with `log10` set.
 
-    In double precision the walk grid and its mask come from `route_grid`:
-    cells below the 1e-13 floor are masked untrusted (exact zeros at s=0 stay
-    trusted and are reported as -inf).  Passing `digits` switches to the
+    In double precision it is the log10 of `route_grid`'s walk grid, with the
+    same mask: cells below the 1e-13 floor are untrusted (exact zeros at s=0
+    stay trusted and are reported as -inf).  Passing `digits` switches to the
     arbitrary-precision rows, which resolve tails to 1e-100 and below, each
     log10 rounded once from its integer tail sum.  An open end of `k_range`
     (None) is the end of the chain, 1 or N; the times must strictly increase.
@@ -301,10 +321,8 @@ def lightcone(p: ChainParams, k_range: tuple, s_range: tuple,
     ss = validate_increasing(np.linspace(s_lo, s_hi, resolution))
 
     if digits is None:
-        values, trusted = route_grid(Method.WALK, p, ks, ss)
+        grid = route_grid(Method.WALK, p, ks, ss)
         with np.errstate(divide="ignore"):
-            logs = np.log10(values)
-    else:
-        logs = walk.lr_walk_grid_log10(p, ks, ss, digits)
-        trusted = np.ones_like(logs, dtype=bool)
-    return LightconeGrid(k_values=ks, s_values=ss, log10_c=logs, trust_mask=trusted)
+            return replace(grid, values=np.log10(grid.values), log10=True)
+    logs = walk.lr_walk_grid_log10(p, ks, ss, digits)
+    return RouteGrid(Method.WALK, ks, ss, logs, np.ones_like(logs, dtype=bool), log10=True)

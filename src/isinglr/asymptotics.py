@@ -124,7 +124,10 @@ def lr_leading_grid(form: str, ks, ss, jp: float) -> np.ndarray:
         live = rows[:, None] & live
     else:
         head = [-0.5 * math.log10(math.pi * jp) - 0.5 * math.log10(k) for k in ks]
-        log_vt = [math.log10(v * s) if x else 0.0 for s, x in zip(ss, live)]
+        # below the normal doubles v_lr s loses digits or vanishes: its log is a sum
+        tiny = np.finfo(float).tiny
+        log_vt = [0.0 if not x else math.log10(v * s) if v * s >= tiny
+                  else math.log10(v) + math.log10(s) for s, x in zip(ss, live)]
         grid = np.array(head)[:, None] + c * (log_vt - np.array([math.log10(k - 0.5)
                                                                 for k in ks])[:, None])
     return np.where(live, grid, -math.inf)

@@ -1,17 +1,17 @@
 """Command-line front end: correlation tables as CSV/JSON.
 
-Each command is layout only: its grids, checked and with their trust masks,
-come from `analysis`, where `route_grid` pairs every route with its rule in
-`params`.  CSV files open with `#`-prefixed key=value metadata lines, then one
-header row, then data; floats carry 17 significant digits so files round-trip
-doubles exactly; log10 of an exact zero is emitted as the literal -inf and a
-NaN as nan.  JSON tables carry float cells as the same 17-digit strings, so
--inf and nan survive JSON.  Both formats stream from one block writer,
-`_write_rows`, which formats every column a block of rows at a time; its
-float cells come from `_decimal17`, a vectorised `format(x, ".17g")` equal to
-it byte for byte, which calls `format` itself outside 1e-270 <= |x| <= 1e270
-or near a rounding tie.  `correlate`, `snapshot` and `lightcone` rows carry a
-`trusted` column: the AND of the trust mask of each value column the row
+Each command is layout only: its grids are `analysis.RouteGrid`s, checked on
+construction, each with the trust mask of its route's rule in `params`, and a
+table's columns are their fields.  CSV files open with `#`-prefixed key=value
+metadata lines, then one header row, then data; floats carry 17 significant
+digits so files round-trip doubles exactly; log10 of an exact zero is emitted
+as the literal -inf and a NaN as nan.  JSON tables carry float cells as the
+same 17-digit strings, so -inf and nan survive JSON.  Both formats stream from
+one block writer, `_write_rows`, which formats every column a block of rows at
+a time; its float cells come from `_decimal17`, a vectorised `format(x, ".17g")`
+equal to it byte for byte, which calls `format` itself outside 1e-270 <= |x| <=
+1e270 or near a rounding tie.  `correlate`, `snapshot` and `lightcone` rows carry a
+`trusted` column: the AND of the `trusted` cells of each value column the row
 prints; `lightcone --digits` trusts every cell (`analysis.lightcone`).
 Snapshot rows also drop past the reflection-safe horizon of their qubit.
 
@@ -356,16 +356,16 @@ def correlate(nq, jp, out, fmt_name, k_spec, s_values, smax, ns, method, digits)
         raise click.UsageError(f"--k {k_spec!r} repeats a qubit")
     ss = time_grid(s_values, smax, ns)
     routes = [Method.WALK, Method.DIRECT] if method == "both" else [Method(method)]
-    grids, trust = analysis.route_grids(routes, p, ks, ss, digits)
-    columns = {f"C{k}_{which.value}": col
-               for which, grid in zip(routes, grids) for k, col in zip(ks, grid)}
+    grids = analysis.route_grids(routes, p, ks, ss, digits)
+    columns = {f"C{k}_{grid.route.value}": col for grid in grids for k, col in zip(ks, grid.values)}
     if method == "both":
         for k in ks:
             columns[f"absdiff{k}"] = np.abs(columns[f"C{k}_walk"] - columns[f"C{k}_direct"])
     meta = {"nq": nq, "jp": jp, "method": method,
             "precision": digits if digits else "double"}
     Output(out).table(meta, ["s", *columns, "trusted"],
-                      [ss, *columns.values(), np.all(trust, axis=(0, 1))], fmt_name)
+                      [ss, *columns.values(), np.all([g.trusted for g in grids], axis=(0, 1))],
+                      fmt_name)
 
 
 @cli.command()
@@ -385,15 +385,15 @@ def snapshot(nq, jp, out, fmt_name, s_values, k_spec, with_critical, digits):
     if len(set(ss)) != len(ss):
         raise click.UsageError(f"--s {s_values!r} repeats a time")
     routes = [Method.WALK, Method.CRITICAL] if with_critical else [Method.WALK]
-    grids, trust = analysis.route_grids(routes, p, ks, ss, digits)
+    grids = analysis.route_grids(routes, p, ks, ss, digits)
     prefix = {Method.WALK: "C", Method.CRITICAL: "critical"}
-    header = [f"{prefix[which]}_s{fmt(s)}" for which in routes for s in ss]
+    header = [f"{prefix[grid.route]}_s{fmt(s)}" for grid in grids for s in ss]
     horizon = analysis.reflection_safe_horizon(p, ks)
-    trusted = np.all(trust, axis=(0, 2)) & (max(ss) <= horizon)
+    trusted = np.all([g.trusted for g in grids], axis=(0, 2)) & (max(ss) <= horizon)
     meta = {"nq": nq, "jp": jp, "method": "+".join(which.value for which in routes),
             "precision": digits if digits else "double"}
     Output(out).table(meta, ["k", *header, "trusted"],
-                      [ks, *(col for grid in grids for col in grid.T), trusted], fmt_name)
+                      [ks, *(col for grid in grids for col in grid.values.T), trusted], fmt_name)
 
 
 @cli.command()
@@ -466,11 +466,10 @@ def lightcone(nq, jp, out, fmt_name, kmin, kmax, smax, ns, digits):
     """Light-cone grid: k, s, log10 C, trusted; -inf marks exact zeros."""
     p = ChainParams(nq, jp)
     grid = analysis.lightcone(p, (kmin, kmax), (0.0, smax), resolution=ns, digits=digits)
-    n_k, n_s = len(grid.k_values), len(grid.s_values)
     meta = {"nq": nq, "jp": jp, "precision": digits if digits else "double"}
     Output(out).table(meta, ["k", "s", "log10C", "trusted"],
-                      [Tiled(grid.k_values, each=n_s), Tiled(grid.s_values, times=n_k),
-                       np.ravel(grid.log10_c), np.ravel(grid.trust_mask)], fmt_name)
+                      [Tiled(grid.ks, each=len(grid.ss)), Tiled(grid.ss, times=len(grid.ks)),
+                       np.ravel(grid.values), np.ravel(grid.trusted)], fmt_name)
 
 
 @cli.command()

@@ -1,16 +1,19 @@
-"""Shared parameter and result types for the Ising-chain correlation library.
+"""Shared parameter types, input validators and trust rules for the Ising-chain
+correlation library.
 
 Everything downstream works in dimensionless units: the chain is described by
 the qubit count and the coupling ratio J' = J/gamma, and all times are
-s = t/tau with tau the single-qubit precession time.  Types are frozen
-dataclasses, validated on construction, and safe to share across threads.
+s = t/tau with tau the single-qubit precession time.  `ChainParams` is a frozen
+dataclass, validated on construction and safe to share across threads.  The
+grids the routes compute, each with its trust mask, are `analysis.RouteGrid`s;
+their [0, 2] bound check, `validate_correlations`, and the trust rules are here.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -39,6 +42,10 @@ class HorizonError(GuardError):
 #: Dense computations refuse chains longer than this (state space 2^14).
 MAX_DENSE_QUBITS = 14
 
+#: Chains refuse couplings above this: the mode solver of the walk squares J'
+#: and scales it by up to 2^11 light-cone qubits, which stays a finite double.
+MAX_COUPLING = 1e150
+
 #: Double-precision correlation values below this are reported untrusted.
 DOUBLE_TRUST_FLOOR = 1e-13
 
@@ -57,6 +64,9 @@ class ChainParams:
             raise ValidationError(f"n_qubits must be >= 1, got {self.n_qubits}")
         object.__setattr__(self, "j_coupling",
                            validate_positive("j_coupling", self.j_coupling, allow_zero=True))
+        if self.j_coupling > MAX_COUPLING:
+            raise ValidationError(f"j_coupling must be <= {MAX_COUPLING:g}, "
+                                  f"got {self.j_coupling}")
 
     @property
     def n_nodes(self) -> int:
@@ -132,10 +142,11 @@ def validate_threshold(threshold, plateau: float) -> float:
 
 
 # Trust masks of a (k, s) grid, one rule per route's error model, each paired
-# with its route in `analysis.route_grid`; a printed row is trusted where every
-# value column it prints is.  `lightcone --digits` needs no rule: its log10
-# cells, rounded once from integer tail sums, carry the route's error, relative
-# ahead of the front, and every cell is trusted.
+# with its route in `analysis.route_grid` and carried by the `RouteGrid` it
+# returns; a printed row is trusted where every value column it prints is.
+# `lightcone --digits` needs no rule: its log10 cells, rounded once from integer
+# tail sums, carry the route's error, relative ahead of the front, and every
+# cell is trusted.
 
 def double_trusted(values, ss) -> np.ndarray:
     """Eig walk and dense oracle: absolute error, the round-off of unit rows.
@@ -168,43 +179,13 @@ def critical_trusted(values, ss) -> np.ndarray:
     return (np.asarray(values) * math.pi * ss >= math.sqrt(np.finfo(float).tiny)) | (ss == 0.0)
 
 
-@dataclass(frozen=True)
-class TimeGrid:
-    """Strictly increasing grid of dimensionless times s = t/tau, all >= 0."""
-
-    values: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "values",
-                           tuple(validate_increasing(validate_times(self.values)).tolist()))
-
-    @classmethod
-    def linspace(cls, s_max: float, n: int, s_min: float = 0.0) -> "TimeGrid":
-        if validate_count("time grid size", n) == 1:
-            return cls((s_min,))
-        step = (s_max - s_min) / (n - 1)
-        return cls(tuple(s_min + i * step for i in range(n)))
-
-    def __len__(self):
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-
 class Method(str, Enum):
-    """Which evaluation route produced a correlation series."""
+    """Which evaluation route produced a grid."""
 
     WALK = "walk"
     DIRECT = "direct"
     CRITICAL = "critical"
-    LEADING_EXACT = "leading-exact"
-    LEADING_LARGEK = "leading-largek"
-    LEADING_EXPONENTIAL = "leading-exponential"
 
-
-#: Methods whose values are exact correlation functions, bounded by [0, 2].
-BOUNDED_METHODS = (Method.WALK, Method.DIRECT, Method.CRITICAL)
 
 # Slack for the [0, 2] bound and the C(0) = 0 identity; the underlying
 # computations satisfy both exactly, this only absorbs float round-off.
@@ -224,25 +205,3 @@ def validate_correlations(values, ss) -> np.ndarray:
         raise ValidationError(f"C({ss.flat[i]}) = {values.flat[i]} outside the [0, 2] bound"
                               if outside.flat[i] else f"C(0) must vanish, got {values.flat[i]}")
     return values
-
-
-@dataclass(frozen=True)
-class CorrelationSeries:
-    """C_k(s) sampled on a time grid, tagged with the producing method."""
-
-    qubit_index: int
-    times: TimeGrid
-    values: tuple = field(default=())
-    method: Method = Method.WALK
-
-    def __post_init__(self):
-        method = Method(self.method)
-        object.__setattr__(self, "method", method)
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
-        if len(vals) != len(self.times):
-            raise ValidationError("values and time grid lengths differ")
-        if self.qubit_index < 1:
-            raise ValidationError("qubit_index must be >= 1")
-        if method in BOUNDED_METHODS:
-            validate_correlations(vals, self.times.values)

@@ -122,6 +122,11 @@ class TestCrossingTime:
         with pytest.raises(ValidationError):
             crossing_time(ChainParams(20, 1.0), 5, 0.1, **window)
 
+    def test_sweep_length_counted_before_its_times(self):
+        # 1.1e13 coarse times to s = 11.5 would take 83 TiB as an array
+        with pytest.raises(GuardError, match="above the grid budget"):
+            crossing_time(ChainParams(20, 0.5), 3, 0.1, coarse_step=1e-12)
+
 
 class TestFrontVelocity:
     def test_default_fit_range_shape(self):
@@ -349,59 +354,59 @@ class TestLightcone:
 
     def test_open_qubit_ends_are_the_chain_ends(self):
         p = ChainParams(8, 0.5)
-        assert lightcone(p, (None, None), (0.0, 1.0), resolution=2).k_values == tuple(range(1, 9))
-        assert lightcone(p, (3, None), (0.0, 1.0), resolution=2).k_values == tuple(range(3, 9))
+        assert lightcone(p, (None, None), (0.0, 1.0), resolution=2).ks == tuple(range(1, 9))
+        assert lightcone(p, (3, None), (0.0, 1.0), resolution=2).ks == tuple(range(3, 9))
         with pytest.raises(ValidationError):
             lightcone(p, (1, 0), (0.0, 1.0), resolution=2)
 
     def test_time_zero_column_is_minus_inf(self):
         p = ChainParams(30, 1.0)
         grid = lightcone(p, (1, 10), (0.0, 2.0), resolution=5)
-        assert np.all(np.isneginf(grid.log10_c[:, 0]))
-        assert np.all(grid.trust_mask[:, 0])
+        assert np.all(np.isneginf(grid.values[:, 0]))
+        assert np.all(grid.trusted[:, 0])
 
     def test_inside_cone_near_saturation(self):
         p = ChainParams(60, 0.5)
         grid = lightcone(p, (1, 5), (0.0, 12.0), resolution=25)
-        inside = grid.log10_c[0, -5:]       # k = 1, late times
+        inside = grid.values[0, -5:]       # k = 1, late times
         assert np.max(inside) > math.log10(1.8)
 
     def test_untrusted_cells_masked(self):
         p = ChainParams(60, 0.5)
         grid = lightcone(p, (1, 55), (0.0, 1.0), resolution=9)
         # deep-tail cells (far k, early s) are below the double floor
-        assert not grid.trust_mask[-1, 1]
-        assert grid.trust_mask[0, -1]
+        assert not grid.trusted[-1, 1]
+        assert grid.trusted[0, -1]
 
     def test_highprec_mode_extends_trust(self):
         p = ChainParams(10, 0.5)
         grid = lightcone(p, (1, 9), (0.0, 0.4), resolution=3, digits=40)
-        assert np.all(grid.trust_mask)
+        assert np.all(grid.trusted)
         # deep tail actually resolved: k = 9 at s = 0.2 sits near 1e-15
-        assert grid.log10_c[-1, 1] < -10.0
+        assert grid.values[-1, 1] < -10.0
 
     def test_matches_walk_values(self):
         p = ChainParams(40, 1.0)
         grid = lightcone(p, (3, 6), (0.5, 2.0), resolution=4)
-        for i, k in enumerate(grid.k_values):
-            for j, s in enumerate(grid.s_values):
+        for i, k in enumerate(grid.ks):
+            for j, s in enumerate(grid.ss):
                 expect = lr_walk(p, k, float(s))
                 if expect > 1e-12:
-                    assert grid.log10_c[i, j] == pytest.approx(math.log10(expect), abs=1e-9)
+                    assert grid.values[i, j] == pytest.approx(math.log10(expect), abs=1e-9)
 
     def test_main_isocontour_slope_is_inverse_front_velocity(self):
         # follow the log10 C = -1 contour down the chain: d s / d k -> 1/v_front
         p = ChainParams(120, 2.0)
         grid = lightcone(p, (20, 60), (0.0, 14.0), resolution=561)
-        ss = np.asarray(grid.s_values)
+        ss = np.asarray(grid.ss)
         crossings = []
-        for i, k in enumerate(grid.k_values):
-            row = grid.log10_c[i]
+        for i, k in enumerate(grid.ks):
+            row = grid.values[i]
             idx = np.nonzero(row >= -1.0)[0]
             assert len(idx) > 0
             j = idx[0]
             # linear interpolation inside the bracketing cell
             f = (-1.0 - row[j - 1]) / (row[j] - row[j - 1])
             crossings.append(ss[j - 1] + f * (ss[j] - ss[j - 1]))
-        slope = np.polyfit(grid.k_values, crossings, 1)[0]
+        slope = np.polyfit(grid.ks, crossings, 1)[0]
         assert 1.0 / slope == pytest.approx(2 * math.pi, rel=0.06)

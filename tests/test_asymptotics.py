@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -262,9 +263,12 @@ def reference_cell(form, k, s, jp):
     if form == "largek":
         if s == 0.0:
             return -math.inf
+        # v_lr s below the normal doubles: log10 v_lr + log10 s
+        log_vt = (math.log10(vt) if vt >= sys.float_info.min
+                  else math.log10(math.e * math.pi * math.sqrt(jp)) + math.log10(s))
         return (-0.5 * math.log10(math.pi * jp)
                 - 0.5 * math.log10(k)
-                + (2 * k - 1) * (math.log10(vt) - math.log10(k - 0.5)))
+                + (2 * k - 1) * (log_vt - math.log10(k - 0.5)))
     return LOG10_E - 0.5 * math.log10(math.pi * jp * k) - 2.0 * (k - vt) * LOG10_E
 
 
@@ -290,6 +294,7 @@ class TestLeadingGrid:
     @example(form="exact", ks=[1, 40], ss=[0.0, 2.0], jp=0.5)
     @example(form="largek", ks=[2, 3], ss=[0.0, 1.0], jp=2.0)
     @example(form="largek", ks=[1], ss=[1.0], jp=2.0)
+    @example(form="largek", ks=[2, 3], ss=[0.0, 1e-300, 1e-160, 1.0], jp=1e-300)
     @example(form="exponential", ks=[1, 11300], ss=[0.0, 930.0], jp=2.0)
     @settings(max_examples=300, deadline=None)
     def test_grid_is_the_one_cell_forms(self, form, ks, ss, jp):
@@ -299,12 +304,10 @@ class TestLeadingGrid:
             with pytest.raises(ValidationError, match=f"^{re.escape(str(exc))}$"):
                 lr_leading_grid(form, ks, ss, jp)
             return
-        except ValueError:      # a log of an underflowed v_lr s: the grid fails as well
-            with pytest.raises(ValueError):
-                lr_leading_grid(form, ks, ss, jp)
-            return
         grid = lr_leading_grid(form, ks, ss, jp)
         assert grid.shape == (len(ks), len(ss)) and np.array_equal(grid, want)
+        if form == "largek":    # an underflowed v_lr s still gives a finite cell
+            assert np.all(np.isfinite(grid[:, np.array(ss) != 0.0]))
         for i, k in enumerate(ks):
             for j, s in enumerate(ss):
                 cell = FORMS[form](k, s, jp)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import click
 import numpy as np
@@ -220,6 +221,23 @@ class TestCorrelate:
         assert len(rows) == 5
         assert float(rows[0][1]) == 0.0        # C(0) = 0 exactly
 
+    @pytest.mark.parametrize("jp", ["1e300", "1e154"])
+    def test_coupling_above_the_bound_is_a_usage_error(self, jp, capsys):
+        # (1 - J')^2 in the walk's mode solver overflowed at 1e300 and warned at 1e154
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["correlate", "--nq", "4", "--jp", jp, "--k", "1", "--s", "0.5"])
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: j_coupling must be <= 1e+150, got "
+                                           f"{float(jp)}\n")
+
+    def test_coupling_at_the_bound_is_a_table(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, rows = parse_csv(run_ok(["correlate", "--nq", "2000", "--jp", "1e150",
+                                           "--k", "1,2", "--s", "0,0.5"]))
+        assert [r[-1] for r in rows] == ["True", "False"]
+
     def test_deterministic_output(self):
         args = ["correlate", "--nq", "5", "--jp", "1.0", "--smax", "2", "--ns", "7"]
         assert run_ok(args) == run_ok(args)
@@ -421,14 +439,16 @@ class TestRouteGrid:
     ], ids=["eig", "direct", "critical"])
     def test_double_routes(self, method, grid_fn, rule):
         p = ChainParams(6, 1.0)
-        grid, mask = analysis.route_grid(method, p, self.KS, self.SS)
+        out = analysis.route_grid(method, p, self.KS, self.SS)
+        grid, mask = out.values, out.trusted
         want = grid_fn(p, self.KS, self.SS)
         assert grid.tobytes() == want.tobytes()
         assert np.array_equal(mask, rule(want, self.SS))
 
     def test_digits_walk_route(self):
         p = ChainParams(6, 1.0)
-        grid, mask = analysis.route_grid(Method.WALK, p, self.KS, self.SS, 30)
+        out = analysis.route_grid(Method.WALK, p, self.KS, self.SS, 30)
+        grid, mask = out.values, out.trusted
         exact = walk.lr_walk_grid_highprec(p, self.KS, self.SS, 30)
         assert grid.tobytes() == exact.astype(float).tobytes()
         assert np.array_equal(mask, cast_trusted(exact, grid))
@@ -597,6 +617,21 @@ class TestFrontCommand:
             "", f"error: a chain of {nq} qubits has no default fit window: it starts at "
                 "k = 10 and needs 4 qubits before the chain end\n")
 
+    @pytest.mark.parametrize("command", ["front", "velocities"])
+    def test_long_sweep_refused_before_its_times(self, command, capsys):
+        # at J' = 1e-8 the coarse sweep to s = 3.3e8 is 1.7e10 times, 125 GiB as an
+        # array; its length is counted against the grid budget first
+        tracemalloc.start()
+        try:
+            code = main([command, "--nq", "20", "--jp", "1e-8"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert code == 2 and peak < 16 * 2**20
+        assert out == "" and err.startswith("numeric guard: a sweep of 5 qubits")
+        assert err.count("\n") == 1
+
     def test_shortest_chain_with_a_default_window(self):
         data = json.loads(run_ok(["front", "--nq", "14", "--jp", "1"]))
         assert data["fit_range"] == [10, 13]
@@ -695,6 +730,15 @@ class TestEdgeCommand:
         assert main(args) == 1
         assert capsys.readouterr().out == ""
 
+
+    def test_underflowed_largek_cell_is_finite(self):
+        # v_lr s = 8.5e-450 underflows to 0; the cell sums log10 v_lr and log10 s
+        _, _, rows = parse_csv(run_ok(["edge", "--jp", "1e-300", "--k", "2", "--s", "1e-300",
+                                       "--forms", "largek"]))
+        log_vt = math.log10(math.e * math.pi) - 150.0 - 300.0
+        want = -0.5 * math.log10(math.pi * 1e-300) - 0.5 * math.log10(2) + 3 * (
+            log_vt - math.log10(1.5))
+        assert len(rows) == 1 and float(rows[0][2]) == pytest.approx(want, rel=1e-14)
 
     def test_oversized_table_exits_2_before_any_array(self, capsys):
         # 5,000 qubits x 5,000 times is 25,000,000 cells, above the budget of 2^24;

@@ -366,6 +366,18 @@ class TestWalshReduction:
            times=st.lists(st.floats(0.0, 10.0, allow_nan=False), min_size=1, max_size=3))
     @settings(max_examples=12, deadline=None)
     def test_properties_against_walk_n9_n10(self, nq, jp, times):
+        self.check_against_walk(nq, jp, times)
+
+    @given(jp=st.floats(0.0, 5.0, allow_nan=False),
+           times=st.lists(st.floats(0.0, 10.0, allow_nan=False), min_size=1, max_size=2))
+    @settings(max_examples=3, deadline=None)
+    def test_properties_against_walk_n11(self, jp, times):
+        # the odd size diagonalises one parity sector: about 0.25 s a factor (1.2 s where
+        # a coupling near 1e-300 runs eigh on subnormals) and 0.14 s a time
+        self.check_against_walk(11, jp, times)
+
+    @staticmethod
+    def check_against_walk(nq, jp, times):
         p = ChainParams(nq, jp)
         ks = list(range(1, nq + 1))
         ss = np.array([0.0] + times)

@@ -6,9 +6,8 @@ from hypothesis import given, strategies as st
 
 from isinglr import (
     ChainParams,
-    CorrelationSeries,
     Method,
-    TimeGrid,
+    RouteGrid,
     ValidationError,
     front_velocity,
     lightcone,
@@ -21,11 +20,13 @@ from isinglr import (
 from isinglr.params import validate_correlations
 from isinglr.params import (
     DOUBLE_TRUST_FLOOR,
+    MAX_COUPLING,
     cast_trusted,
     critical_trusted,
     double_trusted,
     validate_increasing,
     validate_qubit_index,
+    validate_times,
 )
 
 
@@ -47,6 +48,11 @@ class TestChainParams:
     def test_nonfinite_coupling_rejected(self, bad):
         with pytest.raises(ValidationError):
             ChainParams(3, bad)
+
+    def test_coupling_bound(self):
+        assert ChainParams(3, MAX_COUPLING).j_coupling == 1e150
+        with pytest.raises(ValidationError, match=r"j_coupling must be <= 1e\+150"):
+            ChainParams(3, 2e150)
 
     def test_decoupled_chain_allowed(self):
         assert ChainParams(5, 0.0).j_coupling == 0.0
@@ -89,13 +95,16 @@ class TestQubitIndex:
 
 
 class TestTimeGrid:
+    """The time-grid rules: `validate_times`, `validate_increasing` and the light
+    cone's linspace count."""
+
     def test_strictly_increasing_required(self):
         with pytest.raises(ValidationError):
-            TimeGrid((0.0, 1.0, 1.0))
+            validate_increasing(validate_times((0.0, 1.0, 1.0)))
 
     def test_negative_rejected(self):
         with pytest.raises(ValidationError):
-            TimeGrid((-0.1, 1.0))
+            validate_times((-0.1, 1.0))
 
     def test_one_increasing_rule(self):
         assert validate_increasing([0.0]).tolist() == [0.0]
@@ -105,36 +114,44 @@ class TestTimeGrid:
                 validate_increasing(ss)
 
     def test_linspace(self):
-        g = TimeGrid.linspace(3.0, 4)
-        assert g.values == (0.0, 1.0, 2.0, 3.0)
+        g = lightcone(ChainParams(4, 0.5), (1, 2), (0.0, 3.0), resolution=4)
+        assert g.ss.tolist() == [0.0, 1.0, 2.0, 3.0]
 
     @pytest.mark.parametrize("n", [True, 2.5, 0, -3, "4"])
     def test_linspace_count_must_be_an_integer(self, n):
         with pytest.raises(ValidationError):
-            TimeGrid.linspace(3.0, n)
+            lightcone(ChainParams(4, 0.5), (1, 2), (0.0, 3.0), resolution=n)
 
     def test_linspace_numpy_count(self):
-        assert TimeGrid.linspace(3.0, np.int64(4)).values == (0.0, 1.0, 2.0, 3.0)
-        assert TimeGrid.linspace(3.0, 1, s_min=0.5).values == (0.5,)
+        p = ChainParams(4, 0.5)
+        assert lightcone(p, (1, 2), (0.0, 3.0), resolution=np.int64(4)).ss.tolist() == [
+            0.0, 1.0, 2.0, 3.0]
+        assert lightcone(p, (1, 2), (0.5, 3.0), resolution=1).ss.tolist() == [0.5]
 
 
-class TestCorrelationSeries:
+class TestRouteGridChecks:
+    """A `RouteGrid` of exact values is checked against the [0, 2] bound and
+    C(0) = 0 on construction; a log10 grid is not."""
+
+    def grid(self, route, ss, values, log10=False):
+        values = np.array([values], dtype=float)
+        return RouteGrid(route, (1,), np.array(ss), values, np.ones_like(values, dtype=bool),
+                         log10)
+
     def test_bound_enforced_for_exact_methods(self):
         with pytest.raises(ValidationError):
-            CorrelationSeries(1, TimeGrid((0.0, 1.0)), (0.0, 2.5), Method.WALK)
+            self.grid(Method.WALK, [0.0, 1.0], [0.0, 2.5])
 
     def test_zero_at_time_zero_enforced(self):
         with pytest.raises(ValidationError):
-            CorrelationSeries(1, TimeGrid((0.0,)), (0.3,), Method.DIRECT)
+            self.grid(Method.DIRECT, [0.0], [0.3])
 
-    def test_leading_edge_values_not_bounded(self):
-        # log-domain forms can exceed 2 outside their regime; that is fine
-        s = CorrelationSeries(2, TimeGrid((1.0,)), (7.0,), Method.LEADING_EXACT)
-        assert s.values == (7.0,)
+    def test_log10_values_not_bounded(self):
+        # log10 cells can exceed 2; only the shape is checked
+        assert self.grid(Method.WALK, [1.0], [7.0], log10=True).values.tolist() == [[7.0]]
 
-    def test_good_series(self):
-        s = CorrelationSeries(3, TimeGrid((0.0, 0.5)), (0.0, 1.2), "walk")
-        assert s.method is Method.WALK
+    def test_good_grid(self):
+        assert self.grid(Method.WALK, [0.0, 0.5], [0.0, 1.2]).route is Method.WALK
 
 
 class TestValidateCorrelations:
