@@ -155,7 +155,8 @@ def lr_critical_grid(ks, ss) -> np.ndarray:
     ks = [validate_qubit_index(None, k) for k in ks]
     ss = validate_times(ss)
     z_max = 4.0 * math.pi * float(np.max(ss, initial=0.0))
-    top = _tail_orders(max(ks, default=1), z_max)
+    # a time whose argument overflows has no order count
+    top = _tail_orders(max(ks, default=1), z_max) if math.isfinite(z_max) else math.inf
     if z_max > 0.0 and (top > MAX_BESSEL_ORDER or z_max > MAX_BESSEL_ARG):
         raise GuardError(
             f"the closed form sums Bessel orders to {top} at argument {z_max:g}, outside the "

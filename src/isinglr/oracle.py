@@ -9,28 +9,48 @@ Ground truth for short chains; the walk engines are tested against it.
 H'' = -sum Z_k - J' sum X_k X_{k+1} is real and conserves the parity prod Z_k,
 and Z_k becomes the bit flip X_k.  A sector state's slot is its top N-1 bits,
 so flipping qubit k < N XORs slot bit N-k-1 and flipping qubit N keeps the slot.
-Cached per ChainParams: a real eigh per parity sector, (lam_e, V_e) and
-(lam_o, V_o), W = V_e^T X_1^{eo} V_o, then a Walsh-Hadamard butterfly over the
-slot bits of V_e and V_o, which turns every slot XOR into a +-1 sign pattern.
-At odd N one eigh serves both sectors.  C = prod_{k odd} Y_k prod_{k even} X_k
+In the Walsh basis of the slots (a Walsh-Hadamard transform over the slot bits)
+every slot XOR is a +-1 sign pattern, so H'' has -1 at (w, w ^ 2^(N-k-1)) for
+Z_k, k < N, -(-1)^parity at (w, w ^ all bits) for Z_N, and each bond on the
+diagonal: -J' times the sign of its two slot bits (of bit 0 for the last bond).
+The mirror R: k <-> N+1-k reverses a state's bits and maps slots by s -> L s + c
+over GF(2), c being bit N-2 in the odd sector and 0 in the even one.  In the Walsh
+basis R is the signed permutation e_w -> (-1)^(c.w) e_sigma(w), sigma = L^T, which
+keeps bit N-2, reverses the bits below it and complements them where bit N-2 is
+set: one permutation for both sectors, every sign +1 in the even one.  Pair order
+lists each pair's first member, then the partners, then the fixed points, those
+with bit N-2 set last in each part, so the odd sector's -1 signs close each range.
+R commutes with H'' and splits each sector into an R = +1 block (pair sums, +1
+fixed points) and an R = -1 block (pair differences, -1 fixed points), each
+diagonalised on its own: (20, 12) and (16, 16) at N = 6, (136, 120) at N = 9.
+Cached per ChainParams: the pair order; per sector the eigenvalues, R = +1 first,
+and two blocks, the eigenvectors' rows at the first members and fixed points (a
+partner's row is its first member's times R's sign s in the R = +1 columns and
+times -s in the R = -1 ones); and W = V_e^T X_1^{eo} V_o, X_1 the sign of bit N-2.
+At odd N one sector is diagonalised.  C = prod_{k odd} Y_k prod_{k even} X_k
 flips every bit and anticommutes with H'' (each Z_k meets one flip, each bond
 holds one Y), and flipping all N bits changes the parity, so C maps the even
-sector onto the odd one and H'' to -H'': lam_o = -lam_e, and row half-1-i of
-V_o is row i of V_e times (-1)^(set bits of that even state on sites 1, 3, ..., N).
+sector onto the odd one and H'' to -H'': lam_o = -lam_e, and in the Walsh basis
+v_o[w] = (-1)^|w| v_e[w ^ even slot bits].  C commutes with R (odd sites mirror
+onto odd sites), so each odd block is the image of the even block of its parity.
 Z_1(s) is block-off-diagonal with block A = V_e (W o e^{i Phi}) V_o^T,
-Phi_ij = pi s (lam_e,i - lam_o,j): four real half-size products per time.
+Phi_ij = pi s (lam_e,i - lam_o,j).  Each real part of A^T = V_o (V_e M)^T, with
+M = W o cos Phi or W o sin Phi, takes four block products, each V a product per
+block into contiguous rows and then one butterfly (sum and difference) over the
+pairs: half the products of dense sector factors; rows and columns are in pair order.
 [X_k, Z_1(s)] has two blocks of equal norm, C_k^2 = (2/dim) ||B_k^H - B_k||_F^2,
 B_k = A X_k.  In the Walsh basis its entry is A^H - A where i and j agree in bit
 N-k-1 and A^H + A where they differ, so with same = |A^H - A|^2 and
 diff = |A^H + A|^2 taken entrywise and u0, u1 marking the bit clear and set,
 C_k^2 = (2/dim)(u0 same u0 + u1 same u1 + 2 u0 diff u1) for every k at once,
-diff being symmetric.  Every term is non-negative; 2 - (4/dim) Re tr(B_k^2)
-would cancel catastrophically for small C.
+diff being symmetric.  Both are symmetric, so A^T serves for A.  Every term is
+non-negative; 2 - (4/dim) Re tr(B_k^2) would cancel catastrophically for small C.
 
 Against the full-space route (`_z1_evolved`, then `commutator_with_z`) the
-grid agrees to 4.2e-14 absolute at N <= 8, J' <= 2.5.  Peak memory is seven
-(dim/2)^2 float64 arrays (three cached factors, four per-time buffers),
-14 * 4^N bytes: 15 MB at N = 10, 235 MB at N = 12, 3.8 GB at N = 14.
+grid agrees to 2.5e-14 absolute at N <= 8, J' <= 2.5.  Peak memory is six
+(dim/2)^2 float64 arrays (the blocks, half an array per sector, W, and four
+per-time buffers), 12 * 4^N bytes: 13 MB at N = 10, 201 MB at N = 12, 3.2 GB at
+N = 14; building the factor peaks near 4.2 arrays.
 """
 
 from __future__ import annotations
@@ -42,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import (MAX_DENSE_QUBITS, ChainParams, DimensionGuardError, ValidationError,
-                     validate_params, validate_qubit_index, validate_times)
+                     validate_params, validate_phase, validate_qubit_index, validate_times)
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -142,34 +162,65 @@ def operator_norm(op: np.ndarray) -> float:
     return float(np.linalg.norm(op, 2))
 
 
+def _unmirror(t: np.ndarray, out: np.ndarray, m: int, n: int, neg: int) -> np.ndarray:
+    """out = V t in pair order for V held as blocks, t the blocks' products (R = +1 rows
+    first): the butterfly over the pairs, of which the last `neg` have sign -1."""
+    p, q = t[:m], t[n:n + m]
+    np.add(p, q, out=out[:m])
+    np.subtract(p[:m - neg], q[:m - neg], out=out[m:2 * m - neg])
+    np.subtract(q[m - neg:], p[m - neg:], out=out[2 * m - neg:2 * m])
+    out[2 * m:m + n], out[m + n:] = t[m:n], t[n + m:]
+    return out
+
+
 @functools.lru_cache(maxsize=1)
 def _sector_factors(p: ChainParams):
-    """Real eigh of H'' in the even and odd sectors (at odd N the odd one is the even
-    one's chiral image), Walsh-folded in place, and W."""
+    """Pair order, its pair counts, real eigh of H'' in the mirror blocks of the even and
+    odd sectors (at odd N the odd ones are the even ones' chiral images), and W."""
     nq, half = p.n_qubits, 2 ** (p.n_qubits - 1)
-    idx, slot = np.arange(2 * half), np.arange(half)
+    # a coupling whose square underflows (below sqrt(tiny), 1.5e-154) moves no cell by
+    # 1e-150: it is taken as 0, so its grid is the J' = 0 grid and eigh meets no subnormal
+    jp = p.j_coupling if p.j_coupling ** 2 >= np.finfo(float).tiny else 0.0
+    i = np.arange(half)
     ones = lambda x: sum((x >> b) & 1 for b in range(nq))
-    pop = ones(idx)
-    sectors = []
-    for states in (idx[pop % 2 == 0], idx[pop % 2 == 1])[:2 - nq % 2]:  # odd N: even only
-        h = np.diag(2.0 * pop[states] - nq)
-        for k in range(1, nq):
-            h[slot, (states ^ (3 << (nq - k - 1))) >> 1] -= p.j_coupling
-        sectors.append(np.linalg.eigh(h))
-        del h
-    if nq % 2:  # the chiral image: even state x at slot i goes to ~x at odd slot half-1-i
-        lam_e, v_e = sectors[0]
-        odd_sites = sum(1 << (nq - k) for k in range(1, nq + 1, 2))
-        sign = 1.0 - 2.0 * (ones(idx[pop % 2 == 0] & odd_sites) % 2)
-        sectors.append((-lam_e, np.multiply(v_e[::-1], sign[::-1, None])))
-    (lam_e, v_e), (lam_o, v_o) = sectors
-    w = v_e.T @ v_o[slot ^ ((1 << nq - 1) >> 1)]
-    for v in (v_e, v_o):  # orthonormal Walsh-Hadamard butterfly over the slot bits
-        for i in range(nq - 1):
-            x, y = np.moveaxis(v.reshape(-1, 2, 2 ** i, half), 1, 0)
-            x[...], y[...] = x + y, x - y
-        v *= half ** -0.5
-    return lam_e, v_e, lam_o, v_o, w
+    top = i & (half >> 1)  # bit N-2: the signs of X_1 and of the odd sector's mirror
+    low = sum((((i >> j) & 1) << (nq - 3 - j) for j in range(nq - 2)), i * 0)
+    sigma = top | low ^ (top > 0) * (half // 2 - 1)
+    a, f = (x[np.argsort(top[x] > 0, kind="stable")] for x in (i[i < sigma], i[i == sigma]))
+    order, m = np.concatenate([a, sigma[a], f]), len(a)
+    pos = np.argsort(order)
+    bonds = sum((1 - 2 * (ones(order & (3 << nq - k - 1) >> 1) % 2) for k in range(1, nq)), 0 * i)
+    sectors, dense = [], []
+    for par in range(2 - nq % 2):
+        neg = par * np.count_nonzero(top[a])
+        n = half - m - par * np.count_nonzero(top[f])
+        h = np.diag(-jp * bonds)
+        for x, val in [(1 << b, 1.0) for b in range(nq - 1)] + [(half - 1, 1.0 - 2 * par)]:
+            h[i, pos[order ^ x]] -= val
+        blocks = []
+        for odd, c in enumerate((np.r_[:m, 2 * m:m + n], np.r_[:m, m + n:half])):
+            # P^T H P for the block's orthonormal coordinates P: a partner's column of
+            # P^T H equals its first member's, so only those and the fixed points are read
+            x = h[:, c]
+            y = x[m:2 * m] * np.repeat([1.0 - 2 * odd, 2 * odd - 1.0], [m - neg, neg])[:, None]
+            x = np.vstack([(x[:m] + y) * math.sqrt(0.5), x[m + n:] if odd else x[2 * m:m + n]])
+            x[:, :m] *= math.sqrt(2.0)
+            lam, u = np.linalg.eigh(x)
+            u[:m] *= math.sqrt(0.5)  # from coordinates to V's rows at the first members
+            blocks += [lam, u]
+        sectors.append((np.concatenate(blocks[::2]), *blocks[1::2]))
+        del h, x
+        t = np.zeros((half, half))
+        t[:n, :n], t[n:, n:] = blocks[1::2]
+        dense.append(_unmirror(t, np.empty_like(t), m, n, neg))
+        del t
+    if nq % 2:  # the chiral image: v_o[w] = (-1)^|w| v_e[w ^ even slot bits]
+        v = dense[0][pos[order ^ sum(1 << j for j in range(0, nq - 1, 2))]]
+        dense.append(np.multiply(v, 1.0 - 2.0 * (ones(order) % 2)[:, None], out=v))
+        sectors.append((-sectors[0][0], v[np.r_[:m, 2 * m:m + n], :n],
+                        v[np.r_[:m, m + n:half], n:]))
+    w = dense[0].T @ np.multiply(dense[1], 1.0 - 2.0 * (top[order] > 0)[:, None], out=dense[1])
+    return order, (m, np.count_nonzero(top[a])), sectors, w
 
 
 def _z1_evolved(p: ChainParams, s: float) -> np.ndarray:
@@ -190,28 +241,36 @@ def lr_direct(p: ChainParams, k: int, s: float) -> float:
 
 
 def lr_direct_grid(p: ChainParams, ks, ss) -> np.ndarray:
-    """C_k(s) on a (k, s) grid; per time, four real half-size products and one reduction."""
+    """C_k(s) on a (k, s) grid; per time, eight block products, four pair butterflies and
+    one reduction."""
     _check_dense(p)
     ks = [validate_qubit_index(p, k) for k in ks]
     ss = validate_times(ss)
     nq, half, nk = p.n_qubits, 2 ** (p.n_qubits - 1), len(ks)
+    # the phases pi s lam, |lam| <= N + (N - 1) J', keep a fractional digit
+    validate_phase("dense oracle",
+                   math.pi * float(np.max(ss, initial=0.0)) * (nq + (nq - 1) * p.j_coupling))
     sq = np.zeros((nk, len(ss)))
     times = np.flatnonzero(ss) if ks else ()
     if len(times):
-        lam_e, v_e, lam_o, v_o, w = _sector_factors(p)
-        # u1: slot bit N-k-1 set, per k (k = N flips no slot bit); u0: clear
-        u1 = ((np.arange(half)[:, None] & ((1 << nq - np.array(ks)) >> 1)) != 0) * 1.0
+        order, (m, neg), (even, odd), w = _sector_factors(p)
+        # u1: slot bit N-k-1 set, per k (k = N flips no slot bit), in pair order; u0: clear
+        u1 = ((order[:, None] & ((1 << nq - np.array(ks)) >> 1)) != 0) * 1.0
         u0 = 1.0 - u1
         a, b, re, im = (np.empty((half, half)) for _ in range(4))
     for j in times:
         e, o = (np.array([np.cos(math.pi * ss[j] * lam), np.sin(math.pi * ss[j] * lam)])
-                for lam in (lam_e, lam_o))
-        # e = (ce, se), o = (co, so): cos Phi = ce co + se so, sin Phi = se co - ce so
+                for lam in (even[0], odd[0]))
+        # e = (ce, se), o = (co, so): cos Phi = ce co + se so, sin Phi = se co - ce so;
+        # each part is A^T = V_o (V_e (W o e^{i Phi}))^T, its rows and columns in pair order
         for x, part in ((e, re), (e[::-1] * [[1.0], [-1.0]], im)):
             np.matmul(x.T, o, out=a)
             a *= w
-            np.matmul(v_e, a, out=b)
-            np.matmul(b, v_o.T, out=part)
+            for (_, up, um), y, out, flips in ((even, a, a, 0), (odd, a.T, part, neg)):
+                n = len(up)
+                np.matmul(up, y[:n], out=b[:n])
+                np.matmul(um, y[n:], out=b[n:])
+                _unmirror(b, out, m, n, flips)
         del e, o, x  # not held through the passes below
         # entrywise, a = same = |A^H - A|^2 (pairs on one side of slot bit N-k-1)
         # and b = diff = |A^H + A|^2 (pairs across it)

@@ -49,6 +49,10 @@ MAX_COUPLING = 1e150
 #: Double-precision correlation values below this are reported untrusted.
 DOUBLE_TRUST_FLOOR = 1e-13
 
+#: A phase at or above this has no fractional digit in a double, so its sine and
+#: cosine carry no correct digit.
+MAX_PHASE = 2.0 ** 52
+
 
 @dataclass(frozen=True)
 class ChainParams:
@@ -105,6 +109,13 @@ def validate_times(ss) -> np.ndarray:
     if not np.all(np.isfinite(ss) & (ss >= 0.0)):
         raise ValidationError("times must all be finite and >= 0")
     return ss
+
+
+def validate_phase(route: str, phase: float) -> None:
+    """Refuse a double-precision route whose largest phase reaches `MAX_PHASE`."""
+    if not phase < MAX_PHASE:
+        raise GuardError(f"the {route}'s largest phase, {phase:.3g} rad, reaches 2**52, where a "
+                         "double holds no fractional digit; use shorter times")
 
 
 def validate_increasing(ss) -> np.ndarray:

@@ -67,6 +67,7 @@ from .params import (
     GuardError,
     ValidationError,
     validate_params,
+    validate_phase,
     validate_qubit_index,
     validate_times,
 )
@@ -270,8 +271,11 @@ def _eig_factor(p: ChainParams):
 
 def _grid_factor(p: ChainParams, ss: np.ndarray, held: int) -> tuple:
     """The cached factor of the light-cone prefix for times `ss`, once the grid
-    budget admits (2q)^2 factor entries plus the caller's `held` answer entries."""
-    q = _light_cone_qubits(p, float(np.max(ss, initial=0.0)))
+    budget admits (2q)^2 factor entries plus the caller's `held` answer entries, and
+    the largest phase 2 pi s sigma, sigma <= 1 + J', keeps a fractional digit."""
+    s_max = float(np.max(ss, initial=0.0))
+    validate_phase("walk", 2.0 * math.pi * s_max * (1.0 + p.j_coupling))
+    q = _light_cone_qubits(p, s_max)
     entries = (2 * q) ** 2 + held
     if entries > MAX_GRID_ENTRIES:
         raise GuardError(f"a walk grid of {len(ss)} times on a {q}-qubit light cone needs "
@@ -368,9 +372,10 @@ def _lattice_step(p: ChainParams) -> float:
     return math.ldexp(1.0, exponent - 1)
 
 
-def _substeps(p: ChainParams, s_max: float, partial: int = 1) -> int:
-    """Taylor steps that reach s_max: whole lattice steps plus `partial` partial steps."""
-    return math.floor(s_max / _lattice_step(p)) + partial
+def _substeps(p: ChainParams, s_max: float, partial: int = 1) -> float:
+    """Taylor steps that reach s_max: whole lattice steps plus `partial` partial steps,
+    counted in floats, which hold the count of any time (inf past the largest double)."""
+    return float(s_max) // _lattice_step(p) + partial
 
 
 def _row_bits(p: ChainParams, ss, digits: int) -> tuple:
@@ -383,7 +388,7 @@ def _row_bits(p: ChainParams, ss, digits: int) -> tuple:
     steps = _substeps(p, max(ss, default=0.0), len({s for s in ss.tolist() if math.fmod(s, h)}))
     if steps * p.n_nodes * max(digits, 120) ** 2 > MAX_HIGHPREC_WORK * 120 ** 2:
         raise GuardError(
-            f"{steps} steps x {p.n_nodes} nodes x max(1, {digits} digits/120)^2 exceeds "
+            f"{steps:.3g} steps x {p.n_nodes} nodes x max(1, {digits} digits/120)^2 exceeds "
             f"the arbitrary-precision work budget {MAX_HIGHPREC_WORK}")
     return ss, math.ceil((digits + 10) * math.log2(10.0)) + _GUARD_BITS
 

@@ -232,10 +232,11 @@ class TestCorrelate:
                                            f"{float(jp)}\n")
 
     def test_coupling_at_the_bound_is_a_table(self):
+        # at J' = 1e150 the walk's phase 2 pi s (1 + J') stays below 2**52 up to s ~ 1e-137
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _, _, rows = parse_csv(run_ok(["correlate", "--nq", "2000", "--jp", "1e150",
-                                           "--k", "1,2", "--s", "0,0.5"]))
+                                           "--k", "1,2", "--s", "0,1e-140"]))
         assert [r[-1] for r in rows] == ["True", "False"]
 
     def test_deterministic_output(self):
@@ -711,6 +712,47 @@ class TestLightconeCommand:
             tracemalloc.stop()
         assert peak < 12 * 2**20
         assert out.read_text().count("\n") == 3 + 1 + 200000
+
+
+class TestLongTimes:
+    """A time whose largest phase reaches 2**52 keeps no fractional digit in a double:
+    the double routes refuse it in one line, before any array is built."""
+
+    @pytest.mark.parametrize("args, route", [
+        (["correlate", "--nq", "4", "--jp", "0.5", "--k", "1", "--s", "1e308"], "walk"),
+        (["lightcone", "--nq", "4", "--jp", "0.5", "--smax", "1e308", "--ns", "2"], "walk"),
+        (["snapshot", "--nq", "4", "--jp", "0.5", "--s", "1e308"], "walk"),
+        (["correlate", "--nq", "4", "--jp", "0.5", "--k", "1", "--s", "1e308", "--method",
+          "direct"], "dense oracle"),
+        (["correlate", "--nq", "4", "--jp", "0.5", "--k", "1", "--s", "1e300"], "walk"),
+        (["correlate", "--nq", "4", "--jp", "0.5", "--k", "1", "--s", "1e300", "--method",
+          "direct"], "dense oracle"),
+        (["correlate", "--nq", "2000", "--jp", "1e150", "--k", "1,2", "--s", "0,0.5"], "walk"),
+        (["correlate", "--nq", "4", "--jp", "1", "--k", "1", "--s", "1e308", "--method",
+          "critical"], "closed form"),
+    ], ids=["walk", "lightcone", "snapshot", "direct", "walk-1e300", "direct-1e300",
+            "coupling-bound", "critical"])
+    def test_one_refusal_line(self, args, route, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(args)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith("numeric guard: ") and route in err
+
+    @pytest.mark.parametrize("command", [
+        ["correlate", "--nq", "4", "--jp", "0.5", "--k", "1", "--s", "1e308"],
+        ["correlate", "--nq", "4", "--jp", "100", "--k", "1", "--s", "1e308"],
+        ["lightcone", "--nq", "4", "--jp", "0.5", "--smax", "1e308", "--ns", "2"],
+    ], ids=["correlate", "step-count-overflows", "lightcone"])
+    def test_digits_refusal_counts_steps_to_three_digits(self, command, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(command + ["--digits", "20"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and err.count("\n") == 1
+        steps = err.removeprefix("numeric guard: ").split(" steps x ")[0]
+        assert steps in ("1e+308", "inf")
 
 
 class TestEdgeCommand:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from isinglr import (
     ChainParams,
     DimensionGuardError,
+    GuardError,
     PauliString,
     ValidationError,
     build_hamiltonian,
@@ -207,6 +209,16 @@ class TestLrDirect:
         with pytest.raises(DimensionGuardError):
             lr_direct(ChainParams(15, 1.0), 1, 0.5)
 
+    @pytest.mark.parametrize("nq,jp", [(1, 0.0), (4, 0.5), (9, 2.5)])
+    def test_phase_without_a_fractional_digit_refused(self, nq, jp, monkeypatch):
+        # pi s lam, |lam| <= N + (N - 1) J', at 2**52 and past it: refused before the factor
+        edge = 2.0 ** 52 / (math.pi * (nq + (nq - 1) * jp))
+        lr_direct_grid(ChainParams(nq, jp), [1], [edge * (1.0 - 1e-9)])
+        monkeypatch.setattr(oracle, "_sector_factors", None)
+        for s in (edge * (1.0 + 1e-9), 1e300, 1e308):
+            with pytest.raises(GuardError, match="2\\*\\*52"):
+                lr_direct_grid(ChainParams(nq, jp), [1], [0.0, s])
+
     def test_index_guard(self):
         with pytest.raises(ValidationError):
             lr_direct(ChainParams(4, 1.0), 5, 0.5)
@@ -246,7 +258,7 @@ class TestNormEquivalence:
 class TestSectorOracle:
     """The parity-sector grid against routes that share none of its steps."""
 
-    @pytest.mark.parametrize("nq", range(1, 7))
+    @pytest.mark.parametrize("nq", range(1, 9))
     @pytest.mark.parametrize("jp", [0.0, 0.5, 1.0, 2.5])
     def test_matches_full_space_evolution(self, nq, jp):
         p = ChainParams(nq, jp)
@@ -274,10 +286,11 @@ class TestSectorOracle:
                 obj.cache_clear()
         monkeypatch.setattr(oracle.np.linalg, "eigh", counting_eigh)
         p, ss = ChainParams(6, 0.7), np.linspace(0.0, 3.0, 13)
+        blocks = [(20, 20), (12, 12), (16, 16), (16, 16)]  # (R = +1, R = -1) per sector
         lr_direct_grid(p, range(1, 7), ss)
-        assert len(calls) == 2
+        assert calls == blocks
         lr_direct_grid(p, range(1, 7), ss)
-        assert len(calls) == 2
+        assert calls == blocks
 
     def test_factor_cache_holds_one_chain(self):
         lr_direct_grid(ChainParams(4, 0.5), [1, 2], [0.5, 1.0])
@@ -324,7 +337,7 @@ class TestWalshReduction:
 
     @pytest.mark.parametrize("nq,jp", [(1, 0.5), (2, 1.0), (5, 0.0), (8, 2.5), (10, 0.7)])
     def test_walsh_folded_factors_stay_orthogonal(self, nq, jp):
-        lam_e, v_e, lam_o, v_o, w = oracle._sector_factors(ChainParams(nq, jp))
+        lam_e, v_e, lam_o, v_o, w = dense_factors(ChainParams(nq, jp))
         half = len(v_e)
         for v in (v_e, v_o):
             assert np.max(np.abs(v.T @ v - np.eye(half))) <= 1e-13
@@ -346,6 +359,19 @@ class TestWalshReduction:
             tracemalloc.stop()
         assert build <= 5.1  # two sector factors, W and the eigh input
         assert grid <= 7.1  # three cached factors and four per-time buffers
+
+    def test_grid_peak_is_six_half_size_arrays(self):
+        # the mirror blocks (half of a half-size array per sector), W and the four
+        # per-time buffers
+        p = ChainParams(10, 0.5)
+        oracle._sector_factors.cache_clear()
+        tracemalloc.start()
+        try:
+            lr_direct_grid(p, range(1, 11), np.linspace(0.0, 3.0, 13))
+            grid = tracemalloc.get_traced_memory()[1] / self.HALF_BYTES_N10
+        finally:
+            tracemalloc.stop()
+        assert grid <= 6.1
 
     @pytest.mark.parametrize("ks,ss", [([], [0.5, 1.0]), ([1, 10], [0.0, 0.0]), ([1], [])])
     def test_empty_grid_builds_nothing(self, ks, ss):
@@ -372,8 +398,8 @@ class TestWalshReduction:
            times=st.lists(st.floats(0.0, 10.0, allow_nan=False), min_size=1, max_size=2))
     @settings(max_examples=3, deadline=None)
     def test_properties_against_walk_n11(self, jp, times):
-        # the odd size diagonalises one parity sector: about 0.25 s a factor (1.2 s where
-        # a coupling near 1e-300 runs eigh on subnormals) and 0.14 s a time
+        # the odd size diagonalises the mirror blocks of one parity sector: about 0.12 s
+        # a factor at every coupling and 0.1 s a time
         self.check_against_walk(11, jp, times)
 
     @staticmethod
@@ -395,6 +421,130 @@ def ones(x):
     return np.vectorize(lambda v: bin(v).count("1"))(x)
 
 
+@functools.lru_cache(maxsize=None)
+def walsh(half):
+    """The orthonormal Walsh-Hadamard matrix on `half` slots, its own inverse."""
+    slot = np.arange(half)
+    return (-1.0) ** ones(slot[:, None] & slot) / math.sqrt(half)
+
+
+def sector_states(nq, parity):
+    """The X-basis states of one parity sector, in slot order."""
+    return [x for x in range(2 ** nq) if bin(x).count("1") % 2 == parity]
+
+
+def folded_mirror(nq, parity):
+    """The mirror k <-> N+1-k on one sector, by bit reversal of each state, folded."""
+    slot = {x: i for i, x in enumerate(sector_states(nq, parity))}
+    r = np.zeros((len(slot), len(slot)))
+    for x, i in slot.items():
+        r[slot[int(format(x, f"0{nq}b")[::-1], 2)], i] = 1.0
+    return walsh(len(slot)) @ r @ walsh(len(slot))
+
+
+def folded_hamiltonian(nq, jp, parity):
+    """H'' = -sum Z_k - J' sum X_k X_{k+1} on one sector of the X basis, folded."""
+    slot = {x: i for i, x in enumerate(sector_states(nq, parity))}
+    h = np.diag([2.0 * bin(x).count("1") - nq for x in slot])
+    for x, i in slot.items():
+        for k in range(nq - 1):
+            h[i, slot[x ^ (3 << k)]] -= jp
+    return walsh(len(slot)) @ h @ walsh(len(slot))
+
+
+def dense_factors(p):
+    """(lam_e, V_e, lam_o, V_o, W), V folded and in Walsh index order, rebuilt from the
+    mirror blocks.  A block holds V's rows at each pair's first member and at the fixed
+    points, R = +1 columns first; a partner's row is its first member's times the mirror
+    sign s in the R = +1 columns and times -s in the R = -1 ones, and s = -1 only on the
+    last `neg` pairs of the odd sector."""
+    order, (m, neg), sectors, w = oracle._sector_factors(p)
+    half, out = len(order), []
+    for parity, (lam, up, um) in enumerate(sectors):
+        n = len(up)
+        s = np.repeat([1.0, -1.0 if parity else 1.0], [m - neg, neg])[:, None]
+        v = np.zeros((half, half))
+        v[order[:m], :n], v[order[:m], n:] = up[:m], um[:m]
+        v[order[m:2 * m], :n], v[order[m:2 * m], n:] = s * up[:m], -s * um[:m]
+        v[order[2 * m:m + n], :n], v[order[m + n:], n:] = up[m:], um[m:]
+        out += [lam, v]
+    return (*out, w)
+
+
+class TestMirrorBlocks:
+    """The mirror R: k <-> N+1-k commutes with H'' and the parity, so each sector
+    splits into R = +1 and R = -1 blocks, each diagonalised on its own."""
+
+    @pytest.mark.parametrize("nq", range(1, 11))
+    def test_folded_mirror_is_a_signed_permutation(self, nq):
+        order, (m, neg), sectors, _ = oracle._sector_factors(ChainParams(nq, 0.5))
+        perms = []
+        for parity, (_, up, _) in enumerate(sectors):
+            r = folded_mirror(nq, parity)
+            assert np.all((np.abs(r) < 1e-12) | (np.abs(np.abs(r) - 1.0) < 1e-12))
+            assert np.all(np.count_nonzero(np.abs(r) > 0.5, axis=0) == 1)
+            perms.append(np.argmax(np.abs(r), axis=0))
+            sign = np.sign(r[perms[-1], np.arange(len(r))])
+            if parity == 0:
+                assert np.all(sign == 1.0)
+            # the pair order: partners are each other's image; R's sign is -1 only on the
+            # odd sector's last `neg` pairs and on its fixed points past the R = +1 block
+            n = len(up)
+            first, partner, fixed = order[:m], order[m:2 * m], order[2 * m:]
+            assert np.array_equal(perms[-1][first], partner)
+            assert np.array_equal(perms[-1][partner], first)
+            assert np.array_equal(perms[-1][fixed], fixed)
+            odd_signs = np.repeat([1.0, 1.0 - 2.0 * parity], [m - neg, neg])
+            assert np.array_equal(sign[first], odd_signs)
+            assert np.array_equal(sign[fixed], np.repeat([1.0, -1.0], [n - m, len(fixed) - n + m]))
+        assert np.array_equal(perms[0], perms[1])
+
+    @pytest.mark.parametrize("nq", range(1, 11))
+    def test_block_eigenpairs_satisfy_the_sector_hamiltonian(self, nq):
+        jp = 0.7
+        lam_e, v_e, lam_o, v_o, _ = dense_factors(ChainParams(nq, jp))
+        order, (m, neg), sectors, _ = oracle._sector_factors(ChainParams(nq, jp))
+        for parity, (lam, v, (_, up, _)) in enumerate(zip((lam_e, lam_o), (v_e, v_o), sectors)):
+            n = len(up)
+            h, r = folded_hamiltonian(nq, jp, parity), folded_mirror(nq, parity)
+            assert np.max(np.abs(h @ v - v * lam)) <= 1e-13
+            assert np.max(np.abs(r @ v[:, :n] - v[:, :n]), initial=0.0) <= 1e-13
+            assert np.max(np.abs(r @ v[:, n:] + v[:, n:]), initial=0.0) <= 1e-13
+
+    @pytest.mark.parametrize("nq", [1, 3, 5, 7, 9])
+    def test_odd_blocks_are_the_chiral_images(self, nq):
+        p = ChainParams(nq, 1.3)
+        _, _, ((lam_e, up_e, um_e), (lam_o, up_o, um_o)), _ = oracle._sector_factors(p)
+        # C commutes with R at odd N: blocks of one size, the spectrum negated, and each
+        # odd column in the mirror block of its even original
+        assert up_o.shape == up_e.shape and um_o.shape == um_e.shape
+        assert np.array_equal(lam_o, -lam_e)
+        _, _, _, v_o, _ = dense_factors(p)
+        n, r = len(up_o), folded_mirror(nq, 1)
+        assert np.max(np.abs(r @ v_o[:, :n] - v_o[:, :n])) <= 1e-13
+        assert np.max(np.abs(r @ v_o[:, n:] + v_o[:, n:]), initial=0.0) <= 1e-13
+        h = folded_hamiltonian(nq, 1.3, 1)
+        assert np.max(np.abs(h @ v_o + v_o * lam_e)) <= 1e-13
+
+    @pytest.mark.parametrize("nq", [6, 7])
+    def test_underflowing_coupling_is_zero(self, nq, monkeypatch):
+        # J'^2 below the smallest normal: no entry whose square underflows reaches eigh,
+        # and the grid is the J' = 0 grid, bit for bit
+        smallest = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(a, *args, **kwargs):
+            smallest.append(np.min(np.abs(a[a != 0.0]), initial=np.inf))
+            return eigh(a, *args, **kwargs)
+
+        oracle._sector_factors.cache_clear()
+        monkeypatch.setattr(oracle.np.linalg, "eigh", recording_eigh)
+        ss = np.linspace(0.0, 3.0, 13)
+        tiny = lr_direct_grid(ChainParams(nq, 1e-300), range(1, nq + 1), ss)
+        assert smallest and min(smallest) ** 2 >= np.finfo(float).tiny
+        assert np.array_equal(tiny, lr_direct_grid(ChainParams(nq, 0.0), range(1, nq + 1), ss))
+
+
 class TestChiralImage:
     """At odd N, C = prod_{k odd} Y_k prod_{k even} X_k flips every bit and sends
     H'' = -sum Z_k - J' sum X_k X_{k+1} to -H'': the odd factor is the even one's image."""
@@ -410,11 +560,11 @@ class TestChiralImage:
         oracle._sector_factors.cache_clear()
         monkeypatch.setattr(oracle.np.linalg, "eigh", counting_eigh)
         lr_direct_grid(ChainParams(7, 0.7), range(1, 8), np.linspace(0.0, 3.0, 13))
-        assert calls == [(64, 64)]
+        assert calls == [(36, 36), (28, 28)]
 
     @pytest.mark.parametrize("nq,jp", [(1, 0.5), (3, 1.0), (5, 0.0), (7, 0.7), (9, 2.5)])
     def test_odd_factor_is_the_chiral_image(self, nq, jp):
-        lam_e, v_e, lam_o, v_o, w = oracle._sector_factors(ChainParams(nq, jp))
+        lam_e, v_e, lam_o, v_o, w = dense_factors(ChainParams(nq, jp))
         half = len(v_e)
         # H'' on the whole space from Kronecker products, restricted to the odd sector
         h = np.zeros((2 ** nq, 2 ** nq), dtype=complex)

@@ -427,6 +427,23 @@ class TestLrWalk:
         lr_walk_grid(ChainParams(14, 2.0), [1, 3], [0.5, 1.0])
         assert walk._eig_factor.cache_info().currsize == 1
 
+    @pytest.mark.parametrize("jp", [0.0, 0.5, 1e150])
+    def test_phase_without_a_fractional_digit_refused(self, jp, monkeypatch):
+        # the largest phase 2 pi s (1 + J') at 2**52 and past it, refused before the
+        # light cone is counted; just under it the grid runs
+        def no_cone(p, s_max):
+            raise AssertionError("a refused time reached the light-cone count")
+
+        p = ChainParams(4, jp)
+        edge = 2.0 ** 52 / (2.0 * math.pi * (1.0 + jp))
+        lr_walk_grid(p, [1], [0.0, edge * (1.0 - 1e-9)])
+        monkeypatch.setattr(walk, "_light_cone_qubits", no_cone)
+        for s in (edge * (1.0 + 1e-9), 1e300, 1e308):
+            with pytest.raises(GuardError, match="2\\*\\*52"):
+                lr_walk_grid(p, [1, 2], [0.5, s])
+            with pytest.raises(GuardError, match="2\\*\\*52"):
+                walk.exp_first_row(p, s)
+
     def test_grid_budget_refuses_oversized_grids_at_once(self, monkeypatch):
         def no_factor(p):
             raise AssertionError("an oversized grid reached the factorization")
