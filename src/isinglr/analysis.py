@@ -27,6 +27,7 @@ from .params import (
     cast_trusted,
     critical_trusted,
     double_trusted,
+    validate_budget,
     validate_correlations,
     validate_count,
     validate_increasing,
@@ -50,7 +51,6 @@ class FrontEstimate:
     crossing_times: tuple          # ((k, s_k), ...) over the fit range
     velocity: float                # units of 1/tau
     fit_range: tuple               # (k_min, k_max)
-    step_velocities: tuple = ()    # 1/(s_{k+1} - s_k) per adjacent pair
 
     def __post_init__(self):
         ts = [s for _, s in self.crossing_times]
@@ -58,6 +58,12 @@ class FrontEstimate:
             raise ValidationError("crossing times must increase with qubit index")
         if not (self.velocity > 0.0):
             raise ValidationError("front velocity must be positive")
+
+    @property
+    def step_velocities(self) -> tuple:
+        """1/(s_{k+1} - s_k) per adjacent pair, each gap positive once constructed."""
+        ts = [s for _, s in self.crossing_times]
+        return tuple(1.0 / (b - a) for a, b in zip(ts, ts[1:]))
 
 
 @dataclass(frozen=True)
@@ -115,7 +121,8 @@ def reflection_safe_horizon(p: ChainParams, k):
     of them for a sequence of qubits, each index checked.
 
     Round trip of the fastest quasiparticle from qubit 1 to the end and back
-    to qubit k: (2 N - k - 1) / v_max.  Infinite for decoupled chains.
+    to qubit k: (2 N - k - 1) / v_max.  Infinite for decoupled chains, and at
+    subnormal couplings, where it is past every double.
     """
     validate_params(p)
     if np.ndim(k):
@@ -125,7 +132,9 @@ def reflection_safe_horizon(p: ChainParams, k):
     v = v_group_max(p.j_coupling)
     if v == 0.0:
         return math.inf + 0.0 * k      # an array of inf for a sequence
-    return (2.0 * p.n_qubits - k - 1.0) / v
+    # at a subnormal speed the round trip outlasts every double: inf is its value
+    with np.errstate(over="ignore"):
+        return (2.0 * p.n_qubits - k - 1.0) / v
 
 
 def _expected_arrival(p: ChainParams, k: int) -> float:
@@ -162,11 +171,9 @@ def crossing_time(p: ChainParams, k: int, threshold: float,
 
 def _sweep_times(n_k: int, s_end: float, step: float) -> np.ndarray:
     """The coarse sweep 0, step, ... through s_end, once n_k qubits x its length
-    (counted before any time is built) are within `walk.MAX_GRID_ENTRIES`."""
+    (counted before any time is built) are within the grid budget."""
     count = np.ceil((s_end + step) / step)         # np.arange's length, inf past the doubles
-    if n_k * count > walk.MAX_GRID_ENTRIES:
-        raise GuardError(f"a sweep of {n_k} qubits x {count:.0f} times to s = {s_end:.4g} "
-                         f"is above the grid budget {walk.MAX_GRID_ENTRIES}")
+    validate_budget(n_k * count, f"a sweep of {n_k} qubits x {count:.0f} times to s = {s_end:.4g}")
     return np.arange(0.0, s_end + step, step)
 
 
@@ -257,12 +264,10 @@ def front_velocity(p: ChainParams, threshold: float = 0.1,
                               ks.astype(float) ** (1.0 / 3.0)])
     coeffs, *_ = np.linalg.lstsq(design, times, rcond=None)
     velocity = 1.0 / coeffs[1]
-    steps = 1.0 / np.diff(times)
     return FrontEstimate(threshold=threshold,
                          crossing_times=tuple(zip(ks.tolist(), times.tolist())),
                          velocity=float(velocity),
-                         fit_range=(k_min, k_max),
-                         step_velocities=tuple(steps.tolist()))
+                         fit_range=(k_min, k_max))
 
 
 def measure_saturation(p: ChainParams, k: int, s_window: tuple,
@@ -314,7 +319,8 @@ def lightcone(p: ChainParams, k_range: tuple, s_range: tuple,
     if k_hi < k_lo:
         raise ValidationError("empty qubit range")
     ks = tuple(range(k_lo, k_hi + 1))
-    resolution = validate_count("resolution", resolution, walk.MAX_GRID_ENTRIES)
+    resolution = validate_count("resolution", resolution)
+    validate_budget(resolution, f"resolution {resolution}")
     s_lo, s_hi = float(s_range[0]), float(s_range[1])
     if not (0.0 <= s_lo <= s_hi < math.inf):
         raise ValidationError(f"bad time range {s_range}")

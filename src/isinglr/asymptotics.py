@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import GuardError, ValidationError, validate_positive
-from . import walk
+from .params import ValidationError, validate_budget, validate_positive
 
 LOG10_E = math.log10(math.e)
 
@@ -85,15 +84,14 @@ def lr_leading_grid(form: str, ks, ss, jp: float) -> np.ndarray:
 
     Each per-k and per-s term is taken once with `math`, and the cells join them in
     the one-cell formula's order, so a cell is the same double in any grid.  A grid
-    above `walk.MAX_GRID_ENTRIES` cells is refused; then the inputs are checked in the
-    order the cells meet them, k-major (index, time, coupling).
+    above the grid budget (`params.MAX_GRID_ENTRIES` cells) is refused; then the inputs
+    are checked in the order the cells meet them, k-major (index, time, coupling).
     """
     if form not in LEADING_FORMS:
         raise ValidationError(f"unknown leading-edge form {form!r}")
     ks, ss = list(ks), list(ss)
-    if len(ks) * len(ss) > walk.MAX_GRID_ENTRIES:
-        raise GuardError(f"{len(ks)} qubits x {len(ss)} times is {len(ks) * len(ss)} cells, "
-                         f"above the budget {walk.MAX_GRID_ENTRIES}")
+    validate_budget(len(ks) * len(ss),
+                    f"{len(ks)} qubits x {len(ss)} times is {len(ks) * len(ss)} cells")
     least, message, zero_jp = LEADING_FORMS[form]
     if not (ks and ss):
         return np.zeros((len(ks), len(ss)))

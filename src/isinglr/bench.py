@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from .params import ChainParams, ValidationError, validate_count
+from .params import ChainParams, ValidationError, validate_budget, validate_count
 from . import oracle, walk
 
 
@@ -39,7 +39,9 @@ def scaling_report(n_qubits_list=(50, 100, 200, 400), jp: float = 0.5,
         raise ValidationError("the scaling fit needs at least two distinct chain lengths, "
                               f"got {list(n_qubits_list)}")
     chains = [ChainParams(int(nq), jp) for nq in n_qubits_list]
-    ss = np.linspace(0.0, s_max, validate_count("n_times", n_times, walk.MAX_GRID_ENTRIES))
+    n_times = validate_count("n_times", n_times)
+    validate_budget(n_times, f"n_times {n_times}")
+    ss = np.linspace(0.0, s_max, n_times)
     rows = []
     for p in chains:
         ks = list(range(1, min(k_count, p.n_qubits) + 1))
@@ -66,7 +68,9 @@ def comparison_report(n_qubits: int = 10, jp: float = 0.5, s_max: float = 3.0,
     """Walk vs dense-oracle wall times on an identical (k, s) grid."""
     p = oracle._check_dense(ChainParams(n_qubits, jp))
     ks = list(range(1, n_qubits + 1))
-    ss = np.linspace(0.0, s_max, validate_count("n_times", n_times, walk.MAX_GRID_ENTRIES))
+    n_times = validate_count("n_times", n_times)
+    validate_budget(n_times, f"n_times {n_times}")
+    ss = np.linspace(0.0, s_max, n_times)
     walk_t = time_walk(p, ks, ss, repeats)
     t0 = time.perf_counter()
     oracle.lr_direct_grid(p, ks, ss)

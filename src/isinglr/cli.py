@@ -29,9 +29,9 @@ from dataclasses import dataclass
 import click
 import numpy as np
 
-from .params import (ChainParams, GuardError, Method, ValidationError, validate_increasing,
-                     validate_times)
-from . import analysis, asymptotics, bench, walk
+from .params import (ChainParams, GuardError, Method, ValidationError, validate_budget,
+                     validate_increasing, validate_times)
+from . import analysis, asymptotics, bench
 
 USAGE_EXIT = 1
 GUARD_EXIT = 2
@@ -232,12 +232,6 @@ def _number(kind, item: str, text: str):
         raise click.UsageError(f"{item!r} in {text!r} is not a valid {kind.__name__}") from None
 
 
-def _check_length(n: int, text: str):
-    """No list longer than the largest walk grid is expanded (a guard refusal)."""
-    if n > walk.MAX_GRID_ENTRIES:
-        raise GuardError(f"{text!r} expands to {n} items, above the budget {walk.MAX_GRID_ENTRIES}")
-
-
 def _items(text: str, kind) -> list:
     """A comma list of `kind` (int or float), where '...' as the next-to-last
     item continues the two before it, start and next, as an arithmetic
@@ -266,7 +260,7 @@ def _items(text: str, kind) -> list:
         raise click.UsageError(
             f"ellipsis in {text!r} is not an arithmetic progression: end - start must be "
             "a whole number (at least one) of steps next - start")
-    _check_length(i - 2 + int(count) + 1, text)
+    validate_budget(n := i - 1 + int(count), f"{text!r} expands to {n} items")
     d = math.lcm(start.denominator, step.denominator)
     a, b = int(start * d), int(step * d)
     terms = range(a, a + (int(count) + 1) * b, b)
@@ -285,7 +279,7 @@ def parse_int_list(text: str):
         if len(bounds) != 2:
             raise click.UsageError(f"cannot expand range {text!r}; use start..end")
         lo, hi = (_number(int, b, text) for b in bounds)
-        _check_length(hi - lo + 1, text)
+        validate_budget(n := hi - lo + 1, f"{text!r} expands to {n} items")
         values = list(range(lo, hi + 1))
     else:
         values = _items(text, int)
@@ -307,7 +301,7 @@ def time_grid(s_values, s_max, n_s):
         first = np.ones(len(ss), dtype=bool)
         first[1:] = ss[1:] != ss[:-1]
         return ss[first]
-    _check_length(n_s, "--ns")
+    validate_budget(n_s, f"'--ns' expands to {n_s} items")
     # --smax checked before the spread
     return validate_increasing(np.linspace(0.0, validate_times([s_max])[0], n_s))
 
@@ -381,6 +375,8 @@ def snapshot(nq, jp, out, fmt_name, s_values, k_spec, with_critical, digits):
     """Spatial snapshots: C_k at fixed times, one row per qubit."""
     p = ChainParams(nq, jp)
     ks = parse_int_list(k_spec) if k_spec else list(range(1, nq + 1))
+    if len(set(ks)) != len(ks):
+        raise click.UsageError(f"--k {k_spec!r} repeats a qubit")
     ss = parse_float_list(s_values)
     if len(set(ss)) != len(ss):
         raise click.UsageError(f"--s {s_values!r} repeats a time")

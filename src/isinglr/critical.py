@@ -27,7 +27,8 @@ import numbers
 
 import numpy as np
 
-from .params import GuardError, ValidationError, validate_qubit_index, validate_times
+from .params import (GuardError, ValidationError, validate_budget, validate_qubit_index,
+                     validate_times)
 
 #: Supported evaluation envelope of the Bessel sweep.
 MAX_BESSEL_ORDER = 10_000
@@ -150,10 +151,14 @@ def lr_critical_grid(ks, ss) -> np.ndarray:
     SWEEP_BLOCK orders x times: the tails sum_{m >= 2k} (m J_m)^2 are read off
     one reversed cumulative sum, added smallest terms first.  A grid whose
     largest sweep leaves the envelope of `bessel_j` is refused before any
-    sweep; times s = 0, where C = 0, need none.
+    sweep, as is one of more cells than the grid budget; times s = 0, where C = 0,
+    need none.
     """
     ks = [validate_qubit_index(None, k) for k in ks]
     ss = validate_times(ss)
+    cells = len(ks) * len(ss)
+    validate_budget(cells, f"a closed-form grid of {len(ks)} qubits x {len(ss)} times is "
+                           f"{cells} cells")
     z_max = 4.0 * math.pi * float(np.max(ss, initial=0.0))
     # a time whose argument overflows has no order count
     top = _tail_orders(max(ks, default=1), z_max) if math.isfinite(z_max) else math.inf

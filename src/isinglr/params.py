@@ -53,6 +53,12 @@ DOUBLE_TRUST_FLOOR = 1e-13
 #: cosine carry no correct digit.
 MAX_PHASE = 2.0 ** 52
 
+#: The grid budget of `validate_budget`, in float entries.  A double-precision walk grid
+#: counts its light-cone factor as (2q)^2, twice its two q x q halves, as a full tridiagonal
+#: eigendecomposition would, plus its len(ks) x times answer (1.3e6 for the largest
+#: benchmark grid, N = 1000 to s = 101 on 201 times); any other grid or list counts cells.
+MAX_GRID_ENTRIES = 2 ** 24
+
 
 @dataclass(frozen=True)
 class ChainParams:
@@ -135,13 +141,17 @@ def validate_positive(name: str, value, allow_zero: bool = False) -> float:
     return value
 
 
-def validate_count(name: str, value, limit: int = None) -> int:
-    """Return `value` as a plain int >= 1 (a Python or numpy integer, not a bool), <= `limit`."""
+def validate_count(name: str, value) -> int:
+    """Return `value` as a plain int >= 1 (a Python or numpy integer, not a bool)."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
         raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
-    if limit is not None and value > limit:
-        raise GuardError(f"{name} {value} is above the grid budget {limit}")
     return int(value)
+
+
+def validate_budget(entries, what: str) -> None:
+    """Refuse a grid of more entries than `MAX_GRID_ENTRIES`; `what` names and counts them."""
+    if entries > MAX_GRID_ENTRIES:
+        raise GuardError(f"{what}, above the grid budget {MAX_GRID_ENTRIES}")
 
 
 def validate_threshold(threshold, plateau: float) -> float:

@@ -66,6 +66,7 @@ from .params import (
     ChainParams,
     GuardError,
     ValidationError,
+    validate_budget,
     validate_params,
     validate_phase,
     validate_qubit_index,
@@ -73,13 +74,6 @@ from .params import (
 )
 from .oracle import PauliString
 
-#: Largest double-precision walk grid, in float entries, that is admitted: the
-#: (2q)^2 entries of the light-cone factor plus the answer its caller holds,
-#: len(ks) x times for a grid; rows are built a `_GRID_BLOCK` at a time.  The
-#: factor's two q x q halves are half that term, so the budget refuses the light
-#: cones a full tridiagonal eigendecomposition would.  The largest benchmark
-#: grid, N = 1000 out to s = 101 on 201 times, needs 1.3e6.
-MAX_GRID_ENTRIES = 2 ** 24
 #: Row entries (times x 2q light-cone nodes) built at once by `lr_walk_grid`.
 _GRID_BLOCK = 2 ** 17
 #: Largest arbitrary-precision row work that is started: Taylor steps x 2N
@@ -277,9 +271,8 @@ def _grid_factor(p: ChainParams, ss: np.ndarray, held: int) -> tuple:
     validate_phase("walk", 2.0 * math.pi * s_max * (1.0 + p.j_coupling))
     q = _light_cone_qubits(p, s_max)
     entries = (2 * q) ** 2 + held
-    if entries > MAX_GRID_ENTRIES:
-        raise GuardError(f"a walk grid of {len(ss)} times on a {q}-qubit light cone needs "
-                         f"{entries} entries, above the budget {MAX_GRID_ENTRIES}")
+    validate_budget(entries, f"a walk grid of {len(ss)} times on a {q}-qubit light cone "
+                             f"needs {entries} entries")
     return _eig_factor(ChainParams(q, p.j_coupling))
 
 
@@ -378,13 +371,16 @@ def _substeps(p: ChainParams, s_max: float, partial: int = 1) -> float:
     return float(s_max) // _lattice_step(p) + partial
 
 
-def _row_bits(p: ChainParams, ss, digits: int) -> tuple:
-    """The fixed-point engine's one entry: checks digits >= 16, the times and
-    the work budget of every step, partial steps included, before any row is
-    built; returns the times and P = digits + 10 guard digits, plus guard bits."""
+def _row_bits(p: ChainParams, ss, digits: int, n_k: int = 1) -> tuple:
+    """The fixed-point engine's one entry: checks digits >= 16, the times, the
+    grid budget of an n_k x times answer and the work budget of every step,
+    partial steps included, before any row is built; returns the times and
+    P = digits + 10 guard digits, plus guard bits."""
     if digits < 16:
         raise ValidationError(f"precision must be >= 16 digits, got {digits}")
     ss, h = validate_times(ss), _lattice_step(p)
+    validate_budget(n_k * len(ss), f"an arbitrary-precision grid of {n_k} qubits x {len(ss)} "
+                                   f"times is {n_k * len(ss)} cells")
     steps = _substeps(p, max(ss, default=0.0), len({s for s in ss.tolist() if math.fmod(s, h)}))
     if steps * p.n_nodes * max(digits, 120) ** 2 > MAX_HIGHPREC_WORK * 120 ** 2:
         raise GuardError(
@@ -571,12 +567,12 @@ def _tail_grid(p: ChainParams, ks, ss, digits: int) -> tuple:
     """Integer tail sums T and scales e of every cell, C_k(s) = 2 sqrt(T 2^(-2 e)).
 
     One fixed-point row per distinct time serves every k, as the tail sums
-    of its squares.  All inputs and the work budget are checked before the
-    first row is built.
+    of its squares.  All inputs, the grid budget and the work budget are
+    checked before the first row is built.
     """
     validate_params(p)
     nodes = [2 * validate_qubit_index(p, k) - 1 for k in ks]
-    ss, bits = _row_bits(p, ss, digits)
+    ss, bits = _row_bits(p, ss, digits, len(nodes))
     tails, scales = np.empty((2, len(nodes), len(ss)), dtype=object)
     for s, row, e in _fixed_rows(p, ss.tolist(), bits):
         sums = _tail_sums(row, e)

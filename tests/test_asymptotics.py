@@ -20,7 +20,7 @@ from isinglr import (
     v_group_max_numeric,
     v_lieb_robinson,
 )
-from isinglr import walk
+from isinglr import params
 from isinglr.asymptotics import LOG10_E, lr_leading_grid
 from isinglr.params import validate_positive
 
@@ -319,7 +319,7 @@ class TestLeadingGrid:
         assert lr_leading_grid("largek", [2, 3], [], 2.0).shape == (2, 0)
         with pytest.raises(ValidationError, match="unknown leading-edge form"):
             lr_leading_grid("stirling", [2], [1.0], 2.0)
-        monkeypatch.setattr(walk, "MAX_GRID_ENTRIES", 6)
+        monkeypatch.setattr(params, "MAX_GRID_ENTRIES", 6)
         assert lr_leading_grid("exact", [1, 2, 3], [1.0, 2.0], 2.0).shape == (3, 2)
         with pytest.raises(GuardError):     # refused before the bad index is read
             lr_leading_grid("exact", [0, 2, 3, 4], [1.0, 2.0], 2.0)

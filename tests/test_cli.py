@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from isinglr import (ChainParams, DimensionGuardError, GuardError, Method, ValidationError,
-                     critical, oracle, walk)
+                     critical, oracle, params, walk)
 from isinglr import analysis
 from isinglr import cli as cli_module
 from isinglr.params import cast_trusted, critical_trusted, double_trusted
@@ -72,7 +72,7 @@ class TestListParsing:
         assert [row[0] for row in parse_csv(out)[2]] == ["0.5", "1", "1.5", "2", "2.5", "3"]
 
     def test_expansion_past_the_grid_budget_refused(self, monkeypatch):
-        monkeypatch.setattr(walk, "MAX_GRID_ENTRIES", 1000)
+        monkeypatch.setattr(params, "MAX_GRID_ENTRIES", 1000)
         assert len(parse_int_list("1..1000")) == len(parse_float_list("1,2,...,1000")) == 1000
         assert len(parse_float_list("0.5,1,2,...,999")) == 1000
         for text in ("1..1001", "0,1,...,1000", "0.5,0,1,...,999"):
@@ -84,7 +84,7 @@ class TestListParsing:
         def no_grid(*_args, **_kwargs):
             raise AssertionError("a time grid was built before its count was checked")
 
-        monkeypatch.setattr(walk, "MAX_GRID_ENTRIES", 1000)
+        monkeypatch.setattr(params, "MAX_GRID_ENTRIES", 1000)
         monkeypatch.setattr(np, "linspace", no_grid)
         for args in (["correlate", "--nq", "4", "--jp", "0.5"],
                      ["lightcone", "--nq", "4", "--jp", "0.5"],
@@ -281,6 +281,9 @@ class TestCorrelate:
         assert main(["correlate", "--nq", "4", "--jp", "0.5", "--k", "1,1", "--ns", "3",
                      "--method", "both"]) == 1
         assert capsys.readouterr() == ("", "error: --k '1,1' repeats a qubit\n")
+        # a snapshot would print the row twice
+        assert main(["snapshot", "--nq", "5", "--jp", "0.5", "--s", "1", "--k", "3,3"]) == 1
+        assert capsys.readouterr() == ("", "error: --k '3,3' repeats a qubit\n")
 
     def test_infinite_smax_refused_before_the_grid(self):
         # np.linspace(0, inf) would warn "invalid value encountered in multiply" first
@@ -302,7 +305,7 @@ class TestCorrelate:
         def no_factor(p):
             raise AssertionError("an oversized grid reached the factorization")
 
-        monkeypatch.setattr(cli_module.walk, "_eig_factor", no_factor)
+        monkeypatch.setattr(walk, "_eig_factor", no_factor)
         # an answer of 10 qubits x 2,000,000 times, on a 64-qubit light cone
         assert main(["correlate", "--nq", "200000", "--jp", "0.5", "--ns", "2000000"]) == 2
 
@@ -310,7 +313,7 @@ class TestCorrelate:
         def no_factor(p):
             raise AssertionError("an oversized grid reached the factorization")
 
-        monkeypatch.setattr(walk, "MAX_GRID_ENTRIES", 2 ** 20)
+        monkeypatch.setattr(params, "MAX_GRID_ENTRIES", 2 ** 20)
         monkeypatch.setattr(walk, "_eig_factor", no_factor)
         # (2q)^2 + 4 qubits x 300,000 times = 1,200,064 entries on the 4-qubit chain.
         # The times are 2.3 MiB as an array; as a list or tuple of Python floats
@@ -564,9 +567,18 @@ class TestSnapshot:
         def no_grid(*args):
             raise AssertionError("a walk grid was computed")
 
-        monkeypatch.setattr(cli_module.walk, "lr_walk_grid", no_grid)
+        monkeypatch.setattr(walk, "lr_walk_grid", no_grid)
         assert main(["snapshot", "--nq", "20", "--jp", "0.5", "--s", "1", "--critical"]) == 1
         assert main(["correlate", "--nq", "20", "--jp", "0.5", "--method", "critical"]) == 1
+
+    def test_subnormal_coupling_prints_no_warning(self, capsys):
+        # at J' = 1e-310 the round trip outlasts every double: the horizon is inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["snapshot", "--nq", "20", "--jp", "1e-310", "--s", "1", "--k", "1"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and parse_csv(out)[1:] == (["k", "C_s1", "trusted"],
+                                                    [["1", "9.4086147703502862e-16", "False"]])
 
     def test_untrusted_rows_flagged_beyond_horizon(self):
         # s = 40 is far past the reflection horizon of a 20-qubit chain
@@ -632,6 +644,16 @@ class TestFrontCommand:
         assert code == 2 and peak < 16 * 2**20
         assert out == "" and err.startswith("numeric guard: a sweep of 5 qubits")
         assert err.count("\n") == 1
+
+    def test_unresolved_crossings_refused_without_a_warning(self, capsys):
+        # at C = 1e-300 the crossings of k = 10..14 fall in one 1e-8 bracket; their
+        # order is checked before any step velocity divides by a gap between them
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["front", "--nq", "40", "--jp", "0.5", "--threshold", "1e-300",
+                         "--kmin", "10", "--kmax", "14"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: crossing times must increase with qubit index\n")
 
     def test_shortest_chain_with_a_default_window(self):
         data = json.loads(run_ok(["front", "--nq", "14", "--jp", "1"]))
@@ -792,12 +814,64 @@ class TestEdgeCommand:
         finally:
             tracemalloc.stop()
         assert code == 2 and peak < 2 ** 21
-        assert "above the budget" in capsys.readouterr().err
+        assert "above the grid budget" in capsys.readouterr().err
 
     def test_budget_counts_cells_not_lists(self, monkeypatch):
-        monkeypatch.setattr(walk, "MAX_GRID_ENTRIES", 12)
+        monkeypatch.setattr(params, "MAX_GRID_ENTRIES", 12)
         assert main(["edge", "--jp", "2", "--k", "2..5", "--s", "1,2,3", "--out", os.devnull]) == 0
         assert main(["edge", "--jp", "2", "--k", "2..5", "--s", "1,2,3,4"]) == 2
+
+
+class TestGridBudget:
+    """Every grid-budget refusal exits 2 with one line, `<what>, above the grid budget <N>`."""
+
+    @pytest.mark.parametrize("argv, what", [
+        (["correlate", "--nq", "4", "--jp", "0.5", "--s", "0,0.001,...,1"],
+         "'0,0.001,...,1' expands to 1001 items"),
+        (["correlate", "--nq", "4", "--jp", "0.5", "--k", "1..1001"],
+         "'1..1001' expands to 1001 items"),
+        (["correlate", "--nq", "4", "--jp", "0.5", "--ns", "1001"], "'--ns' expands to 1001 items"),
+        (["lightcone", "--nq", "4", "--jp", "0.5", "--ns", "1001"], "resolution 1001"),
+        (["bench", "--nq", "4,6", "--compare-nq", "4", "--repeats", "1", "--ns", "1001"],
+         "n_times 1001"),
+        (["edge", "--jp", "2", "--k", "1..40", "--s", "1,2,...,26"],
+         "40 qubits x 26 times is 1040 cells"),
+        (["front", "--nq", "20", "--jp", "0.5"], "a sweep of 5 qubits x 399 times to s = 7.958"),
+        (["correlate", "--nq", "100", "--jp", "0.5", "--k", "1", "--ns", "100"],
+         "a walk grid of 100 times on a "),
+        (["correlate", "--nq", "4", "--jp", "1", "--method", "critical", "--k", "1..4",
+          "--ns", "300"], "a closed-form grid of 4 qubits x 300 times is 1200 cells"),
+        (["correlate", "--nq", "4", "--jp", "0.5", "--method", "direct", "--k", "1..4",
+          "--ns", "300"], "a dense grid of 4 qubits x 300 times is 1200 cells"),
+        (["correlate", "--nq", "4", "--jp", "0.5", "--k", "1..4", "--ns", "300",
+          "--digits", "20"], "an arbitrary-precision grid of 4 qubits x 300 times is 1200 cells"),
+    ], ids=["list", "range", "ns", "resolution", "n_times", "edge", "sweep", "walk", "critical",
+            "direct", "digits"])
+    def test_one_rule_one_line(self, argv, what, monkeypatch, capsys):
+        monkeypatch.setattr(params, "MAX_GRID_ENTRIES", 1000)
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"numeric guard: {what}")
+        assert err.endswith(", above the grid budget 1000\n") and err.count("\n") == 1
+
+    def test_closed_form_grid_refused_before_any_sweep(self, monkeypatch, capsys):
+        # 2,000 qubits x 10,001 times is 20,002,000 cells, above the budget of 2^24;
+        # the answer alone would take 160 MB
+        def no_sweep(*_args):
+            raise AssertionError("a Bessel sweep started before the budget refused")
+
+        monkeypatch.setattr(critical, "bessel_jn_array", no_sweep)
+        tracemalloc.start()
+        try:
+            code = main(["correlate", "--nq", "2000", "--jp", "1", "--method", "critical",
+                         "--k", "1..2000", "--s", "0,0.0001,...,1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and peak < 16 * 2**20
+        assert capsys.readouterr() == (
+            "", "numeric guard: a closed-form grid of 2000 qubits x 10001 times is 20002000 "
+                "cells, above the grid budget 16777216\n")
 
 
 class TestBenchCommand:

@@ -23,7 +23,7 @@ from isinglr import (
     reflection_safe_horizon,
     signed_walk_sum,
 )
-from isinglr import critical
+from isinglr import critical, params
 from isinglr.cli import main
 from isinglr.critical import MAX_BESSEL_ARG, MAX_BESSEL_ORDER, critical_radicand_difference
 
@@ -287,6 +287,22 @@ class TestLrCritical:
         argv = ["correlate", "--nq", "10", "--jp", "1", "--method", "critical", "--s", "1"]
         assert main(argv + ["--k", "300000"]) == 2
         assert lr_critical_grid([4981], [0.0])[0, 0] == 0.0        # no sweep at s = 0
+
+    def test_grid_past_the_budget_refused_before_any_array(self, monkeypatch):
+        # 200 qubits x 1001 times is a 1.6 MB answer; a budget of 10^4 cells refuses it
+        # before the answer or any sweep is built, and admits 9 qubits x 1001 times
+        monkeypatch.setattr(params, "MAX_GRID_ENTRIES", 10**4)
+        ss = np.linspace(0.0, 1.0, 1001)
+        assert lr_critical_grid(range(1, 10), ss).shape == (9, 1001)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardError, match="^a closed-form grid of 200 qubits x 1001 times "
+                                                 "is 200200 cells, above the grid budget 10000$"):
+                lr_critical_grid(range(1, 201), ss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
 
     def test_one_sweep_per_block_of_times(self, monkeypatch):
         sweep, calls = critical.bessel_jn_array, []

@@ -22,7 +22,7 @@ from isinglr import (
     operator_norm,
     pauli_string_matrix,
 )
-from isinglr import lr_walk_grid, oracle
+from isinglr import lr_walk_grid, oracle, params
 from isinglr.oracle import PAULI, commutator_with_z, _z1_evolved
 
 
@@ -218,6 +218,23 @@ class TestLrDirect:
         for s in (edge * (1.0 + 1e-9), 1e300, 1e308):
             with pytest.raises(GuardError, match="2\\*\\*52"):
                 lr_direct_grid(ChainParams(nq, jp), [1], [0.0, s])
+
+    def test_grid_past_the_budget_refused_before_any_array(self, monkeypatch):
+        # 4 qubits x 2,501 times is one cell more than a budget of 10^4: refused
+        # before the factor or the answer is built
+        monkeypatch.setattr(params, "MAX_GRID_ENTRIES", 10**4)
+        p, ss = ChainParams(4, 0.5), np.linspace(0.0, 1.0, 2501)
+        assert lr_direct_grid(p, [1, 2, 3, 4], ss[1:]).shape == (4, 2500)
+        monkeypatch.setattr(oracle, "_sector_factors", None)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardError, match="^a dense grid of 4 qubits x 2501 times is "
+                                                 "10004 cells, above the grid budget 10000$"):
+                lr_direct_grid(p, [1, 2, 3, 4], ss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
 
     def test_index_guard(self):
         with pytest.raises(ValidationError):

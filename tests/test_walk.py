@@ -24,7 +24,7 @@ from isinglr import (
     relevant_strings,
     walk_coefficients,
 )
-from isinglr import cli, walk
+from isinglr import cli, params, walk
 from isinglr.params import cast_trusted
 from isinglr.walk import _cone_rows, _grid_factor, _light_cone_qubits
 
@@ -458,7 +458,7 @@ class TestLrWalk:
         # stays inside an eighth of the budget
         p, ks, ss = ChainParams(1000, 0.5), [1, 100, 500, 900], np.linspace(0.0, 101.0, 201)
         q = walk._light_cone_qubits(p, 101.0)
-        assert 8 * ((2 * q) ** 2 + len(ks) * len(ss)) < walk.MAX_GRID_ENTRIES
+        assert 8 * ((2 * q) ** 2 + len(ks) * len(ss)) < params.MAX_GRID_ENTRIES
 
     def test_long_chain_costs_its_light_cone(self, monkeypatch):
         # the budget counts the factor and the answer, not 2N nodes per time:
@@ -617,6 +617,25 @@ class TestHighPrecision:
         assert walk._substeps(p, 30.0) == 61
         assert 61 * p.n_nodes <= walk.MAX_HIGHPREC_WORK
 
+    def test_grid_budget_counts_repeated_times(self, monkeypatch):
+        # the work budget counts distinct times off the lattice, so 10,000 copies of
+        # one time pass it; their 40,000-cell answer, two object arrays, does not
+        # pass a budget of 10^4 cells, and is refused before any row or answer
+        calls = self._count_steps(monkeypatch)
+        monkeypatch.setattr(params, "MAX_GRID_ENTRIES", 10**4)
+        p, ss = ChainParams(4, 0.5), np.full(10**4, 0.5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardError, match="^an arbitrary-precision grid of 4 qubits x "
+                                                 "10000 times is 40000 cells, above the grid "
+                                                 "budget 10000$"):
+                walk.lr_walk_grid_doubles(p, [1, 2, 3, 4], ss, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == [] and peak < 2**16
+        assert walk.lr_walk_grid_doubles(p, [1], ss, 20)[0].shape == (1, 10**4)
+
     def test_work_budget_counts_digits(self, monkeypatch):
         # one step on 4 nodes is cheap at 120 digits, but 100000 digits ask
         # for pi to millions of bits and run for minutes: refused
@@ -715,18 +734,33 @@ class TestHighPrecision:
         assert np.any(tails == 0) and np.any((values == 0.0) & (tails != 0))
         assert np.any((values > 0.0) & (values < tiny)) and np.any(values >= tiny)
 
-    @pytest.mark.parametrize("s", [0.1, 0.5, 1.5])
-    def test_matches_120_digit_expm(self, s):
-        # cells fall to 3e-76; every one is held to relative error 1e-25
+    @pytest.fixture(scope="class")
+    def eigsy_120(self):
+        """T = Q diag(E) Q^T at 120 digits, for the N = 24, J' = 0.5 walk matrix
+        A' = U (i T) U*, U = diag(i^m): T is symmetric tridiagonal with A''s
+        superdiagonal on both off-diagonals."""
         import mpmath as mp
         p = ChainParams(24, 0.5)
+        with mp.workdps(120):
+            t = mp.zeros(p.n_nodes, p.n_nodes)
+            for m, c in enumerate(walk._superdiagonal(p)):
+                t[m, m + 1] = t[m + 1, m] = c
+            return p, *mp.eigsy(t)
+
+    @pytest.mark.parametrize("s", [0.1, 0.5, 1.5])
+    def test_matches_120_digit_expm(self, s, eigsy_120):
+        # cells fall to 3e-76; every one is held to relative error 1e-25.  The row of
+        # exp(-2 pi s A') = U Q e^(-2 pi i s E) Q^T U* is |r_m| = |sum_j Q_0j Q_mj
+        # e^(-2 pi i s E_j)|, from one eigendecomposition shared by the three times:
+        # not a Taylor series, so independent of the fixed-point kernel
+        import mpmath as mp
+        p, e, q = eigsy_120
         ks = list(range(1, p.n_qubits + 1))
         grid = lr_walk_grid_highprec(p, ks, [s], 40)
         with mp.workdps(120):
-            a = mp.zeros(p.n_nodes, p.n_nodes)
-            for m, c in enumerate(walk._superdiagonal(p)):
-                a[m, m + 1], a[m + 1, m] = c, -c
-            row = mp.expm(-2 * mp.pi * mp.mpf(s) * a)[0, :]
+            phases = [mp.expj(-2 * mp.pi * mp.mpf(s) * x) for x in e]
+            row = [abs(mp.fsum(q[0, j] * q[m, j] * phases[j] for j in range(p.n_nodes)))
+                   for m in range(p.n_nodes)]
             for i, k in enumerate(ks):
                 ref = 2 * mp.sqrt(mp.fsum(x * x for x in row[2 * k - 1:]))
                 assert ref > 1e-77
