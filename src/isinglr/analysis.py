@@ -107,13 +107,19 @@ def route_grid(method: Method, p: ChainParams, ks, ss, digits=None) -> RouteGrid
 
 
 def route_grids(routes, p: ChainParams, ks, ss, digits=None) -> tuple:
-    """The grids of `routes` in route order; every route is checked to apply
-    before the first grid is computed."""
+    """The grids of `routes` in route order.  Each route is checked to apply (the
+    closed form's coupling, `digits`, the dense oracle's chain length) before any
+    grid is computed, and the closed form, cheap and refused only past its budget
+    or Bessel envelope, is computed first, so no route refuses after another worked."""
     if Method.CRITICAL in routes and p.j_coupling != 1.0:
         raise ValidationError("the closed form applies at jp = 1 only")
     if digits is not None and Method.WALK not in routes:
         raise ValidationError("--digits applies to the walk route only")
-    return tuple(route_grid(method, p, ks, ss, digits) for method in routes)
+    if Method.DIRECT in routes:
+        oracle._check_dense(p)
+    grids = {method: route_grid(method, p, ks, ss, digits)
+             for method in sorted(routes, key=lambda method: method is not Method.CRITICAL)}
+    return tuple(grids[method] for method in routes)
 
 
 def reflection_safe_horizon(p: ChainParams, k):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ValidationError, validate_budget, validate_positive
+from .params import ValidationError, validate_grid, validate_positive
 
 LOG10_E = math.log10(math.e)
 
@@ -71,11 +71,8 @@ def v_lieb_robinson(jp: float) -> float:
     return math.e * math.pi * math.sqrt(jp)
 
 
-#: The leading-edge forms, each with its least qubit index and that rule's message,
-#: and whether it allows J' = 0.
-LEADING_FORMS = {"exact": (1, "qubit index must be >= 1", True),
-                 "largek": (2, "the large-k form needs k >= 2", False),
-                 "exponential": (1, "qubit index must be >= 1", False)}
+#: The leading-edge forms, each with whether it allows J' = 0.
+LEADING_FORMS = {"exact": True, "largek": False, "exponential": False}
 
 
 def lr_leading_grid(form: str, ks, ss, jp: float) -> np.ndarray:
@@ -83,26 +80,19 @@ def lr_leading_grid(form: str, ks, ss, jp: float) -> np.ndarray:
     below) on the (k, s) grid, shape (len(ks), len(ss)); -inf marks an exact zero.
 
     Each per-k and per-s term is taken once with `math`, and the cells join them in
-    the one-cell formula's order, so a cell is the same double in any grid.  A grid
-    above the grid budget (`params.MAX_GRID_ENTRIES` cells) is refused; then the inputs
-    are checked in the order the cells meet them, k-major (index, time, coupling).
+    the one-cell formula's order, so a cell is the same double in any grid.  The
+    request passes `params.validate_grid` (times, cells against the grid budget, then
+    qubit indices), then the form's own rules: k >= 2 for largek, and the coupling.
     """
     if form not in LEADING_FORMS:
         raise ValidationError(f"unknown leading-edge form {form!r}")
-    ks, ss = list(ks), list(ss)
-    validate_budget(len(ks) * len(ss),
-                    f"{len(ks)} qubits x {len(ss)} times is {len(ks) * len(ss)} cells")
-    least, message, zero_jp = LEADING_FORMS[form]
+    ks, ss = validate_grid(None, ks, ss, "a leading-edge grid")
+    if form == "largek" and min(ks, default=2) < 2:
+        raise ValidationError("the large-k form needs k >= 2")
+    validate_positive("coupling", jp, allow_zero=LEADING_FORMS[form])
+    ss = ss.tolist()
     if not (ks and ss):
         return np.zeros((len(ks), len(ss)))
-    for i, k in enumerate(ks):
-        if k < least:
-            raise ValidationError(message)
-        if i == 0:
-            validate_positive("time", ss[0], allow_zero=True)
-            validate_positive("coupling", jp, allow_zero=zero_jp)
-            for s in ss[1:]:
-                validate_positive("time", s, allow_zero=True)
     v = v_lieb_robinson(jp)
     if form == "exponential":
         head = [LOG10_E - 0.5 * math.log10(math.pi * jp * k) for k in ks]

@@ -13,7 +13,8 @@ equal to it byte for byte, which calls `format` itself outside 1e-270 <= |x| <=
 1e270 or near a rounding tie.  `correlate`, `snapshot` and `lightcone` rows carry a
 `trusted` column: the AND of the `trusted` cells of each value column the row
 prints; `lightcone --digits` trusts every cell (`analysis.lightcone`).
-Snapshot rows also drop past the reflection-safe horizon of their qubit.
+Snapshot rows past the reflection-safe horizon of their qubit are kept and marked
+untrusted.
 
 Exit codes: 0 success, 1 usage error, 2 numeric-guard refusal.
 """
@@ -484,7 +485,11 @@ def edge(jp, out, k_spec, s_values, forms, fmt_name):
     the forms describe the semi-infinite leading edge.
     """
     ks = parse_int_list(k_spec)
+    if len(set(ks)) != len(ks):
+        raise click.UsageError(f"--k {k_spec!r} repeats a qubit")
     ss = parse_float_list(s_values)
+    if len(set(ss)) != len(ss):
+        raise click.UsageError(f"--s {s_values!r} repeats a time")
     wanted = [f.strip() for f in forms.split(",")]
     if len(set(wanted)) != len(wanted):
         raise click.UsageError(f"--forms {forms!r} repeats a form")

@@ -27,8 +27,7 @@ import numbers
 
 import numpy as np
 
-from .params import (GuardError, ValidationError, validate_budget, validate_qubit_index,
-                     validate_times)
+from .params import GuardError, ValidationError, validate_grid, validate_qubit_index
 
 #: Supported evaluation envelope of the Bessel sweep.
 MAX_BESSEL_ORDER = 10_000
@@ -154,11 +153,7 @@ def lr_critical_grid(ks, ss) -> np.ndarray:
     sweep, as is one of more cells than the grid budget; times s = 0, where C = 0,
     need none.
     """
-    ks = [validate_qubit_index(None, k) for k in ks]
-    ss = validate_times(ss)
-    cells = len(ks) * len(ss)
-    validate_budget(cells, f"a closed-form grid of {len(ks)} qubits x {len(ss)} times is "
-                           f"{cells} cells")
+    ks, ss = validate_grid(None, ks, ss, "a closed-form grid")
     z_max = 4.0 * math.pi * float(np.max(ss, initial=0.0))
     # a time whose argument overflows has no order count
     top = _tail_orders(max(ks, default=1), z_max) if math.isfinite(z_max) else math.inf

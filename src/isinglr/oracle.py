@@ -62,8 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import (MAX_DENSE_QUBITS, ChainParams, DimensionGuardError, ValidationError,
-                     validate_budget, validate_params, validate_phase, validate_qubit_index,
-                     validate_times)
+                     validate_grid, validate_params, validate_phase, validate_qubit_index)
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -245,11 +244,8 @@ def lr_direct_grid(p: ChainParams, ks, ss) -> np.ndarray:
     """C_k(s) on a (k, s) grid, of at most the grid budget's cells; per time, eight block
     products, four pair butterflies and one reduction."""
     _check_dense(p)
-    ks = [validate_qubit_index(p, k) for k in ks]
-    ss = validate_times(ss)
+    ks, ss = validate_grid(p, ks, ss, "a dense grid")
     nq, half, nk = p.n_qubits, 2 ** (p.n_qubits - 1), len(ks)
-    validate_budget(nk * len(ss), f"a dense grid of {nk} qubits x {len(ss)} times is "
-                                  f"{nk * len(ss)} cells")
     # the phases pi s lam, |lam| <= N + (N - 1) J', keep a fractional digit
     validate_phase("dense oracle",
                    math.pi * float(np.max(ss, initial=0.0)) * (nq + (nq - 1) * p.j_coupling))

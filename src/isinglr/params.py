@@ -154,6 +154,18 @@ def validate_budget(entries, what: str) -> None:
         raise GuardError(f"{what}, above the grid budget {MAX_GRID_ENTRIES}")
 
 
+def validate_grid(p: ChainParams | None, ks, ss, what: str) -> tuple:
+    """The grid request rule of every route: re-checks `p` (`None`, the semi-infinite
+    chain), the times, then the len(ks) x len(ss) cells against the grid budget, and
+    only then each qubit index; returns the indices as ints and the times as an array."""
+    if p is not None:
+        validate_params(p)
+    ss = validate_times(ss)
+    cells = len(ks) * len(ss)
+    validate_budget(cells, f"{what} of {len(ks)} qubits x {len(ss)} times is {cells} cells")
+    return [validate_qubit_index(p, k) for k in ks], ss
+
+
 def validate_threshold(threshold, plateau: float) -> float:
     """A finite level > 0; one at or above the plateau C_sat is never reached."""
     threshold = validate_positive("threshold", threshold)

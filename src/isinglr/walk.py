@@ -67,9 +67,9 @@ from .params import (
     GuardError,
     ValidationError,
     validate_budget,
+    validate_grid,
     validate_params,
     validate_phase,
-    validate_qubit_index,
     validate_times,
 )
 from .oracle import PauliString
@@ -325,9 +325,8 @@ def _tail_correlations(rows: np.ndarray) -> np.ndarray:
 def lr_walk_blocks(p: ChainParams, ks, ss):
     """`lr_walk_grid` a block of times at a time: yields (stop, out) after each
     block, `out` its one answer, final up to column `stop`, so a sweep may stop."""
-    validate_params(p)
-    nodes = np.array([2 * validate_qubit_index(p, k) - 1 for k in ks], dtype=int)
-    ss = validate_times(ss)
+    ks, ss = validate_grid(p, ks, ss, "a walk grid")
+    nodes = 2 * np.array(ks, dtype=int) - 1
     factor = _grid_factor(p, ss, len(nodes) * len(ss))
     inside = nodes < 2 * len(factor[0])
     out = np.zeros((len(nodes), len(ss)))
@@ -371,22 +370,21 @@ def _substeps(p: ChainParams, s_max: float, partial: int = 1) -> float:
     return float(s_max) // _lattice_step(p) + partial
 
 
-def _row_bits(p: ChainParams, ss, digits: int, n_k: int = 1) -> tuple:
-    """The fixed-point engine's one entry: checks digits >= 16, the times, the
-    grid budget of an n_k x times answer and the work budget of every step,
-    partial steps included, before any row is built; returns the times and
-    P = digits + 10 guard digits, plus guard bits."""
+def _row_bits(p: ChainParams, ss, digits: int, ks=(1,)) -> tuple:
+    """The fixed-point engine's one entry: checks digits >= 16, the grid request of
+    qubits `ks` at times `ss` (`params.validate_grid`) and the work budget of every
+    step, partial steps included, before any row is built; returns the qubits, the
+    times and P = digits + 10 guard digits, plus guard bits."""
     if digits < 16:
         raise ValidationError(f"precision must be >= 16 digits, got {digits}")
-    ss, h = validate_times(ss), _lattice_step(p)
-    validate_budget(n_k * len(ss), f"an arbitrary-precision grid of {n_k} qubits x {len(ss)} "
-                                   f"times is {n_k * len(ss)} cells")
+    ks, ss = validate_grid(p, ks, ss, "an arbitrary-precision grid")
+    h = _lattice_step(p)
     steps = _substeps(p, max(ss, default=0.0), len({s for s in ss.tolist() if math.fmod(s, h)}))
     if steps * p.n_nodes * max(digits, 120) ** 2 > MAX_HIGHPREC_WORK * 120 ** 2:
         raise GuardError(
             f"{steps:.3g} steps x {p.n_nodes} nodes x max(1, {digits} digits/120)^2 exceeds "
             f"the arbitrary-precision work budget {MAX_HIGHPREC_WORK}")
-    return ss, math.ceil((digits + 10) * math.log2(10.0)) + _GUARD_BITS
+    return ks, ss, math.ceil((digits + 10) * math.log2(10.0)) + _GUARD_BITS
 
 
 def _round_shift(x: int, d: int) -> int:
@@ -556,8 +554,7 @@ def exp_first_row_highprec(p: ChainParams, s: float, digits: int = 60) -> np.nda
     """
     import mpmath as mp
 
-    validate_params(p)
-    (s,), bits = _row_bits(p, [s], digits)
+    _, (s,), bits = _row_bits(p, [s], digits)
     ((_, row, e),) = _fixed_rows(p, [s], bits)
     with mp.workdps(digits + 10):
         return np.array([mp.mpf((r, -(bits + x))) for r, x in zip(row, e)], dtype=object)
@@ -570,9 +567,8 @@ def _tail_grid(p: ChainParams, ks, ss, digits: int) -> tuple:
     of its squares.  All inputs, the grid budget and the work budget are
     checked before the first row is built.
     """
-    validate_params(p)
-    nodes = [2 * validate_qubit_index(p, k) - 1 for k in ks]
-    ss, bits = _row_bits(p, ss, digits, len(nodes))
+    ks, ss, bits = _row_bits(p, ss, digits, ks)
+    nodes = [2 * k - 1 for k in ks]
     tails, scales = np.empty((2, len(nodes), len(ss)), dtype=object)
     for s, row, e in _fixed_rows(p, ss.tolist(), bits):
         sums = _tail_sums(row, e)

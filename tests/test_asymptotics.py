@@ -245,12 +245,7 @@ class TestSaturation:
 
 
 def reference_cell(form, k, s, jp):
-    """log10 of one leading-edge cell by its scalar formula, checks included (-inf: zero)."""
-    if k < (2 if form == "largek" else 1):
-        raise ValidationError("the large-k form needs k >= 2" if form == "largek"
-                              else "qubit index must be >= 1")
-    validate_positive("time", s, allow_zero=True)
-    validate_positive("coupling", jp, allow_zero=form == "exact")
+    """log10 of one leading-edge cell by its scalar formula (-inf: zero)."""
     vt = math.e * math.pi * math.sqrt(jp) * s
     if form == "exact":
         if s == 0.0 or (jp == 0.0 and k >= 2):
@@ -273,7 +268,17 @@ def reference_cell(form, k, s, jp):
 
 
 def reference_grid(form, ks, ss, jp):
-    """The cells one by one, k-major; the first refusal met is raised."""
+    """The cells one by one, k-major, once the request passes its checks in their
+    order: times, qubit indices, the large-k form's k >= 2, the coupling; the first
+    refusal met is raised."""
+    if not all(math.isfinite(s) and s >= 0.0 for s in ss):
+        raise ValidationError("times must all be finite and >= 0")
+    for k in ks:
+        if k < 1:
+            raise ValidationError(f"qubit index must be an integer in [1, inf], got {k!r}")
+    if form == "largek" and min(ks) < 2:
+        raise ValidationError("the large-k form needs k >= 2")
+    validate_positive("coupling", jp, allow_zero=form == "exact")
     return np.array([[reference_cell(form, k, s, jp) for s in ss] for k in ks])
 
 

@@ -284,6 +284,27 @@ class TestCorrelate:
         # a snapshot would print the row twice
         assert main(["snapshot", "--nq", "5", "--jp", "0.5", "--s", "1", "--k", "3,3"]) == 1
         assert capsys.readouterr() == ("", "error: --k '3,3' repeats a qubit\n")
+        # and so would an edge table, for a repeated qubit or time
+        assert main(["edge", "--jp", "2", "--k", "3,3", "--s", "1,1"]) == 1
+        assert capsys.readouterr() == ("", "error: --k '3,3' repeats a qubit\n")
+        assert main(["edge", "--jp", "2", "--k", "3", "--s", "1,2,1"]) == 1
+        assert capsys.readouterr() == ("", "error: --s '1,2,1' repeats a time\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["snapshot", "--nq", "8", "--jp", "1", "--s", "1e3", "--k", "1..4", "--critical",
+          "--digits", "20"], "the closed form sums Bessel orders to 13025"),
+        (["correlate", "--nq", "15", "--jp", "0.5", "--method", "both", "--digits", "20",
+          "--k", "1", "--s", "0,1,...,40"], "dense oracle refuses n_qubits=15"),
+    ], ids=["critical-envelope", "dense-length"])
+    def test_no_route_refuses_after_another_worked(self, argv, message, monkeypatch, capsys):
+        def no_rows(*_args):
+            raise AssertionError("walk rows were built before a route refused")
+
+        monkeypatch.setattr(walk, "_advance", no_rows)
+        monkeypatch.setattr(walk, "_eig_factor", no_rows)
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"numeric guard: {message}") and err.count("\n") == 1
 
     def test_infinite_smax_refused_before_the_grid(self):
         # np.linspace(0, inf) would warn "invalid value encountered in multiply" first
@@ -835,7 +856,7 @@ class TestGridBudget:
         (["bench", "--nq", "4,6", "--compare-nq", "4", "--repeats", "1", "--ns", "1001"],
          "n_times 1001"),
         (["edge", "--jp", "2", "--k", "1..40", "--s", "1,2,...,26"],
-         "40 qubits x 26 times is 1040 cells"),
+         "a leading-edge grid of 40 qubits x 26 times is 1040 cells"),
         (["front", "--nq", "20", "--jp", "0.5"], "a sweep of 5 qubits x 399 times to s = 7.958"),
         (["correlate", "--nq", "100", "--jp", "0.5", "--k", "1", "--ns", "100"],
          "a walk grid of 100 times on a "),

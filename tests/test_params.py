@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from isinglr import (
     ChainParams,
+    GuardError,
     Method,
     RouteGrid,
     ValidationError,
@@ -15,8 +16,11 @@ from isinglr import (
     lr_direct_grid,
     lr_walk_grid,
     lr_walk_grid_highprec,
+    params,
     validate_params,
 )
+from isinglr.asymptotics import (lr_leading_exact, lr_leading_exponential, lr_leading_grid,
+                                 lr_leading_largek)
 from isinglr.params import validate_correlations
 from isinglr.params import (
     DOUBLE_TRUST_FLOOR,
@@ -28,6 +32,9 @@ from isinglr.params import (
     validate_qubit_index,
     validate_times,
 )
+
+LEADING_CELLS = {"exact": lr_leading_exact, "largek": lr_leading_largek,
+                 "exponential": lr_leading_exponential}
 
 
 class TestChainParams:
@@ -75,6 +82,9 @@ class TestQubitIndex:
         out = validate_qubit_index(ChainParams(4, 0.5), k)
         assert out == 3 and type(out) is int
         assert lr_critical_grid([k], [1.0])[0, 0] == lr_critical_grid([3], [1.0])[0, 0]
+        for form, cell in LEADING_CELLS.items():
+            assert lr_leading_grid(form, [k], [1.0], 2.0)[0, 0] == cell(3, 1.0, 2.0).log10_magnitude
+            assert cell(k, 1.0, 2.0) == cell(3, 1.0, 2.0)
 
     @pytest.mark.parametrize("k", [2.7, 3.0, np.float64(2.0), True, 0, 5])
     def test_floats_bools_and_out_of_range_rejected_at_every_grid_entry(self, k):
@@ -89,9 +99,32 @@ class TestQubitIndex:
             lightcone(p, (1, k), (0.0, 1.0), resolution=3)
         with pytest.raises(ValidationError):
             front_velocity(p, fit_range=(1, k))
-        if k != 5:   # the closed form is for the semi-infinite chain
+        if k != 5:   # the closed form and the leading-edge forms are for the semi-infinite chain
             with pytest.raises(ValidationError):
                 lr_critical_grid([1, k], [1.0])
+            for form, cell in LEADING_CELLS.items():
+                with pytest.raises(ValidationError, match="^qubit index must be an integer in "):
+                    lr_leading_grid(form, [2, k], [1.0], 2.0)
+                with pytest.raises(ValidationError, match="^qubit index must be an integer in "):
+                    cell(k, 1.0, 2.0)
+
+    @pytest.mark.parametrize("route, what", [
+        ("walk", "a walk grid"), ("digits", "an arbitrary-precision grid"),
+        ("direct", "a dense grid"), ("critical", "a closed-form grid"),
+        ("edge", "a leading-edge grid")])
+    def test_grid_counted_before_any_index_is_read(self, route, what, monkeypatch):
+        # 0 is no qubit index, but 40 qubits x 26 times is above a budget of 1000:
+        # the count comes first, so the refusal is the budget's, in its one shape
+        monkeypatch.setattr(params, "MAX_GRID_ENTRIES", 1000)
+        p, ks, ss = ChainParams(4, 0.5), list(range(40)), np.linspace(0.0, 1.0, 26)
+        grid = {"walk": lambda: lr_walk_grid(p, ks, ss),
+                "digits": lambda: lr_walk_grid_highprec(p, ks, ss, 20),
+                "direct": lambda: lr_direct_grid(p, ks, ss),
+                "critical": lambda: lr_critical_grid(ks, ss),
+                "edge": lambda: lr_leading_grid("exact", ks, ss, 2.0)}[route]
+        with pytest.raises(GuardError, match=f"^{what} of 40 qubits x 26 times is 1040 cells, "
+                                             "above the grid budget 1000$"):
+            grid()
 
 
 class TestTimeGrid:
