@@ -188,22 +188,30 @@ def _first_crossings(p: ChainParams, ks, threshold: float, grid: np.ndarray,
     """First upward crossing of `threshold` for every k: the midpoint of a
     sign-change bracket at most 1e-8 wide.
 
-    The coarse sweep over `grid` stops after the first block of times in which
-    every k has crossed.  The ITP method (Oliveira & Takahashi, ACM TOMS 47
-    (2020), art. 5; eps = 5e-9, n0 = 1) then solves all first brackets together
-    from the sweep's values at their ends, in at most one step more than
-    bisection, each step one walk grid over the open brackets, of which it keeps
-    the diagonal C_{k_i}(s_i).
+    The coarse sweep over `grid` tests each walk block of times once, as it
+    arrives: its columns and the one before them, for the k not yet crossed,
+    whose first up-step there is their first crossing.  It stops after the
+    block in which the last k crosses.  The ITP method (Oliveira & Takahashi,
+    ACM TOMS 47 (2020), art. 5; eps = 5e-9, n0 = 1) then solves all first
+    brackets together from the sweep's values at their ends, in at most one
+    step more than bisection, each step one walk grid over the open brackets,
+    of which it keeps the diagonal C_{k_i}(s_i).
     """
+    first, start = np.full(len(ks), -1), 0
     for stop, values in walk.lr_walk_blocks(p, ks, grid):
-        up = (values[:, :stop - 1] < threshold) & (values[:, 1:stop] >= threshold)
-        if up.any(axis=1).all():
+        still = np.flatnonzero(first < 0)
+        block = values[still, start:stop]
+        up = (block[:, :-1] < threshold) & (block[:, 1:] >= threshold)
+        if (hit := up.any(axis=1)).any():           # a one-time block has no step
+            first[still[hit]] = start + up[hit].argmax(axis=1)
+        if hit.all():
             break
-    missed = ~up.any(axis=1)
+        start = stop - 1
+    missed = first < 0
     if missed.any():
         raise ThresholdNotReachedError(
             f"C_{ks[np.argmax(missed)]} never reaches {threshold} before s = {s_end:.4g}")
-    ks, first = np.asarray(ks), np.argmax(up, axis=1)
+    ks = np.asarray(ks)
     lo, hi = grid[first], grid[first + 1]
     f_lo, f_hi = (values[np.arange(len(ks)), first + d] - threshold for d in (0, 1))
     eps, step, kappa1 = 5e-9, 0, 0.2 / (hi - lo)

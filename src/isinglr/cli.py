@@ -268,12 +268,8 @@ def _items(text: str, kind) -> list:
     return values[:i - 2] + (list(map(kind, terms)) if d == 1 else [t / d for t in terms])
 
 
-def parse_int_list(text: str):
-    """Integer lists: '3', '1,4,9', '1..10', or '1,3,...,39' (see `_items`).
-
-    A list that expands to nothing, such as '3..2', or that holds an item
-    that is not an integer, such as 'a', is a usage error.
-    """
+def _int_items(text: str):
+    """`parse_int_list`'s items, a 'start..end' range kept as a `range`."""
     text = text.strip()
     if ".." in text and "..." not in text:
         bounds = text.split("..")
@@ -281,12 +277,31 @@ def parse_int_list(text: str):
             raise click.UsageError(f"cannot expand range {text!r}; use start..end")
         lo, hi = (_number(int, b, text) for b in bounds)
         validate_budget(n := hi - lo + 1, f"{text!r} expands to {n} items")
-        values = list(range(lo, hi + 1))
+        values = range(lo, hi + 1)
     else:
         values = _items(text, int)
     if not values:
         raise click.UsageError(f"{text!r} selects nothing")
     return values
+
+
+def parse_int_list(text: str):
+    """Integer lists: '3', '1,4,9', '1..10', or '1,3,...,39' (see `_items`).
+
+    A list that expands to nothing, such as '3..2', or that holds an item
+    that is not an integer, such as 'a', is a usage error.
+    """
+    return list(_int_items(text))
+
+
+def qubit_list(k_spec, default: range = None):
+    """`--k` of a table command, or `default` without one.  A range stays a `range`,
+    so a grid counts its cells before any index list is built; only an explicit
+    list can repeat a qubit, which is a usage error."""
+    ks = _int_items(k_spec) if k_spec else default
+    if not isinstance(ks, range) and len(set(ks)) != len(ks):
+        raise click.UsageError(f"--k {k_spec!r} repeats a qubit")
+    return ks
 
 
 def parse_float_list(text: str):
@@ -346,9 +361,7 @@ output_options = _options(
 def correlate(nq, jp, out, fmt_name, k_spec, s_values, smax, ns, method, digits):
     """Time series of C_k(t/tau) for selected qubits."""
     p = ChainParams(nq, jp)
-    ks = parse_int_list(k_spec) if k_spec else list(range(1, min(nq, 10) + 1))
-    if len(set(ks)) != len(ks):
-        raise click.UsageError(f"--k {k_spec!r} repeats a qubit")
+    ks = qubit_list(k_spec, range(1, min(nq, 10) + 1))
     ss = time_grid(s_values, smax, ns)
     routes = [Method.WALK, Method.DIRECT] if method == "both" else [Method(method)]
     grids = analysis.route_grids(routes, p, ks, ss, digits)
@@ -375,9 +388,7 @@ def correlate(nq, jp, out, fmt_name, k_spec, s_values, smax, ns, method, digits)
 def snapshot(nq, jp, out, fmt_name, s_values, k_spec, with_critical, digits):
     """Spatial snapshots: C_k at fixed times, one row per qubit."""
     p = ChainParams(nq, jp)
-    ks = parse_int_list(k_spec) if k_spec else list(range(1, nq + 1))
-    if len(set(ks)) != len(ks):
-        raise click.UsageError(f"--k {k_spec!r} repeats a qubit")
+    ks = qubit_list(k_spec, range(1, nq + 1))
     ss = parse_float_list(s_values)
     if len(set(ss)) != len(ss):
         raise click.UsageError(f"--s {s_values!r} repeats a time")
@@ -484,9 +495,7 @@ def edge(jp, out, k_spec, s_values, forms, fmt_name):
     underflow doubles by hundreds of decades.  No chain length is involved:
     the forms describe the semi-infinite leading edge.
     """
-    ks = parse_int_list(k_spec)
-    if len(set(ks)) != len(ks):
-        raise click.UsageError(f"--k {k_spec!r} repeats a qubit")
+    ks = qubit_list(k_spec)
     ss = parse_float_list(s_values)
     if len(set(ss)) != len(ss):
         raise click.UsageError(f"--s {s_values!r} repeats a time")

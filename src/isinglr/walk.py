@@ -19,8 +19,9 @@ written down in O(N^2) with no dense factorization (see `_eig_factor`).
 Up to time s the row is nonzero in double precision only inside the light
 cone, the first ~2 pi s (1 + J') nodes, so only that prefix of the chain is
 factorized and the cost at short times does not grow with N.  A grid builds
-rows on that prefix a block of times at a time and keeps only the tail sums
-asked for, so it holds one block plus its answer, whatever N and the times.
+rows on that prefix a block of at most 128 times and 2^17 row entries at a
+time and keeps only the tail sums asked for, so it holds one block plus its
+answer, whatever N and the times.
 At s = 0 the row is the exact unit row, so C_k(0) = 0 comes from the row itself.
 A row is q-term cosine and sine sums of the phases 2 pi s sigma_j; in a block
 of evenly spaced times each phase is an anchor's plus an offset's, from two
@@ -76,6 +77,9 @@ from .oracle import PauliString
 
 #: Row entries (times x 2q light-cone nodes) built at once by `lr_walk_grid`.
 _GRID_BLOCK = 2 ** 17
+#: Times in one block of `lr_walk_grid`, so an early-stopping sweep overshoots
+#: little and a small light cone's block stays small.
+_BLOCK_TIMES = 128
 #: Largest arbitrary-precision row work that is started: Taylor steps x 2N
 #: nodes x max(1, digits/120)^2, as a node step costs about digits^2.4; the
 #: deep N = 200, J' = 2, s = 30 light cone at 120 digits needs 61 x 400.
@@ -323,14 +327,15 @@ def _tail_correlations(rows: np.ndarray) -> np.ndarray:
 
 
 def lr_walk_blocks(p: ChainParams, ks, ss):
-    """`lr_walk_grid` a block of times at a time: yields (stop, out) after each
-    block, `out` its one answer, final up to column `stop`, so a sweep may stop."""
+    """`lr_walk_grid` a block of times at a time (at most `_BLOCK_TIMES` times and
+    `_GRID_BLOCK` row entries): yields (stop, out) after each block, `out` its one
+    answer, final up to column `stop`, so a sweep may stop."""
     ks, ss = validate_grid(p, ks, ss, "a walk grid")
     nodes = 2 * np.array(ks, dtype=int) - 1
     factor = _grid_factor(p, ss, len(nodes) * len(ss))
     inside = nodes < 2 * len(factor[0])
     out = np.zeros((len(nodes), len(ss)))
-    step = max(1, _GRID_BLOCK // (2 * len(factor[0])))
+    step = max(1, min(_BLOCK_TIMES, _GRID_BLOCK // (2 * len(factor[0]))))
     for i in range(0, len(ss) or 1, step):
         tails = _tail_correlations(_cone_rows(factor, ss[i:i + step]))
         out[inside, i:i + step] = tails[:, nodes[inside]].T
@@ -340,9 +345,10 @@ def lr_walk_blocks(p: ChainParams, ks, ss):
 def lr_walk_grid(p: ChainParams, ks, ss) -> np.ndarray:
     """C_k(s) for qubit list `ks` and time array `ss`, shape (len(ks), len(ss)).
 
-    Rows are built over the light-cone prefix of q qubits, `_GRID_BLOCK // 2q`
-    times at a time, and each block keeps only the tail columns of `ks`; a k
-    past the prefix reads exactly 0, as its rows are exactly zero there.
+    Rows are built over the light-cone prefix of q qubits, a block of at most
+    `_BLOCK_TIMES` times and `_GRID_BLOCK` row entries (`_GRID_BLOCK // 2q` times)
+    at a time, and each block keeps only the tail columns of `ks`; a k past the
+    prefix reads exactly 0, as its rows are exactly zero there.
     """
     for _, out in lr_walk_blocks(p, ks, ss):
         pass

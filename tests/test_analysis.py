@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from isinglr import (
     saturation_window,
     v_group_max,
 )
-from isinglr import walk
+from isinglr import analysis, walk
 from isinglr.analysis import default_fit_range
 
 
@@ -279,6 +280,47 @@ class TestCrossingSolve:
         first = np.argmax((values[:, :-1] < 0.1) & (values[:, 1:] >= 0.1), axis=1)
         for (k, s), j in zip(est.crossing_times, first):
             assert grid[j] < s < grid[j + 1]
+
+    def test_sweep_blocks_hold_at_most_128_times(self, monkeypatch):
+        # at q = 120 the entry budget alone would allow 546 times per block; the
+        # sweep builds a block of at most 128 and stops in the block of the last
+        # first crossing, so it overshoots that crossing by at most 128 times
+        p, batches = ChainParams(120, 0.5), []
+        real = walk._cone_rows
+
+        def counted(factor, ss):
+            batches.append(len(ss))
+            return real(factor, ss)
+
+        sweeps = self._sweeps(monkeypatch)
+        monkeypatch.setattr(walk, "_cone_rows", counted)
+        walk._eig_factor.cache_clear()
+        tracemalloc.start()
+        try:
+            est = front_velocity(p, fit_range=(10, 84))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.undo()
+        (grid, built), *_ = sweeps
+        last = max(s for _, s in est.crossing_times)
+        assert max(batches) <= 128 and built < len(grid)
+        assert grid[built - 1] < last + 128 * 0.02
+        assert peak < 3 * 2**20
+
+    @pytest.mark.parametrize("nq, jp, ks", [(120, 0.5, range(10, 85)), (200, 2.0, range(1, 200, 9)),
+                                            (40, 1.0, [30, 3, 12])])
+    def test_block_edges_keep_the_crossings(self, monkeypatch, nq, jp, ks):
+        # one time per block puts a block edge between every two sweep times: the
+        # same first brackets, and crossing times within the solve's round-off
+        p, ks = ChainParams(nq, jp), np.asarray(ks)
+        s_top = float(analysis.reflection_safe_horizon(p, max(ks)))
+        grid = analysis._sweep_times(len(ks), s_top, 0.02)
+        default = analysis._first_crossings(p, ks, 0.1, grid, s_top)
+        monkeypatch.setattr(walk, "_GRID_BLOCK", 1)
+        single = analysis._first_crossings(p, ks, 0.1, grid, s_top)
+        assert np.array_equal(np.searchsorted(grid, default), np.searchsorted(grid, single))
+        assert np.max(np.abs(default - single)) <= 1e-10
 
     def test_unreached_threshold_sweeps_to_the_end_then_refuses(self, monkeypatch):
         sweeps = self._sweeps(monkeypatch)

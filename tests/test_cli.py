@@ -894,6 +894,28 @@ class TestGridBudget:
             "", "numeric guard: a closed-form grid of 2000 qubits x 10001 times is 20002000 "
                 "cells, above the grid budget 16777216\n")
 
+    @pytest.mark.parametrize("argv, what", [
+        (["correlate", "--nq", "4000000", "--jp", "1", "--method", "critical",
+          "--k", "1..4000000"], "a closed-form grid"),
+        (["snapshot", "--nq", "4000000", "--jp", "1", "--critical", "--k", "1..4000000"],
+         "a closed-form grid"),
+        (["snapshot", "--nq", "4000000", "--jp", "1"], "a walk grid"),
+        (["edge", "--jp", "1", "--k", "1..4000000"], "a leading-edge grid"),
+    ], ids=["correlate", "snapshot", "snapshot-whole-chain", "edge"])
+    def test_qubit_range_counted_before_it_is_built(self, argv, what, capsys):
+        # 4,000,000 qubits is within the list budget, but x 5 times above the grid
+        # budget; as a list and a set of Python ints it would take about 345 MB
+        tracemalloc.start()
+        try:
+            code = main([*argv, "--s", "0,1,2,3,4"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and peak < 16 * 2**20
+        assert capsys.readouterr() == (
+            "", f"numeric guard: {what} of 4000000 qubits x 5 times is 20000000 cells, "
+                "above the grid budget 16777216\n")
+
 
 class TestBenchCommand:
     def test_report_structure(self):

@@ -490,14 +490,18 @@ class TestLrWalk:
         return grid, calls
 
     @pytest.mark.parametrize("nq, jp, ks, ss, blocks, zeros", [
-        # k = 900 lies past 2q = 1152 at every time, and the other k at s = 0
+        # k = 900 lies past 2q = 1152 at every time, and the other k at s = 0;
+        # 113 times per block fill the entry budget
         (1000, 0.5, [1, 100, 500, 900], np.linspace(0.0, 100.0, 201), 2, 201 + 3),
         (40, 2.0, range(1, 41), [0.0, 0.7, 0.0, 1.3, 0.0, 0.0, 2.1], 1, 4 * 40),
+        # q = 120 would fit 546 times in the entry budget, and takes 128
+        (120, 0.5, [1, 10, 60, 120], np.linspace(0.0, 30.0, 401), 4, 4),
     ])
     def test_blocked_grid_is_exact(self, monkeypatch, nq, jp, ks, ss, blocks, zeros):
         # at the default blocks and at one time per block, the grid is bit for
         # bit the full-width tail sums of its own rows, all blocks share one
         # factor, and s = 0 cells and k past the 2q-node prefix are exactly 0.
+        # A default block holds at most 128 times and `_GRID_BLOCK` row entries.
         # BLAS rounds a row's product differently with the number of rows in
         # the call (one row is a matrix-vector product), so the two block sizes
         # may differ there by an ulp
@@ -510,12 +514,28 @@ class TestLrWalk:
         for block, count in ((walk._GRID_BLOCK, blocks), (1, len(ss))):
             grid, calls = self._blocks(monkeypatch, p, ks, ss, block)
             assert len(calls) == count and len({id(factor) for factor, _ in calls}) == 1
+            if block == walk._GRID_BLOCK:
+                assert all(len(r) <= 128 and r.size <= block for _, r in calls)
             rows = np.zeros((len(ss), p.n_nodes))
             rows[:, :2 * q] = np.concatenate([r for _, r in calls])
             full = 2.0 * np.sqrt(np.cumsum((rows ** 2)[:, ::-1], axis=1)[:, ::-1])
             assert np.array_equal(grid, full[:, cols].T)
             assert np.array_equal(grid[zero], np.zeros(zero.sum()))
             assert np.max(np.abs(grid - default)) < 1e-14
+
+    def test_largest_light_cone_blocks_stay_in_the_entry_budget(self, monkeypatch):
+        # q = 2047 is the largest light cone the grid budget admits ((2q)^2 = 2^24
+        # at q = 2048 leaves no room for an answer): 32 times of 4094 nodes per
+        # block, 131,008 of the `_GRID_BLOCK` = 131,072 row entries
+        p, ks, ss = ChainParams(2047, 0.5), [1, 1000, 2047], np.linspace(0.0, 420.0, 41)
+        assert walk._light_cone_qubits(p, 420.0) == 2047
+        grid, calls = self._blocks(monkeypatch, p, ks, ss, walk._GRID_BLOCK)
+        assert [r.shape for _, r in calls] == [(32, 4094), (9, 4094)]
+        assert all(r.size <= walk._GRID_BLOCK for _, r in calls)
+        rows = np.concatenate([r for _, r in calls])
+        full = 2.0 * np.sqrt(np.cumsum((rows ** 2)[:, ::-1], axis=1)[:, ::-1])
+        assert np.array_equal(grid, full[:, [1, 1999, 4093]].T)
+        walk._eig_factor.cache_clear()              # its two halves hold 64 MB
 
     def test_long_grid_memory_bounded_by_blocks(self):
         # one (n_s, 2N) row array and its tail sums for these 20,000 times
