@@ -27,10 +27,10 @@ from .params import (
     cast_trusted,
     critical_trusted,
     double_trusted,
+    time_span,
     validate_budget,
     validate_correlations,
     validate_count,
-    validate_increasing,
     validate_params,
     validate_positive,
     validate_qubit_index,
@@ -289,11 +289,11 @@ def measure_saturation(p: ChainParams, k: int, s_window: tuple,
     """Maximum of C_k over a window after front passage; approaches C_sat.
 
     The window must end before the reflection horizon, otherwise the finite
-    chain contaminates the plateau.
+    chain contaminates the plateau; its `samples` times are `params.time_span`'s.
     """
     validate_params(p)
     validate_qubit_index(p, k)
-    samples = validate_count("samples", samples)
+    validate_count("samples", samples)        # refused before the window and the horizon
     s_lo, s_hi = float(s_window[0]), float(s_window[1])
     if not (0.0 <= s_lo < s_hi):
         raise ValidationError(f"bad saturation window {s_window}")
@@ -301,7 +301,7 @@ def measure_saturation(p: ChainParams, k: int, s_window: tuple,
     if s_hi > horizon:
         raise HorizonError(
             f"window end {s_hi} exceeds reflection horizon {horizon:.4g} for k={k}")
-    grid = np.linspace(s_lo, s_hi, samples)
+    grid = time_span(s_lo, s_hi, samples, "samples")
     return float(np.max(walk.lr_walk_grid(p, [k], grid)[0]))
 
 
@@ -325,7 +325,7 @@ def lightcone(p: ChainParams, k_range: tuple, s_range: tuple,
     stay trusted and are reported as -inf).  Passing `digits` switches to the
     arbitrary-precision rows, which resolve tails to 1e-100 and below, each
     log10 rounded once from its integer tail sum.  An open end of `k_range`
-    (None) is the end of the chain, 1 or N; the times must strictly increase.
+    (None) is the end of the chain, 1 or N; the times are `params.time_span`'s.
     """
     validate_params(p)
     k_lo, k_hi = (validate_qubit_index(p, end if k is None else k)
@@ -333,12 +333,7 @@ def lightcone(p: ChainParams, k_range: tuple, s_range: tuple,
     if k_hi < k_lo:
         raise ValidationError("empty qubit range")
     ks = tuple(range(k_lo, k_hi + 1))
-    resolution = validate_count("resolution", resolution)
-    validate_budget(resolution, f"resolution {resolution}")
-    s_lo, s_hi = float(s_range[0]), float(s_range[1])
-    if not (0.0 <= s_lo <= s_hi < math.inf):
-        raise ValidationError(f"bad time range {s_range}")
-    ss = validate_increasing(np.linspace(s_lo, s_hi, resolution))
+    ss = time_span(s_range[0], s_range[1], resolution, "resolution")
 
     if digits is None:
         grid = route_grid(Method.WALK, p, ks, ss)

@@ -16,6 +16,10 @@ prints; `lightcone --digits` trusts every cell (`analysis.lightcone`).
 Snapshot rows past the reflection-safe horizon of their qubit are kept and marked
 untrusted.
 
+Lists come from `_items`, where an integer range or progression stays a `range`
+that the grid budget counts before it is built, and a repeat in a typed list is
+refused by `_distinct`; an evenly spaced `--smax`/`--ns` grid is `params.time_span`'s.
+
 Exit codes: 0 success, 1 usage error, 2 numeric-guard refusal.
 """
 
@@ -30,8 +34,7 @@ from dataclasses import dataclass
 import click
 import numpy as np
 
-from .params import (ChainParams, GuardError, Method, ValidationError, validate_budget,
-                     validate_increasing, validate_times)
+from .params import ChainParams, GuardError, Method, ValidationError, time_span, validate_budget
 from . import analysis, asymptotics, bench
 
 USAGE_EXIT = 1
@@ -233,15 +236,26 @@ def _number(kind, item: str, text: str):
         raise click.UsageError(f"{item!r} in {text!r} is not a valid {kind.__name__}") from None
 
 
-def _items(text: str, kind) -> list:
+def _items(text: str, kind):
     """A comma list of `kind` (int or float), where '...' as the next-to-last
     item continues the two before it, start and next, as an arithmetic
-    progression that ends exactly at the last item.  Items before start are
-    kept as typed.  Terms are (a + j b) / d, with d the common denominator
-    of the exact decimal start and step and one correctly rounded division
-    each, so each is the value its decimal spelling would give; a last item
-    that is not start plus a whole number (at least one) of steps is a usage
-    error."""
+    progression that ends exactly at the last item, or an int list that is one
+    'start..end' range.  Items before start are kept as typed.  Terms are
+    (a + j b) / d, with d the common denominator of the exact decimal start and
+    step and one correctly rounded division each, so each is the value its
+    decimal spelling would give; a last item that is not start plus a whole
+    number (at least one) of steps is a usage error.  An int list that is one
+    range or progression stays a `range`, counted before any item is built."""
+    text = text.strip()
+    if kind is int and ".." in text and "..." not in text:
+        bounds = text.split("..")
+        if len(bounds) != 2:
+            raise click.UsageError(f"cannot expand range {text!r}; use start..end")
+        lo, hi = (_number(int, b, text) for b in bounds)
+        validate_budget(n := hi - lo + 1, f"{text!r} expands to {n} items")
+        if n < 1:
+            raise click.UsageError(f"{text!r} selects nothing")
+        return range(lo, hi + 1)
     parts = [p.strip() for p in text.split(",")]
     values = [_number(kind, p, text) for p in parts if p != "..."]
     if "..." not in parts:
@@ -265,43 +279,23 @@ def _items(text: str, kind) -> list:
     d = math.lcm(start.denominator, step.denominator)
     a, b = int(start * d), int(step * d)
     terms = range(a, a + (int(count) + 1) * b, b)
-    return values[:i - 2] + (list(map(kind, terms)) if d == 1 else [t / d for t in terms])
-
-
-def _int_items(text: str):
-    """`parse_int_list`'s items, a 'start..end' range kept as a `range`."""
-    text = text.strip()
-    if ".." in text and "..." not in text:
-        bounds = text.split("..")
-        if len(bounds) != 2:
-            raise click.UsageError(f"cannot expand range {text!r}; use start..end")
-        lo, hi = (_number(int, b, text) for b in bounds)
-        validate_budget(n := hi - lo + 1, f"{text!r} expands to {n} items")
-        values = range(lo, hi + 1)
-    else:
-        values = _items(text, int)
-    if not values:
-        raise click.UsageError(f"{text!r} selects nothing")
-    return values
+    if kind is float:
+        terms = [t / d for t in terms]
+    return terms if i == 2 else values[:i - 2] + list(terms)
 
 
 def parse_int_list(text: str):
-    """Integer lists: '3', '1,4,9', '1..10', or '1,3,...,39' (see `_items`).
-
-    A list that expands to nothing, such as '3..2', or that holds an item
-    that is not an integer, such as 'a', is a usage error.
-    """
-    return list(_int_items(text))
+    """Integer lists as a list: '3', '1,4,9', '1..10', or '1,3,...,39' (see `_items`).
+    One that selects nothing ('3..2') or holds a non-integer ('a') is a usage error."""
+    return list(_items(text, int))
 
 
-def qubit_list(k_spec, default: range = None):
-    """`--k` of a table command, or `default` without one.  A range stays a `range`,
-    so a grid counts its cells before any index list is built; only an explicit
-    list can repeat a qubit, which is a usage error."""
-    ks = _int_items(k_spec) if k_spec else default
-    if not isinstance(ks, range) and len(set(ks)) != len(ks):
-        raise click.UsageError(f"--k {k_spec!r} repeats a qubit")
-    return ks
+def _distinct(values, option: str, text: str, noun: str):
+    """`values`, parsed from `option`'s `text`, once no item repeats; a `range` never
+    does, so only a typed list is put through a set.  A repeat is a usage error."""
+    if not isinstance(values, range) and len(set(values)) != len(values):
+        raise click.UsageError(f"{option} {text!r} repeats a {noun}")
+    return values
 
 
 def parse_float_list(text: str):
@@ -317,9 +311,7 @@ def time_grid(s_values, s_max, n_s):
         first = np.ones(len(ss), dtype=bool)
         first[1:] = ss[1:] != ss[:-1]
         return ss[first]
-    validate_budget(n_s, f"'--ns' expands to {n_s} items")
-    # --smax checked before the spread
-    return validate_increasing(np.linspace(0.0, validate_times([s_max])[0], n_s))
+    return time_span(0.0, s_max, n_s, "--ns")
 
 
 @click.group()
@@ -361,7 +353,8 @@ output_options = _options(
 def correlate(nq, jp, out, fmt_name, k_spec, s_values, smax, ns, method, digits):
     """Time series of C_k(t/tau) for selected qubits."""
     p = ChainParams(nq, jp)
-    ks = qubit_list(k_spec, range(1, min(nq, 10) + 1))
+    ks = (_distinct(_items(k_spec, int), "--k", k_spec, "qubit") if k_spec
+          else range(1, min(nq, 10) + 1))
     ss = time_grid(s_values, smax, ns)
     routes = [Method.WALK, Method.DIRECT] if method == "both" else [Method(method)]
     grids = analysis.route_grids(routes, p, ks, ss, digits)
@@ -388,10 +381,8 @@ def correlate(nq, jp, out, fmt_name, k_spec, s_values, smax, ns, method, digits)
 def snapshot(nq, jp, out, fmt_name, s_values, k_spec, with_critical, digits):
     """Spatial snapshots: C_k at fixed times, one row per qubit."""
     p = ChainParams(nq, jp)
-    ks = qubit_list(k_spec, range(1, nq + 1))
-    ss = parse_float_list(s_values)
-    if len(set(ss)) != len(ss):
-        raise click.UsageError(f"--s {s_values!r} repeats a time")
+    ks = _distinct(_items(k_spec, int), "--k", k_spec, "qubit") if k_spec else range(1, nq + 1)
+    ss = _distinct(parse_float_list(s_values), "--s", s_values, "time")
     routes = [Method.WALK, Method.CRITICAL] if with_critical else [Method.WALK]
     grids = analysis.route_grids(routes, p, ks, ss, digits)
     prefix = {Method.WALK: "C", Method.CRITICAL: "critical"}
@@ -495,13 +486,9 @@ def edge(jp, out, k_spec, s_values, forms, fmt_name):
     underflow doubles by hundreds of decades.  No chain length is involved:
     the forms describe the semi-infinite leading edge.
     """
-    ks = qubit_list(k_spec)
-    ss = parse_float_list(s_values)
-    if len(set(ss)) != len(ss):
-        raise click.UsageError(f"--s {s_values!r} repeats a time")
-    wanted = [f.strip() for f in forms.split(",")]
-    if len(set(wanted)) != len(wanted):
-        raise click.UsageError(f"--forms {forms!r} repeats a form")
+    ks = _distinct(_items(k_spec, int), "--k", k_spec, "qubit")
+    ss = _distinct(parse_float_list(s_values), "--s", s_values, "time")
+    wanted = _distinct([f.strip() for f in forms.split(",")], "--forms", forms, "form")
     unknown = [f for f in wanted if f not in asymptotics.LEADING_FORMS]
     if unknown:
         raise click.UsageError(f"unknown forms {unknown}")
@@ -541,12 +528,21 @@ def recipe_argv(options: dict) -> list:
 def recipe(config, out):
     """Run a saved run configuration (JSON with command + options)."""
     with open(config, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
+        try:
+            spec = json.load(fh)
+        except ValueError as exc:       # not UTF-8, or not JSON
+            raise click.UsageError(f"recipe {config!r} is not JSON: {exc}") from None
+    if not isinstance(spec, dict):
+        raise click.UsageError(f"recipe {config!r} is not a JSON object")
     name = spec.get("command")
-    target = cli.get_command(None, name)
+    target = cli.get_command(None, name) if isinstance(name, str) else None
     if target is None:
         raise click.UsageError(f"recipe names unknown command {name!r}")
-    options = dict(spec.get("options", {}))
+    try:
+        options = dict(spec.get("options", {}))
+    except (TypeError, ValueError):
+        raise click.UsageError(
+            f"recipe options {spec['options']!r} are not name-value pairs") from None
     if out is not None:
         options["out"] = out
     target.main(args=recipe_argv(options), standalone_mode=False)

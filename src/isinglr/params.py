@@ -154,6 +154,18 @@ def validate_budget(entries, what: str) -> None:
         raise GuardError(f"{what}, above the grid budget {MAX_GRID_ENTRIES}")
 
 
+def time_span(lo, hi, count, what: str) -> np.ndarray:
+    """`count` evenly spaced times from `lo` to `hi`, the one such grid rule: the count is
+    checked, then counted against the grid budget (`<what> <count>`), then the ends
+    (finite, 0 <= lo <= hi), before any time is built; the times must strictly increase."""
+    count = validate_count(what, count)
+    validate_budget(count, f"{what} {count}")
+    lo, hi = validate_times([lo, hi])
+    if lo > hi:
+        raise ValidationError(f"time span ({lo}, {hi}) ends before it starts")
+    return validate_increasing(np.linspace(lo, hi, count))
+
+
 def validate_grid(p: ChainParams | None, ks, ss, what: str) -> tuple:
     """The grid request rule of every route: re-checks `p` (`None`, the semi-infinite
     chain), the times, then the len(ks) x len(ss) cells against the grid budget, and

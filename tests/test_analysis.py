@@ -382,6 +382,17 @@ class TestSaturationMeasurement:
         with pytest.raises(ValidationError):
             measure_saturation(ChainParams(120, 0.5), 8, (20.0, 30.0), samples=samples)
 
+    def test_sample_count_counted_before_the_grid(self):
+        # 2**24 + 1 samples would be a 128 MiB time array before the walk grid refused
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardError, match="samples 16777217, above the grid budget"):
+                measure_saturation(ChainParams(120, 0.5), 8, (20.0, 30.0), samples=2**24 + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     @pytest.mark.parametrize("width", [-5.0, 0.0, math.nan])
     def test_window_width_validated(self, width):
         with pytest.raises(ValidationError):

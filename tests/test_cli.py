@@ -49,6 +49,16 @@ class TestListParsing:
         assert parse_int_list("1,3,...,9") == [1, 3, 5, 7, 9]
         assert parse_float_list("828,830,...,836") == [828.0, 830.0, 832.0, 834.0, 836.0]
 
+    def test_integer_progressions_stay_ranges(self):
+        assert cli_module._items("1,3,...,9", int) == range(1, 10, 2)
+        assert cli_module._items("9,7,...,1", int) == range(9, 0, -2)
+        assert cli_module._items("2,1,3,...,9", int) == [2, 1, 3, 5, 7, 9]
+        for spec, typed in (("1,3,...,9", "1,3,5,7,9"), ("9,7,...,1", "9,7,5,3,1")):
+            for args in (["correlate", "--nq", "10", "--jp", "0.5", "--ns", "3"],
+                         ["snapshot", "--nq", "10", "--jp", "0.5", "--s", "1,2"],
+                         ["edge", "--jp", "2", "--s", "1,2", "--forms", "exact"]):
+                assert run_ok([*args, "--k", spec]) == run_ok([*args, "--k", typed])
+
     def test_bad_ellipsis_rejected(self):
         with pytest.raises(click.UsageError):
             parse_int_list("1,...,10")
@@ -319,7 +329,7 @@ class TestCorrelate:
         done = subprocess.run([sys.executable, "-W", "default", "-c", code], env=env,
                               capture_output=True, text=True, check=True)
         assert done.stderr == ("error: times must all be finite and >= 0\n"
-                               "error: bad time range (0.0, inf)\n")
+                               "error: times must all be finite and >= 0\n")
         assert done.stdout == ""
 
     def test_walk_grid_budget_exit_code(self, monkeypatch):
@@ -851,7 +861,7 @@ class TestGridBudget:
          "'0,0.001,...,1' expands to 1001 items"),
         (["correlate", "--nq", "4", "--jp", "0.5", "--k", "1..1001"],
          "'1..1001' expands to 1001 items"),
-        (["correlate", "--nq", "4", "--jp", "0.5", "--ns", "1001"], "'--ns' expands to 1001 items"),
+        (["correlate", "--nq", "4", "--jp", "0.5", "--ns", "1001"], "--ns 1001"),
         (["lightcone", "--nq", "4", "--jp", "0.5", "--ns", "1001"], "resolution 1001"),
         (["bench", "--nq", "4,6", "--compare-nq", "4", "--repeats", "1", "--ns", "1001"],
          "n_times 1001"),
@@ -901,7 +911,13 @@ class TestGridBudget:
          "a closed-form grid"),
         (["snapshot", "--nq", "4000000", "--jp", "1"], "a walk grid"),
         (["edge", "--jp", "1", "--k", "1..4000000"], "a leading-edge grid"),
-    ], ids=["correlate", "snapshot", "snapshot-whole-chain", "edge"])
+        (["correlate", "--nq", "4000000", "--jp", "1", "--method", "critical",
+          "--k", "1,2,...,4000000"], "a closed-form grid"),
+        (["snapshot", "--nq", "4000000", "--jp", "1", "--critical", "--k", "1,2,...,4000000"],
+         "a closed-form grid"),
+        (["edge", "--jp", "1", "--k", "1,2,...,4000000"], "a leading-edge grid"),
+    ], ids=["correlate", "snapshot", "snapshot-whole-chain", "edge", "correlate-progression",
+            "snapshot-progression", "edge-progression"])
     def test_qubit_range_counted_before_it_is_built(self, argv, what, capsys):
         # 4,000,000 qubits is within the list budget, but x 5 times above the grid
         # budget; as a list and a set of Python ints it would take about 345 MB
@@ -974,8 +990,38 @@ class TestBenchCommand:
         monkeypatch.setattr(oracle, "lr_direct_grid", timed)
         assert main(["bench", "--compare-nq", "10", "--ns", "6", *args]) == code
 
+    @pytest.mark.parametrize("smax", ["nan", "inf"])
+    def test_non_finite_end_refused_without_a_warning(self, smax, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["bench", "--nq", "4,6", "--compare-nq", "4", "--repeats", "1",
+                         "--ns", "3", "--smax", smax]) == 1
+        assert capsys.readouterr() == ("", "error: times must all be finite and >= 0\n")
+
+    def test_span_must_strictly_increase(self, capsys):
+        assert main(["bench", "--nq", "4,6", "--compare-nq", "4", "--repeats", "1",
+                     "--ns", "3", "--smax", "0"]) == 1
+        assert capsys.readouterr() == ("", "error: time grid must be strictly increasing\n")
+        run_ok(["bench", "--nq", "4,6", "--compare-nq", "4", "--repeats", "1", "--ns", "1",
+                "--smax", "0"])
+
 
 class TestRecipe:
+    @pytest.mark.parametrize("text, message", [
+        ("{bad", "is not JSON: Expecting property name enclosed in double quotes"),
+        ("[1]", "is not a JSON object"),
+        ('{"command": "correlate", "options": [1, 2]}',
+         "recipe options [1, 2] are not name-value pairs"),
+        ('{"command": ["correlate"]}', "recipe names unknown command ['correlate']"),
+    ], ids=["not-json", "array", "options-list", "command-list"])
+    def test_malformed_recipe_is_one_error_line(self, text, message, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(text)
+        assert main(["recipe", str(cfg)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
     def test_recipe_roundtrip(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({

@@ -4,7 +4,8 @@ Each drawn call of `cli.main` exits 0 with a parseable table and nothing on
 stderr, or exits 1 (usage error) or 2 (numeric-guard refusal) with exactly one
 stderr line and nothing on stdout.  It raises nothing else, prints no warning
 (warnings are errors here) and stays under a `tracemalloc` peak of 64 MiB.
-Options are drawn from extreme floats, malformed lists and small chains.
+Options are drawn from extreme floats, malformed lists and small chains; `bench`
+and `recipe` run fixed cases: every extreme `--smax`, and malformed recipe files.
 """
 
 import contextlib
@@ -13,6 +14,7 @@ import json
 import tracemalloc
 import warnings
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from isinglr.cli import main
@@ -105,7 +107,7 @@ def check_contract(argv: list) -> None:
     assert peak < MAX_PEAK, f"{argv}: traced peak {peak} bytes"
     if code == 0:
         assert err == "", f"{argv}: {err!r}"
-        parse_table(out, argv[0] == "front" or "json" in argv)
+        parse_table(out, argv[0] in ("front", "bench") or "json" in argv)
     else:
         assert code in (1, 2), f"{argv}: exit {code}"
         assert out == "", f"{argv}: {out!r}"
@@ -117,3 +119,18 @@ def check_contract(argv: list) -> None:
 @settings(max_examples=200, derandomize=True, deadline=None)
 def test_every_call_ends_in_a_table_or_one_error_line(argv):
     check_contract(argv)
+
+
+@pytest.mark.parametrize("smax", EXTREME)
+def test_bench_ends_in_a_report_or_one_error_line(smax):
+    check_contract(["bench", "--nq", "4,6", "--compare-nq", "4", "--repeats", "1", "--ns", "3",
+                    "--smax", smax])
+
+
+@pytest.mark.parametrize("text", ["{bad", "[1]", '{"command": "correlate", "options": [1, 2]}',
+                                  '{"command": ["correlate"]}'],
+                         ids=["not-json", "array", "options-list", "command-list"])
+def test_malformed_recipe_ends_in_one_error_line(text, tmp_path):
+    config = tmp_path / "recipe.json"
+    config.write_text(text)
+    check_contract(["recipe", str(config)])
