@@ -2,7 +2,7 @@
 
 C_k(t) = || [Z_k, Z_1(t)] || measures how fast quantum influence spreads from
 the first qubit down the chain.  The dense route evolves operators in the
-full 2^N space and stops being practical near 14 qubits; the operator
+full 2^N space, which the grid budget admits to 12 qubits; the operator
 Pauli-walk route reduces the same quantity to the first row of the
 exponential of a 2N x 2N skew-symmetric matrix and reaches hundreds of
 qubits.  A Bessel-function closed form covers the semi-infinite chain at the

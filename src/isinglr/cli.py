@@ -28,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -201,13 +202,12 @@ class Output:
     def __init__(self, path):
         self.path = path
 
-    @contextlib.contextmanager
     def _stream(self):
-        if self.path in (None, "-"):
-            yield sys.stdout
-        else:
-            with open(self.path, "w", encoding="utf-8") as stream:
-                yield stream
+        try:
+            return (contextlib.nullcontext(sys.stdout) if self.path in (None, "-")
+                    else open(self.path, "w", encoding="utf-8"))
+        except OSError as exc:      # a file that `_out_path` admits and the system refuses
+            raise click.UsageError(str(exc)) from None
 
     def json(self, payload: dict):
         with self._stream() as stream:
@@ -304,7 +304,7 @@ def parse_float_list(text: str):
 
 
 def time_grid(s_values, s_max, n_s):
-    if s_values:
+    if s_values is not None:
         # time-series grids must be strictly increasing: np.unique's sort and
         # mask, spelled out because np.unique imports numpy.ma on first use
         ss = np.sort(np.asarray(parse_float_list(s_values), dtype=float))
@@ -327,8 +327,16 @@ def _options(*options):
     return apply
 
 
-out_option = click.option("--out", type=click.Path(writable=True), default=None,
-                          help="Output file (default stdout).")
+def _out_path(ctx, param, path):
+    """--out: stdout (unset or '-') or a file named in an existing directory, before any grid."""
+    if path not in (None, "-") and not (os.path.basename(path)
+                                        and os.path.isdir(os.path.dirname(path) or ".")):
+        raise click.BadParameter(f"{path!r} names no file in an existing directory")
+    return path
+
+
+out_option = click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None,
+                          callback=_out_path, help="Output file (default stdout).")
 chain_options = _options(
     click.option("--nq", type=int, required=True, help="Chain length N."),
     click.option("--jp", type=float, required=True, help="Dimensionless coupling J' = J/gamma."))
@@ -353,7 +361,7 @@ output_options = _options(
 def correlate(nq, jp, out, fmt_name, k_spec, s_values, smax, ns, method, digits):
     """Time series of C_k(t/tau) for selected qubits."""
     p = ChainParams(nq, jp)
-    ks = (_distinct(_items(k_spec, int), "--k", k_spec, "qubit") if k_spec
+    ks = (_distinct(_items(k_spec, int), "--k", k_spec, "qubit") if k_spec is not None
           else range(1, min(nq, 10) + 1))
     ss = time_grid(s_values, smax, ns)
     routes = [Method.WALK, Method.DIRECT] if method == "both" else [Method(method)]
@@ -381,7 +389,8 @@ def correlate(nq, jp, out, fmt_name, k_spec, s_values, smax, ns, method, digits)
 def snapshot(nq, jp, out, fmt_name, s_values, k_spec, with_critical, digits):
     """Spatial snapshots: C_k at fixed times, one row per qubit."""
     p = ChainParams(nq, jp)
-    ks = _distinct(_items(k_spec, int), "--k", k_spec, "qubit") if k_spec else range(1, nq + 1)
+    ks = (_distinct(_items(k_spec, int), "--k", k_spec, "qubit") if k_spec is not None
+          else range(1, nq + 1))
     ss = _distinct(parse_float_list(s_values), "--s", s_values, "time")
     routes = [Method.WALK, Method.CRITICAL] if with_critical else [Method.WALK]
     grids = analysis.route_grids(routes, p, ks, ss, digits)
@@ -523,10 +532,9 @@ def recipe_argv(options: dict) -> list:
 
 @cli.command()
 @click.argument("config", type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", type=click.Path(writable=True), default=None,
-              help="Overrides the out entry of the recipe.")
+@out_option
 def recipe(config, out):
-    """Run a saved run configuration (JSON with command + options)."""
+    """Run a saved run configuration (JSON with command + options); --out overrides its out."""
     with open(config, "r", encoding="utf-8") as fh:
         try:
             spec = json.load(fh)

@@ -159,7 +159,7 @@ def lr_critical_grid(ks, ss) -> np.ndarray:
     top = _tail_orders(max(ks, default=1), z_max) if math.isfinite(z_max) else math.inf
     if z_max > 0.0 and (top > MAX_BESSEL_ORDER or z_max > MAX_BESSEL_ARG):
         raise GuardError(
-            f"the closed form sums Bessel orders to {top} at argument {z_max:g}, outside the "
+            f"the closed form sums Bessel orders to {top:.3g} at argument {z_max:g}, outside the "
             f"supported envelope (orders <= {MAX_BESSEL_ORDER}, arguments <= {MAX_BESSEL_ARG:g})")
     out = np.zeros((len(ks), len(ss)))
     orders = 2 * np.array(ks, dtype=int)

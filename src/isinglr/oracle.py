@@ -47,10 +47,10 @@ diff being symmetric.  Both are symmetric, so A^T serves for A.  Every term is
 non-negative; 2 - (4/dim) Re tr(B_k^2) would cancel catastrophically for small C.
 
 Against the full-space route (`_z1_evolved`, then `commutator_with_z`) the
-grid agrees to 2.5e-14 absolute at N <= 8, J' <= 2.5.  Peak memory is six
-(dim/2)^2 float64 arrays (the blocks, half an array per sector, W, and four
-per-time buffers), 12 * 4^N bytes: 13 MB at N = 10, 201 MB at N = 12, 3.2 GB at
-N = 14; building the factor peaks near 4.2 arrays.
+grid agrees to 2.5e-14 absolute at N <= 8, J' <= 2.5.  The cached factor (the
+blocks, half an array per sector, and W) holds 2 (dim/2)^2 floats, which the grid
+budget admits to N = 12 (`_check_dense`); with four per-time buffers a grid peaks
+at 12 * 4^N bytes, 201 MB at N = 12.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import (MAX_DENSE_QUBITS, ChainParams, DimensionGuardError, ValidationError,
+from .params import (ChainParams, DimensionGuardError, ValidationError, validate_budget,
                      validate_grid, validate_params, validate_phase, validate_qubit_index)
 
 PAULI = {
@@ -100,14 +100,18 @@ class PauliString:
 
 def pauli_string_matrix(s: PauliString) -> np.ndarray:
     """Kronecker product of the single-site matrices, site 1 leftmost."""
+    validate_budget(2 * 4 ** len(s), f"a {len(s)}-site Pauli matrix of 2 * 4^{len(s)} entries")
     return functools.reduce(np.kron, [PAULI[c] for c in s.codes])
 
 
-def _check_dense(p: ChainParams) -> ChainParams:
+def _check_dense(p: ChainParams, hamiltonian: bool = False) -> ChainParams:
+    """Re-check `p`, then count against the grid budget its factor (the mirror blocks and W
+    of `lr_direct_grid`, 2 * 4^(N-1) floats) or its complex Hamiltonian (2 * 4^N floats)."""
     validate_params(p)
-    if p.n_qubits > MAX_DENSE_QUBITS:
-        raise DimensionGuardError(f"dense oracle refuses n_qubits={p.n_qubits} (limit "
-                                  f"{MAX_DENSE_QUBITS}; use the walk method instead)")
+    sites = p.n_qubits - (not hamiltonian)
+    validate_budget(2 * 4 ** sites if sites < 512 else math.inf,   # no huge int is built
+                    f"dense oracle refuses n_qubits={p.n_qubits}: its "
+                    f"{'Hamiltonian' if hamiltonian else 'factor'} of 2 * 4^{sites} entries")
     return p
 
 
@@ -118,7 +122,7 @@ def _z_diagonal(n_qubits: int, k: int) -> np.ndarray:
 
 def build_hamiltonian(p: ChainParams) -> np.ndarray:
     """Dense H' = -sum X_k - J' sum Z_k Z_{k+1}, open boundary."""
-    _check_dense(p)
+    _check_dense(p, hamiltonian=True)
     nq, jp, dim = p.n_qubits, p.j_coupling, 2 ** p.n_qubits
     h = np.zeros((dim, dim), dtype=complex)
     rows = np.arange(dim)

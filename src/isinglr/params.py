@@ -28,7 +28,7 @@ class GuardError(RuntimeError):
 
 
 class DimensionGuardError(GuardError):
-    """Dense-oracle dimension limit exceeded."""
+    """The grid budget refused a grid, list or dense factor: `validate_budget`'s class."""
 
 
 class ThresholdNotReachedError(GuardError):
@@ -38,9 +38,6 @@ class ThresholdNotReachedError(GuardError):
 class HorizonError(GuardError):
     """A requested time window extends past the reflection-safe horizon."""
 
-
-#: Dense computations refuse chains longer than this (state space 2^14).
-MAX_DENSE_QUBITS = 14
 
 #: Chains refuse couplings above this: the mode solver of the walk squares J'
 #: and scales it by up to 2^11 light-cone qubits, which stays a finite double.
@@ -54,9 +51,9 @@ DOUBLE_TRUST_FLOOR = 1e-13
 MAX_PHASE = 2.0 ** 52
 
 #: The grid budget of `validate_budget`, in float entries.  A double-precision walk grid
-#: counts its light-cone factor as (2q)^2, twice its two q x q halves, as a full tridiagonal
-#: eigendecomposition would, plus its len(ks) x times answer (1.3e6 for the largest
-#: benchmark grid, N = 1000 to s = 101 on 201 times); any other grid or list counts cells.
+#: counts its light-cone factor as (2q)^2 plus its len(ks) x times answer (1.3e6 for the
+#: largest benchmark grid, N = 1000 to s = 101 on 201 times); a dense array counts two per
+#: complex entry (the oracle's factor admits N <= 12); any other grid or list counts cells.
 MAX_GRID_ENTRIES = 2 ** 24
 
 
@@ -149,9 +146,9 @@ def validate_count(name: str, value) -> int:
 
 
 def validate_budget(entries, what: str) -> None:
-    """Refuse a grid of more entries than `MAX_GRID_ENTRIES`; `what` names and counts them."""
+    """Refuse a grid, list or dense factor above the grid budget; `what` names and counts it."""
     if entries > MAX_GRID_ENTRIES:
-        raise GuardError(f"{what}, above the grid budget {MAX_GRID_ENTRIES}")
+        raise DimensionGuardError(f"{what}, above the grid budget {MAX_GRID_ENTRIES}")
 
 
 def time_span(lo, hi, count, what: str) -> np.ndarray:

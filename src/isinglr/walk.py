@@ -97,6 +97,7 @@ def relevant_strings(p: ChainParams) -> tuple:
     (X_1..X_{j-1} Z_j, X_1..X_{j-1} Y_j) for j = 1..N, in node order."""
     validate_params(p)
     nq = p.n_qubits
+    validate_budget(2 * nq * nq, f"{2 * nq} Pauli strings of {nq} sites")
     out = []
     for j in range(1, nq + 1):
         prefix = ["X"] * (j - 1)
@@ -117,6 +118,7 @@ def build_adjacency(p: ChainParams) -> np.ndarray:
     """A' = A / (2i): the real, skew-symmetric, tridiagonal walk-graph matrix,
     read-only."""
     validate_params(p)
+    validate_budget(p.n_nodes ** 2, f"a {p.n_nodes} x {p.n_nodes} walk matrix")
     c = _superdiagonal(p)
     m = np.diag(c, 1) - np.diag(c, -1)
     m.setflags(write=False)
@@ -134,6 +136,7 @@ def walk_coefficients(p: ChainParams, n: int) -> np.ndarray:
     validate_params(p)
     if not isinstance(n, int) or n < 0:
         raise ValidationError(f"walk length must be a nonnegative integer, got {n!r}")
+    validate_budget(p.n_nodes, f"a walk vector of {p.n_nodes} nodes")
     c = _superdiagonal(p)
     v = np.zeros(p.n_nodes)
     v[0] = 1.0

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -302,7 +303,7 @@ class TestCorrelate:
 
     @pytest.mark.parametrize("argv, message", [
         (["snapshot", "--nq", "8", "--jp", "1", "--s", "1e3", "--k", "1..4", "--critical",
-          "--digits", "20"], "the closed form sums Bessel orders to 13025"),
+          "--digits", "20"], "the closed form sums Bessel orders to 1.3e+04"),
         (["correlate", "--nq", "15", "--jp", "0.5", "--method", "both", "--digits", "20",
           "--k", "1", "--s", "0,1,...,40"], "dense oracle refuses n_qubits=15"),
     ], ids=["critical-envelope", "dense-length"])
@@ -315,6 +316,24 @@ class TestCorrelate:
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"numeric guard: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, kind", [
+        (["correlate", "--nq", "4", "--jp", "0.5", "--k", ""], "int"),
+        (["snapshot", "--nq", "4", "--jp", "0.5", "--s", "1", "--k", ""], "int"),
+        (["correlate", "--nq", "4", "--jp", "0.5", "--s", ""], "float"),
+    ], ids=["correlate-k", "snapshot-k", "correlate-s"])
+    def test_empty_list_refused_not_replaced_by_the_default(self, argv, kind, capsys):
+        # the rule `edge --k ''` and `snapshot --s ''` follow
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: '' in '' is not a valid {kind}\n")
+
+    def test_closed_form_refusal_prints_its_order_count_in_few_digits(self, capsys):
+        # the order count at s = 1e300 has 302 digits
+        assert main(["correlate", "--nq", "4", "--jp", "1", "--method", "critical",
+                     "--k", "1", "--s", "1e300"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and len(err) < 200
+        assert err.startswith("numeric guard: the closed form sums Bessel orders to 1.26e+301 ")
 
     def test_infinite_smax_refused_before_the_grid(self):
         # np.linspace(0, inf) would warn "invalid value encountered in multiply" first
@@ -931,6 +950,77 @@ class TestGridBudget:
         assert capsys.readouterr() == (
             "", f"numeric guard: {what} of 4000000 qubits x 5 times is 20000000 cells, "
                 "above the grid budget 16777216\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["correlate", "--nq", "13", "--jp", "0.5", "--method", "direct"],
+        ["correlate", "--nq", "13", "--jp", "0.5", "--method", "both"],
+        ["correlate", "--nq", "14", "--jp", "0.5", "--method", "direct"],
+        ["correlate", "--nq", "14", "--jp", "0.5", "--method", "both"],
+        ["bench", "--nq", "20,40", "--compare-nq", "13", "--repeats", "1"],
+    ], ids=["direct-13", "both-13", "direct-14", "both-14", "bench-13"])
+    def test_dense_chain_past_the_budget_refused_before_any_array(self, argv, monkeypatch,
+                                                                  capsys):
+        # the mirror-block factor holds 2 * 4^(N-1) floats, 845 MB at N = 13
+        def no_factor(p):
+            raise AssertionError("a dense factor was built past the grid budget")
+
+        monkeypatch.setattr(oracle, "_sector_factors", no_factor)
+        nq = argv[argv.index("--nq" if argv[0] == "correlate" else "--compare-nq") + 1]
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            code = main(argv)
+            seconds = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and peak < 2**20 and seconds < 0.5, (code, peak, seconds)
+        assert capsys.readouterr() == (
+            "", f"numeric guard: dense oracle refuses n_qubits={nq}: its factor of "
+                f"2 * 4^{int(nq) - 1} entries, above the grid budget 16777216\n")
+
+
+class TestOutPath:
+    """An --out that cannot be opened ends in one error line, before any grid."""
+
+    RECIPE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "recipes", "lightcone_n200_jp2_deep.json")
+
+    @pytest.fixture
+    def no_grids(self, monkeypatch):
+        def no_grid(*_args, **_kwargs):
+            raise AssertionError("a grid was computed before --out was checked")
+
+        monkeypatch.setattr(analysis, "route_grids", no_grid)
+        monkeypatch.setattr(analysis, "lightcone", no_grid)
+
+    @pytest.mark.usefixtures("no_grids")
+    @pytest.mark.parametrize("command", ["correlate", "recipe"])
+    @pytest.mark.parametrize("out", ["no_such_dir/deep.csv", "", ".", "no_such_dir/"],
+                             ids=["missing-dir", "empty", "directory", "trailing-slash"])
+    def test_unopenable_out_refused_before_any_grid(self, command, out, tmp_path, monkeypatch,
+                                                    capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = (["recipe", self.RECIPE] if command == "recipe"
+                else ["correlate", "--nq", "4", "--jp", "0.5"])
+        assert main([*argv, "--out", out]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
+
+    def test_bare_file_name_is_in_the_current_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["correlate", "--nq", "4", "--jp", "0.5", "--ns", "3", "--out", "t.csv"]) == 0
+        assert parse_csv((tmp_path / "t.csv").read_text())[0]["nq"] == "4"
+
+    def test_error_opening_the_file_is_one_line(self, tmp_path, monkeypatch, capsys):
+        def refused(path, *_args, **_kwargs):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(cli_module, "open", refused, raising=False)
+        out = str(tmp_path / "t.csv")
+        assert main(["correlate", "--nq", "4", "--jp", "0.5", "--ns", "3", "--out", out]) == 1
+        assert capsys.readouterr() == ("", f"error: [Errno 13] Permission denied: {out!r}\n")
 
 
 class TestBenchCommand:

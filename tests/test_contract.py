@@ -6,17 +6,26 @@ stderr line and nothing on stdout.  It raises nothing else, prints no warning
 (warnings are errors here) and stays under a `tracemalloc` peak of 64 MiB.
 Options are drawn from extreme floats, malformed lists and small chains; `bench`
 and `recipe` run fixed cases: every extreme `--smax`, and malformed recipe files.
+
+The library contract: every public entry that builds an array its caller sizes,
+asked for one just past the grid budget, raises `GuardError` before building it,
+under a `tracemalloc` peak of 16 MiB and within a second.
 """
 
 import contextlib
 import io
 import json
+import time
 import tracemalloc
 import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from isinglr import (ChainParams, GuardError, PauliString, build_adjacency, build_hamiltonian,
+                     exp_first_row, lr_critical_grid, lr_direct_grid, lr_leading_grid,
+                     lr_walk_grid, oracle, pauli_string_matrix, relevant_strings, walk,
+                     walk_coefficients)
 from isinglr.cli import main
 
 #: An option's values: plain ones, drawn four times in five, and hostile ones.  Chains
@@ -134,3 +143,42 @@ def test_malformed_recipe_ends_in_one_error_line(text, tmp_path):
     config = tmp_path / "recipe.json"
     config.write_text(text)
     check_contract(["recipe", str(config)])
+
+
+#: Qubits one past the grid budget of 2**24 entries, at one time.
+PAST = range(1, 2**24 + 2)
+
+#: A call of each public entry that builds an array its caller sizes, just past the budget.
+PAST_THE_BUDGET = {
+    "lr_walk_grid": lambda: lr_walk_grid(ChainParams(4, 0.5), PAST, [1.0]),
+    # 2N = 2**24 - 4094 nodes plus the (2q)^2 = 4096 entries of a 32-qubit light cone
+    "exp_first_row": lambda: exp_first_row(ChainParams(2**23 - 2047, 0.5), 0.1),
+    "lr_walk_grid_doubles": lambda: walk.lr_walk_grid_doubles(ChainParams(4, 0.5), PAST,
+                                                              [1.0], 20),
+    "lr_direct_grid": lambda: lr_direct_grid(ChainParams(13, 0.5), [1], [0.5]),   # 2 * 4^12
+    "build_hamiltonian": lambda: build_hamiltonian(ChainParams(12, 0.5)),         # 2 * 4^12
+    "lr_critical_grid": lambda: lr_critical_grid(PAST, [1.0]),
+    "lr_leading_grid": lambda: lr_leading_grid("exact", PAST, [1.0], 2.0),
+    "build_adjacency": lambda: build_adjacency(ChainParams(2049, 0.5)),           # 4098^2
+    "relevant_strings": lambda: relevant_strings(ChainParams(2897, 0.5)),         # 2 * 2897^2
+    "walk_coefficients": lambda: walk_coefficients(ChainParams(2**23 + 1, 0.5), 1),
+    "pauli_string_matrix": lambda: pauli_string_matrix(PauliString.from_str("Z" * 12)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(PAST_THE_BUDGET))
+def test_array_past_the_budget_refused_before_it_is_built(entry, monkeypatch):
+    def no_factor(p):
+        raise AssertionError("a dense factor was built past the grid budget")
+
+    monkeypatch.setattr(oracle, "_sector_factors", no_factor)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(GuardError, match=", above the grid budget 16777216$"):
+            PAST_THE_BUDGET[entry]()
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20 and seconds < 1.0, (peak, seconds)

@@ -85,6 +85,14 @@ class TestPauliStringMatrix:
         with pytest.raises(ValidationError):
             PauliString(("Q",))
 
+    def test_matrix_past_the_budget_refused(self, monkeypatch):
+        # a complex 4^L matrix counts 2 * 4^L floats: 128 at three sites, 512 at four
+        monkeypatch.setattr(params, "MAX_GRID_ENTRIES", 128)
+        assert pauli_string_matrix(PauliString.from_str("XZY")).shape == (8, 8)
+        with pytest.raises(DimensionGuardError, match="^a 4-site Pauli matrix of 2 \\* 4\\^4 "
+                                                      "entries, above the grid budget 128$"):
+            pauli_string_matrix(PauliString.from_str("XZYI"))
+
 
 class TestHamiltonian:
     def test_single_qubit_is_minus_x(self):
@@ -119,6 +127,22 @@ class TestHamiltonian:
     def test_dimension_guard(self):
         with pytest.raises(DimensionGuardError):
             build_hamiltonian(ChainParams(15, 1.0))
+
+    def test_hamiltonian_counted_against_the_grid_budget(self):
+        # 2 * 4^N floats: 2^23 at N = 11 is admitted, 2^25 at N = 12 is refused
+        # before the 268 MB matrix is allocated
+        p = ChainParams(11, 0.5)
+        assert oracle._check_dense(p, hamiltonian=True) is p
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionGuardError, match=(
+                    "^dense oracle refuses n_qubits=12: its Hamiltonian of 2 \\* 4\\^12 entries, "
+                    "above the grid budget 16777216$")):
+                build_hamiltonian(ChainParams(12, 0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestHeisenbergEvolve:
@@ -208,6 +232,30 @@ class TestLrDirect:
     def test_dimension_guard(self):
         with pytest.raises(DimensionGuardError):
             lr_direct(ChainParams(15, 1.0), 1, 0.5)
+
+    def test_factor_counted_against_the_grid_budget(self, monkeypatch):
+        # the mirror-block factor holds 2 * 4^(N-1) floats: 2^23 at N = 12 reaches the
+        # factorization, 2^25 at N = 13 is refused before it, as is any longer chain
+        class Reached(Exception):
+            pass
+
+        def no_factor(p):
+            raise Reached
+
+        monkeypatch.setattr(oracle, "_sector_factors", no_factor)
+        with pytest.raises(Reached):
+            lr_direct_grid(ChainParams(12, 0.5), [1], [0.5])
+        tracemalloc.start()
+        try:
+            for nq in (13, 14, 10**18):
+                with pytest.raises(DimensionGuardError, match=(
+                        f"^dense oracle refuses n_qubits={nq}: its factor of 2 \\* 4\\^{nq - 1} "
+                        "entries, above the grid budget 16777216$")):
+                    lr_direct_grid(ChainParams(nq, 0.5), [1], [0.5])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize("nq,jp", [(1, 0.0), (4, 0.5), (9, 2.5)])
     def test_phase_without_a_fractional_digit_refused(self, nq, jp, monkeypatch):

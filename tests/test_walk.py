@@ -52,6 +52,14 @@ class TestRelevantStrings:
         assert isinstance(rs, tuple) and len(rs) == 14
         assert len({str(s) for s in rs}) == 14
 
+    def test_strings_past_the_budget_refused(self, monkeypatch):
+        # 2N strings of N codes: 50 at N = 5, 72 at N = 6
+        monkeypatch.setattr(params, "MAX_GRID_ENTRIES", 50)
+        assert len(relevant_strings(ChainParams(5, 0.5))) == 10
+        with pytest.raises(GuardError, match="^12 Pauli strings of 6 sites, above the grid "
+                                             "budget 50$"):
+            relevant_strings(ChainParams(6, 0.5))
+
 
 class TestAdjacency:
     def test_four_qubit_matrix(self):
@@ -73,6 +81,13 @@ class TestAdjacency:
     def test_two_qubit_superdiagonal(self):
         a = build_adjacency(ChainParams(2, 0.7))
         assert np.array_equal(np.diag(a, 1), [1.0, 0.7, 1.0])
+
+    def test_matrix_past_the_budget_refused(self, monkeypatch):
+        # a dense (2N)^2 matrix: 100 entries at N = 5, 144 at N = 6
+        monkeypatch.setattr(params, "MAX_GRID_ENTRIES", 100)
+        assert build_adjacency(ChainParams(5, 0.5)).shape == (10, 10)
+        with pytest.raises(GuardError, match="^a 12 x 12 walk matrix, above the grid budget 100$"):
+            build_adjacency(ChainParams(6, 0.5))
 
     @given(st.integers(min_value=1, max_value=40),
            st.floats(min_value=0.0, max_value=5.0, allow_nan=False))
@@ -121,6 +136,14 @@ class TestWalkCoefficients:
     def test_negative_length_rejected(self):
         with pytest.raises(ValidationError):
             walk_coefficients(ChainParams(2, 1.0), -1)
+
+    def test_vector_past_the_budget_refused(self, monkeypatch):
+        # one 2N-node vector: 10 nodes at N = 5, 12 at N = 6
+        monkeypatch.setattr(params, "MAX_GRID_ENTRIES", 10)
+        assert walk_coefficients(ChainParams(5, 0.5), 3).shape == (10,)
+        with pytest.raises(GuardError, match="^a walk vector of 12 nodes, above the grid "
+                                             "budget 10$"):
+            walk_coefficients(ChainParams(6, 0.5), 3)
 
 
 class TestExpFirstRow:
