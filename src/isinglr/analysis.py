@@ -176,11 +176,25 @@ def crossing_time(p: ChainParams, k: int, threshold: float,
 
 
 def _sweep_times(n_k: int, s_end: float, step: float) -> np.ndarray:
-    """The coarse sweep 0, step, ... through s_end, once n_k qubits x its length
-    (counted before any time is built) are within the grid budget."""
+    """The coarse sweep 0, step, ... through s_end, once what it holds, its times plus
+    one walk block of n_k qubits (counted before any time is built), is within the grid
+    budget: `_first_crossings` keeps no qubits x times answer."""
     count = np.ceil((s_end + step) / step)         # np.arange's length, inf past the doubles
-    validate_budget(n_k * count, f"a sweep of {n_k} qubits x {count:.0f} times to s = {s_end:.4g}")
+    block = min(count, walk._BLOCK_TIMES)
+    held = count + n_k * block
+    validate_budget(held, f"a sweep of {n_k} qubits x {count:.0f} times to s = {s_end:.4g} "
+                          f"holds its times and a block of {block:.0f} times, {held:.0f} entries")
     return np.arange(0.0, s_end + step, step)
+
+
+def _diagonal(p: ChainParams, ks, ss) -> np.ndarray:
+    """C_{k_i}(s_i) for every i, read off the diagonal of each streamed walk block."""
+    out, start = np.empty(len(ss)), 0
+    for block in walk.lr_walk_blocks(p, ks, ss):
+        n = block.shape[1]
+        out[start:start + n] = block[np.arange(start, start + n), np.arange(n)]
+        start += n
+    return out
 
 
 def _first_crossings(p: ChainParams, ks, threshold: float, grid: np.ndarray,
@@ -189,31 +203,34 @@ def _first_crossings(p: ChainParams, ks, threshold: float, grid: np.ndarray,
     sign-change bracket at most 1e-8 wide.
 
     The coarse sweep over `grid` tests each walk block of times once, as it
-    arrives: its columns and the one before them, for the k not yet crossed,
-    whose first up-step there is their first crossing.  It stops after the
-    block in which the last k crosses.  The ITP method (Oliveira & Takahashi,
-    ACM TOMS 47 (2020), art. 5; eps = 5e-9, n0 = 1) then solves all first
-    brackets together from the sweep's values at their ends, in at most one
-    step more than bisection, each step one walk grid over the open brackets,
-    of which it keeps the diagonal C_{k_i}(s_i).
+    arrives: its columns and the previous block's last one, for the k not yet
+    crossed, whose first up-step there is their first crossing.  Per k it keeps
+    only that last column and the two values at the first bracket, not the
+    sweep's values, and it stops after the block in which the last k crosses.
+    The ITP method (Oliveira & Takahashi, ACM TOMS 47 (2020), art. 5; eps = 5e-9,
+    n0 = 1) then solves all first brackets together from those values, in at
+    most one step more than bisection, each step one streamed walk run over the
+    open brackets, of which it reads the diagonal C_{k_i}(s_i) block by block.
     """
-    first, start = np.full(len(ks), -1), 0
-    for stop, values in walk.lr_walk_blocks(p, ks, grid):
+    first, f_lo, f_hi = np.full(len(ks), -1), np.empty(len(ks)), np.empty(len(ks))
+    start, last = 0, np.empty((len(ks), 0))
+    for block in walk.lr_walk_blocks(p, ks, grid):
         still = np.flatnonzero(first < 0)
-        block = values[still, start:stop]
-        up = (block[:, :-1] < threshold) & (block[:, 1:] >= threshold)
+        cols = np.hstack((last[still], block[still]))
+        up = (cols[:, :-1] < threshold) & (cols[:, 1:] >= threshold)
         if (hit := up.any(axis=1)).any():           # a one-time block has no step
-            first[still[hit]] = start + up[hit].argmax(axis=1)
+            rows, j = still[hit], up[hit].argmax(axis=1)
+            first[rows] = start + j
+            f_lo[rows], f_hi[rows] = (cols[hit, j + d] - threshold for d in (0, 1))
         if hit.all():
             break
-        start = stop - 1
+        start, last = start + cols.shape[1] - 1, block[:, -1:]
     missed = first < 0
     if missed.any():
         raise ThresholdNotReachedError(
             f"C_{ks[np.argmax(missed)]} never reaches {threshold} before s = {s_end:.4g}")
     ks = np.asarray(ks)
     lo, hi = grid[first], grid[first + 1]
-    f_lo, f_hi = (values[np.arange(len(ks)), first + d] - threshold for d in (0, 1))
     eps, step, kappa1 = 5e-9, 0, 0.2 / (hi - lo)
     n_max = np.ceil(np.log2((hi - lo) / (2.0 * eps))) + 1.0       # bisection's steps + n0
     while (i := np.flatnonzero(hi - lo > 2.0 * eps)).size:
@@ -225,7 +242,7 @@ def _first_crossings(p: ChainParams, ks, threshold: float, grid: np.ndarray,
         delta = np.maximum(kappa1[i] * (b - a) ** 2, 4.0 * np.spacing(mid))
         x = np.where(delta <= np.abs(mid - falsi), falsi + toward * delta, mid)
         x = np.where(np.abs(x - mid) <= radius, x, mid - toward * radius)
-        f = np.diagonal(walk.lr_walk_grid(p, ks[i], x)) - threshold
+        f = _diagonal(p, ks[i], x) - threshold
         below, step = f < 0.0, step + 1
         lo[i[below]], f_lo[i[below]] = x[below], f[below]
         hi[i[~below]], f_hi[i[~below]] = x[~below], f[~below]

@@ -36,7 +36,7 @@ import click
 import numpy as np
 
 from .params import ChainParams, GuardError, Method, ValidationError, time_span, validate_budget
-from . import analysis, asymptotics, bench
+from . import __version__, analysis, asymptotics, bench
 
 USAGE_EXIT = 1
 GUARD_EXIT = 2
@@ -315,6 +315,7 @@ def time_grid(s_values, s_max, n_s):
 
 
 @click.group()
+@click.version_option(__version__, prog_name="isinglr")
 def cli():
     """Lieb-Robinson correlation functions for the transverse-field Ising chain."""
 

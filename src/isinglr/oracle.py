@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import (ChainParams, DimensionGuardError, ValidationError, validate_budget,
+from .params import (ChainParams, ValidationError, validate_budget,
                      validate_grid, validate_params, validate_phase, validate_qubit_index)
 
 PAULI = {
@@ -301,12 +301,15 @@ def commutator_isotropy_check(p: ChainParams, k: int, s: float):
     The gate adds a machine-noise floor to the relative tolerance: the dense
     evolution carries ~eps absolute error per entry, so ahead of the front
     (C ~ 1e-8 and below) the off-diagonals of Q Q^dag are noise of size
-    ~2 sqrt(c) eta, which a flat relative gate would reject.
+    ~2 sqrt(c) eta, which a flat relative gate would reject.  The grid budget counts
+    the complex Hamiltonian, Q and Q Q^dag it builds, 2 * 4^N floats each (N <= 10).
     """
-    _check_dense(p)
+    validate_params(p)
+    nq = p.n_qubits
+    validate_budget(6 * 4 ** nq if nq < 512 else math.inf,          # no huge int is built
+                    f"the isotropy check refuses n_qubits={nq}: its Hamiltonian, Q and "
+                    f"Q Q^dag of 3 x 2 * 4^{nq} entries")
     validate_qubit_index(p, k)
-    if p.n_qubits > 10:
-        raise DimensionGuardError("isotropy check is limited to n_qubits <= 10")
     if s == 0.0:
         return True, 0.0
     dim = 2 ** p.n_qubits

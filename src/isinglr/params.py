@@ -52,8 +52,9 @@ MAX_PHASE = 2.0 ** 52
 
 #: The grid budget of `validate_budget`, in float entries.  A double-precision walk grid
 #: counts its light-cone factor as (2q)^2 plus its len(ks) x times answer (1.3e6 for the
-#: largest benchmark grid, N = 1000 to s = 101 on 201 times); a dense array counts two per
-#: complex entry (the oracle's factor admits N <= 12); any other grid or list counts cells.
+#: largest benchmark grid, N = 1000 to s = 101 on 201 times), a streamed walk run the factor
+#: plus one block, and a crossing sweep its times plus one block; a dense array counts two
+#: per complex entry (the oracle's factor admits N <= 12); any other grid or list counts cells.
 MAX_GRID_ENTRIES = 2 ** 24
 
 
@@ -163,15 +164,19 @@ def time_span(lo, hi, count, what: str) -> np.ndarray:
     return validate_increasing(np.linspace(lo, hi, count))
 
 
-def validate_grid(p: ChainParams | None, ks, ss, what: str) -> tuple:
+def validate_grid(p: ChainParams | None, ks, ss, what: str, block: int = None) -> tuple:
     """The grid request rule of every route: re-checks `p` (`None`, the semi-infinite
-    chain), the times, then the len(ks) x len(ss) cells against the grid budget, and
-    only then each qubit index; returns the indices as ints and the times as an array."""
+    chain), the times, then the cells it holds against the grid budget, and only then
+    each qubit index; returns the indices as ints and the times as an array.  A grid
+    holds its len(ks) x len(ss) cells, or, streamed in blocks of at most `block` times,
+    the len(ks) x min(len(ss), block) cells of one block."""
     if p is not None:
         validate_params(p)
     ss = validate_times(ss)
-    cells = len(ks) * len(ss)
-    validate_budget(cells, f"{what} of {len(ks)} qubits x {len(ss)} times is {cells} cells")
+    times = len(ss) if block is None else min(len(ss), block)
+    cells = len(ks) * times
+    held = "is" if block is None else f"holds a block of {times} times,"
+    validate_budget(cells, f"{what} of {len(ks)} qubits x {len(ss)} times {held} {cells} cells")
     return [validate_qubit_index(p, k) for k in ks], ss
 
 

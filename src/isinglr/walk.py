@@ -21,7 +21,9 @@ cone, the first ~2 pi s (1 + J') nodes, so only that prefix of the chain is
 factorized and the cost at short times does not grow with N.  A grid builds
 rows on that prefix a block of at most 128 times and 2^17 row entries at a
 time and keeps only the tail sums asked for, so it holds one block plus its
-answer, whatever N and the times.
+answer, whatever N and the times; `lr_walk_blocks` yields the same blocks'
+values in turn and holds no answer, so a caller that reads each block as it
+comes holds one block.
 At s = 0 the row is the exact unit row, so C_k(0) = 0 comes from the row itself.
 A row is q-term cosine and sine sums of the phases 2 pi s sigma_j; in a block
 of evenly spaced times each phase is an anchor's plus an offset's, from two
@@ -272,8 +274,8 @@ def _eig_factor(p: ChainParams):
 
 def _grid_factor(p: ChainParams, ss: np.ndarray, held: int) -> tuple:
     """The cached factor of the light-cone prefix for times `ss`, once the grid
-    budget admits (2q)^2 factor entries plus the caller's `held` answer entries, and
-    the largest phase 2 pi s sigma, sigma <= 1 + J', keeps a fractional digit."""
+    budget admits (2q)^2 factor entries plus the `held` entries of the caller's answer
+    or block, and the largest phase 2 pi s sigma, sigma <= 1 + J', keeps a fractional digit."""
     s_max = float(np.max(ss, initial=0.0))
     validate_phase("walk", 2.0 * math.pi * s_max * (1.0 + p.j_coupling))
     q = _light_cone_qubits(p, s_max)
@@ -329,20 +331,30 @@ def _tail_correlations(rows: np.ndarray) -> np.ndarray:
     return np.multiply(np.sqrt(rows, out=rows), 2.0, out=rows)
 
 
-def lr_walk_blocks(p: ChainParams, ks, ss):
-    """`lr_walk_grid` a block of times at a time (at most `_BLOCK_TIMES` times and
-    `_GRID_BLOCK` row entries): yields (stop, out) after each block, `out` its one
-    answer, final up to column `stop`, so a sweep may stop."""
-    ks, ss = validate_grid(p, ks, ss, "a walk grid")
+def _tail_blocks(p: ChainParams, ks, ss, block: int = None) -> tuple:
+    """A checked walk run: which k lie inside the light-cone prefix, the times, and the
+    blocks of at most `_BLOCK_TIMES` times and `_GRID_BLOCK` row entries, each the tail
+    sums at those k's nodes 2k - 1 only, so a block's rows are freed before the next
+    block's are built.  The grid budget counts the factor plus the whole answer, or with
+    `block`, one block of that many times (`params.validate_grid`)."""
+    ks, ss = validate_grid(p, ks, ss, "a walk grid", block)
     nodes = 2 * np.array(ks, dtype=int) - 1
-    factor = _grid_factor(p, ss, len(nodes) * len(ss))
+    factor = _grid_factor(p, ss, len(nodes) * min(len(ss), block or len(ss)))
     inside = nodes < 2 * len(factor[0])
-    out = np.zeros((len(nodes), len(ss)))
     step = max(1, min(_BLOCK_TIMES, _GRID_BLOCK // (2 * len(factor[0]))))
-    for i in range(0, len(ss) or 1, step):
-        tails = _tail_correlations(_cone_rows(factor, ss[i:i + step]))
-        out[inside, i:i + step] = tails[:, nodes[inside]].T
-        yield min(i + step, len(ss)), out
+    return inside, ss, (_tail_correlations(_cone_rows(factor, ss[i:i + step]))[:, nodes[inside]]
+                        for i in range(0, len(ss), step))
+
+
+def lr_walk_blocks(p: ChainParams, ks, ss):
+    """`lr_walk_grid` a block of times at a time: yields each block's C values, shape
+    (len(ks), at most `_BLOCK_TIMES`), in time order, so a caller holds one block and
+    may stop.  The grid budget counts the factor plus one block, not the whole grid."""
+    inside, _, blocks = _tail_blocks(p, ks, ss, _BLOCK_TIMES)
+    for tails in blocks:
+        block = np.zeros((len(inside), len(tails)))
+        block[inside] = tails.T
+        yield block
 
 
 def lr_walk_grid(p: ChainParams, ks, ss) -> np.ndarray:
@@ -350,11 +362,15 @@ def lr_walk_grid(p: ChainParams, ks, ss) -> np.ndarray:
 
     Rows are built over the light-cone prefix of q qubits, a block of at most
     `_BLOCK_TIMES` times and `_GRID_BLOCK` row entries (`_GRID_BLOCK // 2q` times)
-    at a time, and each block keeps only the tail columns of `ks`; a k past the
-    prefix reads exactly 0, as its rows are exactly zero there.
+    at a time, and each block fills only the tail columns of `ks` into the answer,
+    which the grid budget counts with the factor; a k past the prefix reads exactly
+    0, as its rows are exactly zero there.
     """
-    for _, out in lr_walk_blocks(p, ks, ss):
-        pass
+    inside, ss, blocks = _tail_blocks(p, ks, ss)
+    out, start = np.zeros((len(inside), len(ss))), 0
+    for tails in blocks:
+        out[inside, start:start + len(tails)] = tails.T
+        start += len(tails)
     return out
 
 

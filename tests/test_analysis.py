@@ -20,7 +20,7 @@ from isinglr import (
     saturation_window,
     v_group_max,
 )
-from isinglr import analysis, walk
+from isinglr import analysis, params, walk
 from isinglr.analysis import default_fit_range
 
 
@@ -207,16 +207,18 @@ def _bisected_crossings(p, ks, threshold):
 class TestCrossingSolve:
     @staticmethod
     def _steps(monkeypatch):
-        """Per-k step counts of the crossing solve, filled as it runs; the
-        coarse sweep goes through `lr_walk_blocks`, so every grid is a step."""
-        real, steps = walk.lr_walk_grid, {}
+        """Per-k step counts of the crossing solve, filled as it runs; the coarse
+        sweep is the first `lr_walk_blocks` run, and every later run is a step."""
+        real, steps, runs = walk.lr_walk_blocks, {}, []
 
         def counted(p, ks, ss):
-            for k in ks.tolist():
-                steps[k] = steps.get(k, 0) + 1
+            if runs:
+                for k in ks.tolist():
+                    steps[k] = steps.get(k, 0) + 1
+            runs.append(ks)
             return real(p, ks, ss)
 
-        monkeypatch.setattr(walk, "lr_walk_grid", counted)
+        monkeypatch.setattr(walk, "lr_walk_blocks", counted)
         return steps
 
     @staticmethod
@@ -226,9 +228,9 @@ class TestCrossingSolve:
 
         def recorded(p, ks, ss):
             sweeps.append([np.asarray(ss), 0])
-            for stop, out in real(p, ks, ss):
-                sweeps[-1][1] = stop
-                yield stop, out
+            for block in real(p, ks, ss):
+                sweeps[-1][1] += block.shape[1]
+                yield block
 
         monkeypatch.setattr(walk, "lr_walk_blocks", recorded)
         return sweeps
@@ -307,6 +309,27 @@ class TestCrossingSolve:
         assert max(batches) <= 128 and built < len(grid)
         assert grid[built - 1] < last + 128 * 0.02
         assert peak < 3 * 2**20
+
+    def test_sweep_holds_one_block_not_its_answer(self, monkeypatch):
+        # at N = 300, J' = 0.9 the sweep is 181 qubits x 3441 times, 622,821 values,
+        # above a budget of 2^19; it holds its times and one block of 128 times, and
+        # the solve reads the same values
+        p = ChainParams(300, 0.9)
+        expected = front_velocity(p)
+        monkeypatch.setattr(params, "MAX_GRID_ENTRIES", 2**19)
+        assert front_velocity(p) == expected
+
+    def test_front_peak_memory_is_blocks_not_grids(self):
+        # the 181 x 3441 sweep alone would take 5 MB, and each solve step's
+        # open-k x open-k grid up to 262 kB
+        walk._eig_factor.cache_clear()
+        tracemalloc.start()
+        try:
+            front_velocity(ChainParams(300, 0.9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
     @pytest.mark.parametrize("nq, jp, ks", [(120, 0.5, range(10, 85)), (200, 2.0, range(1, 200, 9)),
                                             (40, 1.0, [30, 3, 12])])

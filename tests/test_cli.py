@@ -14,7 +14,7 @@ from click.testing import CliRunner
 
 from isinglr import (ChainParams, DimensionGuardError, GuardError, Method, ValidationError,
                      critical, oracle, params, walk)
-from isinglr import analysis
+from isinglr import __version__, analysis
 from isinglr import cli as cli_module
 from isinglr.params import cast_trusted, critical_trusted, double_trusted
 from isinglr.cli import Output, Tiled, cli, fmt, main, parse_float_list, parse_int_list
@@ -148,6 +148,10 @@ class TestSelectionExitCodes:
     def test_non_numeric_item(self, args, item, capsys):
         assert main(args) == 1
         assert f"error: {item} in " in capsys.readouterr().err
+
+    def test_version_prints_the_package_version(self, capsys):
+        assert main(["--version"]) == 0
+        assert capsys.readouterr() == (f"isinglr, version {__version__}\n", "")
 
 
 class TestImports:
@@ -886,7 +890,9 @@ class TestGridBudget:
          "n_times 1001"),
         (["edge", "--jp", "2", "--k", "1..40", "--s", "1,2,...,26"],
          "a leading-edge grid of 40 qubits x 26 times is 1040 cells"),
-        (["front", "--nq", "20", "--jp", "0.5"], "a sweep of 5 qubits x 399 times to s = 7.958"),
+        (["front", "--nq", "20", "--jp", "0.5"],
+         "a sweep of 5 qubits x 399 times to s = 7.958 holds its times and a block of 128 times, "
+         "1039 entries"),
         (["correlate", "--nq", "100", "--jp", "0.5", "--k", "1", "--ns", "100"],
          "a walk grid of 100 times on a "),
         (["correlate", "--nq", "4", "--jp", "1", "--method", "critical", "--k", "1..4",

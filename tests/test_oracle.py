@@ -319,6 +319,26 @@ class TestNormEquivalence:
         assert math.sqrt(max(c, 0.0)) == pytest.approx(
             lr_direct(ChainParams(6, 2.0), 3, 1.0), abs=1e-12)
 
+    def test_isotropy_counted_against_the_grid_budget(self, monkeypatch):
+        # the Hamiltonian, Q and Q Q^dag, 2 * 4^N floats each: 6 * 4^10 is admitted,
+        # 6 * 4^11 = 25,165,824 is refused before any array is built
+        assert commutator_isotropy_check(ChainParams(10, 0.5), 3, 0.0) == (True, 0.0)
+
+        def no_array(*_args):
+            raise AssertionError("an array was built past the grid budget")
+
+        monkeypatch.setattr(oracle, "build_hamiltonian", no_array)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionGuardError, match=(
+                    "^the isotropy check refuses n_qubits=11: its Hamiltonian, Q and Q Q\\^dag "
+                    "of 3 x 2 \\* 4\\^11 entries, above the grid budget 16777216$")):
+                commutator_isotropy_check(ChainParams(11, 0.5), 3, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestSectorOracle:
     """The parity-sector grid against routes that share none of its steps."""

@@ -574,6 +574,25 @@ class TestLrWalk:
         assert peak < 16 * 2**20
         assert grid[0, -1] == pytest.approx(lr_walk(p, 1, 30.0), abs=1e-13)
 
+    def test_blocks_stream_the_grid(self, monkeypatch):
+        # the blocks are the grid's columns bit for bit, at most 128 times each; the
+        # budget counts one block with the factor, (2q)^2 = 57,600 plus 4 x 128, so
+        # a budget that refuses the 4 x 401 answer still streams it
+        p, ks, ss = ChainParams(120, 0.5), [1, 10, 60, 120], np.linspace(0.0, 30.0, 401)
+        grid = lr_walk_grid(p, ks, ss)
+        blocks = list(walk.lr_walk_blocks(p, ks, ss))
+        assert [b.shape for b in blocks] == [(4, 128)] * 3 + [(4, 17)]
+        assert np.array_equal(np.hstack(blocks), grid)
+        monkeypatch.setattr(params, "MAX_GRID_ENTRIES", 58_500)
+        assert np.array_equal(np.hstack(list(walk.lr_walk_blocks(p, ks, ss))), grid)
+        with pytest.raises(GuardError, match="^a walk grid of 401 times on a 120-qubit light "
+                                             "cone needs 59204 entries, above the grid budget"):
+            lr_walk_grid(p, ks, ss)
+        monkeypatch.setattr(params, "MAX_GRID_ENTRIES", 500)
+        with pytest.raises(GuardError, match="^a walk grid of 4 qubits x 401 times holds a "
+                                             "block of 128 times, 512 cells, above the grid"):
+            next(walk.lr_walk_blocks(p, ks, ss))
+
     def test_grid_matches_single_point(self):
         p = ChainParams(140, 1.7)
         ss = np.linspace(0.0, 4.0, 23)
